@@ -4,14 +4,24 @@ The cluster validates and applies :class:`~repro.cluster.allocation.
 Allocation` records and answers the occupancy queries strategies need
 (free nodes, joinable shared lanes, a job's node set).  It deliberately
 knows nothing about jobs beyond their integer ids.
+
+Occupancy queries run every scheduler pass and every metrics sample,
+so the cluster keeps them as indexes updated by :meth:`Cluster.allocate`,
+:meth:`Cluster.release` and the health transitions (``mark_*``) instead
+of rescanning the nodes.  Node state must therefore change through the
+cluster, never through a member :class:`Node` directly;
+:meth:`Cluster.check_indexes` compares the indexes with a full scan.
+The indexes are derived state: they are left out of pickles and
+rebuilt on restore.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from bisect import bisect_left, insort
+from typing import Callable, Iterable, Iterator
 
 from repro.cluster.allocation import Allocation, AllocationKind
-from repro.cluster.node import Node
+from repro.cluster.node import SMT_LANES, Node
 from repro.cluster.topology import Topology
 from repro.errors import AllocationError
 
@@ -38,6 +48,60 @@ class Cluster:
                 )
         self._allocations: dict[int, Allocation] = {}
         self.topology = Topology.from_nodes(self.nodes)
+        self._build_indexes()
+
+    # ------------------------------------------------------------------
+    # Occupancy indexes
+    # ------------------------------------------------------------------
+    #: Attributes derived from ``nodes`` and ``_allocations``; never
+    #: pickled, rebuilt by :meth:`_build_indexes`.
+    _INDEXES = ("_running_ids", "_idle_ids", "_busy", "_shared", "_full_nodes")
+
+    def _scan_indexes(self) -> dict[str, object]:
+        """Every index, computed from scratch by walking the nodes."""
+        nodes = self.nodes
+        return {
+            # Allocated job ids (reservation phantoms included), sorted.
+            "_running_ids": sorted(self._allocations),
+            # Allocatable node ids, ascending.
+            "_idle_ids": [n.node_id for n in nodes if n.is_idle],
+            # Nodes with at least one occupant / with every lane taken.
+            "_busy": sum(1 for n in nodes if n.occupancy),
+            "_shared": sum(1 for n in nodes if n.occupancy >= SMT_LANES),
+            # Shared job id -> how many of its nodes have no free lane;
+            # a job is joinable exactly when its count is 0.
+            "_full_nodes": {
+                job_id: sum(
+                    1 for i in alloc.node_ids if not nodes[i].has_free_lane
+                )
+                for job_id, alloc in self._allocations.items()
+                if alloc.is_shared
+            },
+        }
+
+    def _build_indexes(self) -> None:
+        self.__dict__.update(self._scan_indexes())
+
+    def check_indexes(self) -> None:
+        """Raise :class:`AllocationError` if any maintained index
+        differs from a full scan of the nodes and allocations."""
+        for name, expected in self._scan_indexes().items():
+            actual = getattr(self, name)
+            if actual != expected:
+                raise AllocationError(
+                    f"cluster index {name} is stale: maintained {actual!r}, "
+                    f"scan gives {expected!r}"
+                )
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in self._INDEXES:
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._build_indexes()
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -82,11 +146,29 @@ class Cluster:
         return self.nodes[node_id]
 
     def idle_nodes(self) -> list[Node]:
-        """Nodes with no occupants, in id order."""
-        return [n for n in self.nodes if n.is_idle]
+        """Allocatable nodes (healthy, no occupants), in id order."""
+        return [self.nodes[i] for i in self._idle_ids]
+
+    def idle_node_ids(self) -> list[int]:
+        """Ids of :meth:`idle_nodes`, ascending (a fresh list)."""
+        return self._idle_ids.copy()
 
     def num_idle(self) -> int:
-        return sum(1 for n in self.nodes if n.is_idle)
+        return len(self._idle_ids)
+
+    def num_busy(self) -> int:
+        """Nodes hosting at least one job."""
+        return self._busy
+
+    def num_shared(self) -> int:
+        """Nodes hosting a job on every SMT lane."""
+        return self._shared
+
+    def joinable_job_ids(self) -> list[int]:
+        """Shared jobs with a free SMT lane on every node, ascending."""
+        return sorted(
+            job_id for job_id, full in self._full_nodes.items() if not full
+        )
 
     def joinable_nodes(self) -> list[Node]:
         """Shared nodes with a free SMT lane, in id order."""
@@ -102,7 +184,8 @@ class Cluster:
         return job_id in self._allocations
 
     def running_job_ids(self) -> list[int]:
-        return sorted(self._allocations)
+        """Allocated job ids, ascending (a fresh list)."""
+        return self._running_ids.copy()
 
     def nodes_of(self, job_id: int) -> list[Node]:
         return [self.nodes[i] for i in self.allocation_of(job_id).node_ids]
@@ -173,7 +256,28 @@ class Cluster:
                 self.nodes[node_id].release(allocation.job_id)
             raise
         self._allocations[final.job_id] = final
+        self._index_allocate(final)
         return final
+
+    def _index_allocate(self, allocation: Allocation) -> None:
+        job_id = allocation.job_id
+        insort(self._running_ids, job_id)
+        idle = self._idle_ids
+        full_nodes = self._full_nodes
+        full = 0
+        for node_id in allocation.node_ids:
+            node = self.nodes[node_id]
+            if node.occupancy == 1:
+                # The node was idle: exclusive, or opened shared.
+                self._busy += 1
+                del idle[bisect_left(idle, node_id)]
+            else:
+                # Joined a resident: the node's last lane is now taken.
+                self._shared += 1
+                full += 1
+                full_nodes[node.co_runner_of(job_id)] += 1
+        if allocation.is_shared:
+            full_nodes[job_id] = full
 
     def build_exclusive(self, job_id: int, node_ids: Iterable[int]) -> Allocation:
         return Allocation(
@@ -193,10 +297,50 @@ class Cluster:
     def release(self, job_id: int) -> Allocation:
         """Free every node held by *job_id*; returns the old record."""
         allocation = self.allocation_of(job_id)
+        idle = self._idle_ids
+        full_nodes = self._full_nodes
         for node_id in allocation.node_ids:
-            self.nodes[node_id].release(job_id)
+            remaining = self.nodes[node_id].release(job_id)
+            if remaining is None:
+                # Occupied nodes are healthy, so an emptied one is idle.
+                self._busy -= 1
+                insort(idle, node_id)
+            else:
+                # A shared lane freed beside the remaining resident.
+                self._shared -= 1
+                full_nodes[remaining] -= 1
         del self._allocations[job_id]
+        full_nodes.pop(job_id, None)
+        del self._running_ids[bisect_left(self._running_ids, job_id)]
         return allocation
+
+    # ------------------------------------------------------------------
+    # Health transitions (see NodeHealth for the lifecycle)
+    # ------------------------------------------------------------------
+    def mark_down(self, node_id: int) -> None:
+        """Take an unoccupied node out of service (``HEALTHY -> FAILED``)."""
+        self._change_health(node_id, Node.mark_down)
+
+    def mark_repairing(self, node_id: int) -> None:
+        self._change_health(node_id, Node.mark_repairing)
+
+    def mark_drained(self, node_id: int) -> None:
+        self._change_health(node_id, Node.mark_drained)
+
+    def mark_up(self, node_id: int) -> None:
+        """Return a node to service."""
+        self._change_health(node_id, Node.mark_up)
+
+    def _change_health(
+        self, node_id: int, transition: Callable[[Node], None]
+    ) -> None:
+        node = self.nodes[node_id]
+        was_idle = node.is_idle
+        transition(node)
+        if node.is_idle and not was_idle:
+            insort(self._idle_ids, node_id)
+        elif was_idle and not node.is_idle:
+            del self._idle_ids[bisect_left(self._idle_ids, node_id)]
 
     def reset(self) -> None:
         """Release everything (used between simulation runs)."""

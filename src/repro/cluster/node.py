@@ -104,6 +104,11 @@ class Node:
         return tuple(self._occupants[lane] for lane in sorted(self._occupants))
 
     @property
+    def occupancy(self) -> int:
+        """Number of jobs currently on the node."""
+        return len(self._occupants)
+
+    @property
     def has_free_lane(self) -> bool:
         """True if a shared co-runner could be placed here."""
         return self.mode is NodeMode.SHARED and len(self._occupants) < SMT_LANES
@@ -128,9 +133,10 @@ class Node:
 
     def co_runner_of(self, job_id: int) -> int | None:
         """The other occupant sharing the node with *job_id*, if any."""
-        if not self.hosts(job_id):
+        occupants = self._occupants.values()
+        if job_id not in occupants:
             raise AllocationError(f"job {job_id} is not on node {self.node_id}")
-        for occupant in self._occupants.values():
+        for occupant in occupants:
             if occupant != job_id:
                 return occupant
         return None
@@ -208,14 +214,16 @@ class Node:
         self.mode = NodeMode.SHARED
         return lane
 
-    def release(self, job_id: int) -> None:
-        """Remove *job_id* from the node."""
+    def release(self, job_id: int) -> int | None:
+        """Remove *job_id* from the node; returns the job left on it
+        (None when the node is now empty)."""
         for lane, occupant in list(self._occupants.items()):
             if occupant == job_id:
                 del self._occupants[lane]
-                if not self._occupants:
-                    self.mode = NodeMode.IDLE
-                return
+                if self._occupants:
+                    return next(iter(self._occupants.values()))
+                self.mode = NodeMode.IDLE
+                return None
         raise AllocationError(f"job {job_id} is not on node {self.node_id}")
 
     def __str__(self) -> str:

@@ -96,13 +96,16 @@ class ConservativeBackfillStrategy(Strategy):
             if release_time == float("inf"):
                 continue
             profile.add_release(release_time)
+        # Nodes free once every running job has ended; failed and
+        # drained nodes never count, since their return is unknown.
+        capacity = profile.free[-1]
 
         reservations = 0
         for job in ctx.pending:
             if reservations >= self.max_reservations:
                 break
-            if job.num_nodes > ctx.cluster.num_nodes:
-                continue  # defensive; admission control rejects these
+            if job.num_nodes > capacity:
+                continue  # waits for repairs (or is oversized)
             duration = ctx.walltime_bound(job, AllocationKind.EXCLUSIVE)
             start = profile.earliest_start(duration, job.num_nodes)
             profile.reserve(start, duration, job.num_nodes)

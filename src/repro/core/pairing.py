@@ -15,14 +15,14 @@ than from sharing as such.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
 from repro.interference.model import InterferenceModel
 from repro.interference.profile import ResourceProfile
 
 
-@dataclass
+@dataclass(frozen=True)
 class PairingPolicy:
     """Compatibility predicate + partner ranking.
 
@@ -41,12 +41,19 @@ class PairingPolicy:
         exceed the manager's walltime grace.
     oblivious:
         Accept all pairs regardless of predictions (ablation mode).
+
+    The policy is frozen, so its verdicts can be memoised per profile
+    pair (keyed on the profile values); the memo is not pickled.
     """
 
     model: InterferenceModel
     threshold: float = 1.1
     max_dilation: float = 2.0
     oblivious: bool = False
+    #: (a, b) -> (compatible, score) for the aware policy.
+    _verdicts: dict[
+        tuple[ResourceProfile, ResourceProfile], tuple[bool, float]
+    ] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.threshold < 0:
@@ -56,16 +63,37 @@ class PairingPolicy:
                 f"max_dilation must be >= 1.0, got {self.max_dilation}"
             )
 
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_verdicts", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__dict__["_verdicts"] = {}
+
+    def _verdict(self, a: ResourceProfile, b: ResourceProfile) -> tuple[bool, float]:
+        key = (a, b)
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            speed_a = self.model.speed(a, b)
+            speed_b = self.model.speed(b, a)
+            min_speed = 1.0 / self.max_dilation
+            compatible = (
+                speed_a + speed_b >= self.threshold
+                and speed_a >= min_speed
+                and speed_b >= min_speed
+            )
+            verdict = self._verdicts[key] = (
+                compatible, self.model.pair_throughput(a, b)
+            )
+        return verdict
+
     def compatible(self, a: ResourceProfile, b: ResourceProfile) -> bool:
         """Should applications *a* and *b* share a node?"""
         if self.oblivious:
             return True
-        speed_a = self.model.speed(a, b)
-        speed_b = self.model.speed(b, a)
-        if speed_a + speed_b < self.threshold:
-            return False
-        min_speed = 1.0 / self.max_dilation
-        return speed_a >= min_speed and speed_b >= min_speed
+        return self._verdict(a, b)[0]
 
     def score(self, a: ResourceProfile, b: ResourceProfile) -> float:
         """Ranking key for candidate partners (higher is better).
@@ -75,7 +103,7 @@ class PairingPolicy:
         """
         if self.oblivious:
             return 1.0
-        return self.model.pair_throughput(a, b)
+        return self._verdict(a, b)[1]
 
     def predicted_speed(
         self, a: ResourceProfile, b: ResourceProfile | None

@@ -18,19 +18,58 @@ one reason code from :data:`~repro.observability.REASON_CODES`.
 Classification runs only on the failure path with the trace armed, so
 the decision logic itself is untouched either way.
 
-These helpers run once per pending job per scheduler pass, so the
-rejection sites guard against streak-suppressed repeats *inline*
-(consulting ``DecisionTrace.streaks`` directly) rather than paying a
-method call plus keyword-argument construction twenty-odd thousand
-times per run just to have ``reject()`` discard the repeat.
+These helpers run once per pending job per scheduler pass, so every
+rejection goes through :func:`_reject`, which checks for a
+streak-suppressed repeat (consulting ``DecisionTrace.streaks``
+directly) before any record field is built, rather than paying
+keyword-argument construction twenty-odd thousand times per run just
+to have ``reject()`` discard the repeat.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 from repro.cluster.allocation import AllocationKind
 from repro.core.selector import AvailabilityView, ResidentGroup
 from repro.core.strategy import Placement, ScheduleContext
 from repro.slurm.job import Job
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.observability.trace import DecisionTrace
+
+#: The field a rejection code records beside ``need`` (codes absent
+#: here record neither).
+_DETAIL_FIELD = {
+    "insufficient_idle": "idle",
+    "reservation_collision": "budget",
+    "no_resident_groups": "groups",
+    "interference_cap": "groups",
+    "memory": "groups",
+    "no_exact_cover": "groups",
+}
+
+
+def _reject(
+    decisions: DecisionTrace,
+    ctx: ScheduleContext,
+    stage: str,
+    job: Job,
+    code: str,
+    need: int = 0,
+    detail: int = 0,
+) -> None:
+    """Record one coded rejection unless it repeats the job's streak."""
+    jid = job.spec.job_id
+    streak = decisions.streaks.get(jid)
+    if streak is not None and streak.get(stage) == code:
+        decisions.suppressed += 1
+        return
+    field = _DETAIL_FIELD.get(code)
+    if field is None:
+        decisions.reject(ctx.now, stage, jid, code)
+    else:
+        decisions.reject(ctx.now, stage, jid, code, need=need, **{field: detail})
 
 
 def place_exclusive(
@@ -38,35 +77,23 @@ def place_exclusive(
 ) -> Placement | None:
     """Place *job* on idle nodes exclusively, if enough are available
     within *idle_budget* (None = unlimited)."""
-    decisions = view.ctx.decisions
+    ctx = view.ctx
+    decisions = ctx.decisions
     need = job.num_nodes
-    if need > view.idle_count:
+    idle = view.idle_count
+    if need > idle:
         if decisions is not None:
-            jid = job.spec.job_id
-            streak = decisions.streaks.get(jid)
-            if streak is not None and streak.get("exclusive") == "insufficient_idle":
-                decisions.suppressed += 1
-            else:
-                decisions.reject(
-                    view.ctx.now, "exclusive", jid, "insufficient_idle",
-                    need=need, idle=view.idle_count,
-                )
+            _reject(decisions, ctx, "exclusive", job, "insufficient_idle",
+                    need, idle)
         return None
     if idle_budget is not None and need > idle_budget:
         if decisions is not None:
-            jid = job.spec.job_id
-            streak = decisions.streaks.get(jid)
-            if streak is not None and streak.get("exclusive") == "reservation_collision":
-                decisions.suppressed += 1
-            else:
-                decisions.reject(
-                    view.ctx.now, "exclusive", jid, "reservation_collision",
-                    need=need, budget=idle_budget,
-                )
+            _reject(decisions, ctx, "exclusive", job, "reservation_collision",
+                    need, idle_budget)
         return None
     node_ids = tuple(view.take_idle(need))
     if decisions is not None:
-        decisions.accept(view.ctx.now, "exclusive", job.job_id, "exclusive", need)
+        decisions.accept(ctx.now, "exclusive", job.job_id, "exclusive", need)
     return Placement(job=job, node_ids=node_ids, kind=AllocationKind.EXCLUSIVE)
 
 
@@ -106,7 +133,7 @@ def _exact_group_fill(
     return None
 
 
-def _memory_fits(job: Job, group: ResidentGroup, ctx: ScheduleContext) -> bool:
+def _memory_fits(job: Job, group: ResidentGroup) -> bool:
     """Do the joiner's and resident's working sets fit one node's RAM?
 
     Footprints of 0 mean "unconstrained" (unknown-memory jobs, e.g.
@@ -116,10 +143,7 @@ def _memory_fits(job: Job, group: ResidentGroup, ctx: ScheduleContext) -> bool:
     resident_mem = group.job.spec.memory_mb_per_node
     if joiner_mem <= 0 or resident_mem <= 0:
         return True
-    node_memory = min(
-        ctx.cluster.node(node_id).memory_mb for node_id in group.node_ids
-    )
-    return joiner_mem + resident_mem <= node_memory
+    return joiner_mem + resident_mem <= group.min_memory_mb
 
 
 def place_join(
@@ -130,19 +154,15 @@ def place_join(
     decisions = ctx.decisions
     if not job.spec.shareable:
         if decisions is not None:
-            jid = job.spec.job_id
-            streak = decisions.streaks.get(jid)
-            if streak is not None and streak.get("join") == "not_shareable":
-                decisions.suppressed += 1
-            else:
-                decisions.reject(ctx.now, "join", jid, "not_shareable")
+            _reject(decisions, ctx, "join", job, "not_shareable")
         return None
     profile = ctx.profile_of(job)
     compatible = view.joinable_groups(profile)
     groups = [
-        group for group in compatible if _memory_fits(job, group, ctx)
+        group for group in compatible if _memory_fits(job, group)
     ]
-    fill = _exact_group_fill(groups, job.num_nodes)
+    need = job.num_nodes
+    fill = _exact_group_fill(groups, need)
     if fill is None:
         if decisions is not None:
             if not view.groups:
@@ -153,15 +173,7 @@ def place_join(
                 code = "memory"
             else:
                 code = "no_exact_cover"
-            jid = job.spec.job_id
-            streak = decisions.streaks.get(jid)
-            if streak is not None and streak.get("join") == code:
-                decisions.suppressed += 1
-            else:
-                decisions.reject(
-                    ctx.now, "join", jid, code,
-                    need=job.num_nodes, groups=len(groups),
-                )
+            _reject(decisions, ctx, "join", job, code, need, len(groups))
         return None
     node_ids: list[int] = []
     for group in fill:
@@ -169,7 +181,7 @@ def place_join(
         node_ids.extend(group.node_ids)
     if decisions is not None:
         decisions.accept(
-            ctx.now, "join", job.job_id, "shared", job.num_nodes,
+            ctx.now, "join", job.job_id, "shared", need,
             residents=[group.job.job_id for group in fill],
         )
     return Placement(job=job, node_ids=tuple(node_ids), kind=AllocationKind.SHARED)
@@ -190,48 +202,24 @@ def place_open_shared(
     decisions = ctx.decisions
     if not job.spec.shareable:
         if decisions is not None:
-            jid = job.spec.job_id
-            streak = decisions.streaks.get(jid)
-            if streak is not None and streak.get("open_shared") == "not_shareable":
-                decisions.suppressed += 1
-            else:
-                decisions.reject(ctx.now, "open_shared", jid, "not_shareable")
+            _reject(decisions, ctx, "open_shared", job, "not_shareable")
         return None
     if not ctx.allow_open_shared:
         if decisions is not None:
-            jid = job.spec.job_id
-            streak = decisions.streaks.get(jid)
-            if streak is not None and streak.get("open_shared") == "open_shared_disabled":
-                decisions.suppressed += 1
-            else:
-                decisions.reject(
-                    ctx.now, "open_shared", jid, "open_shared_disabled"
-                )
+            _reject(decisions, ctx, "open_shared", job,
+                    "open_shared_disabled")
         return None
     need = job.num_nodes
-    if need > view.idle_count:
+    idle = view.idle_count
+    if need > idle:
         if decisions is not None:
-            jid = job.spec.job_id
-            streak = decisions.streaks.get(jid)
-            if streak is not None and streak.get("open_shared") == "insufficient_idle":
-                decisions.suppressed += 1
-            else:
-                decisions.reject(
-                    ctx.now, "open_shared", jid, "insufficient_idle",
-                    need=need, idle=view.idle_count,
-                )
+            _reject(decisions, ctx, "open_shared", job, "insufficient_idle",
+                    need, idle)
         return None
     if idle_budget is not None and need > idle_budget:
         if decisions is not None:
-            jid = job.spec.job_id
-            streak = decisions.streaks.get(jid)
-            if streak is not None and streak.get("open_shared") == "reservation_collision":
-                decisions.suppressed += 1
-            else:
-                decisions.reject(
-                    ctx.now, "open_shared", jid, "reservation_collision",
-                    need=need, budget=idle_budget,
-                )
+            _reject(decisions, ctx, "open_shared", job,
+                    "reservation_collision", need, idle_budget)
         return None
     node_ids = view.take_idle(need)
     view.open_shared(node_ids, job, ctx.profile_of(job))

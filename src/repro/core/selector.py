@@ -35,6 +35,10 @@ class ResidentGroup:
     job: Job
     profile: ResourceProfile
     node_ids: tuple[int, ...]
+    #: Smallest installed memory across ``node_ids``, computed once
+    #: when the view builds the group (what a joiner must fit beside
+    #: the resident).
+    min_memory_mb: int = 0
 
     @property
     def size(self) -> int:
@@ -51,26 +55,18 @@ class AvailabilityView:
         #: which is also what SLURM's linear selector does).  Nodes
         #: under failure suspicion sort last, so placements drain onto
         #: them only when nothing cleaner is available.
-        self.idle: list[int] = [n.node_id for n in cluster.idle_nodes()]
+        self.idle: list[int] = cluster.idle_node_ids()
         if ctx.avoid_nodes:
             self.idle = [n for n in self.idle if n not in ctx.avoid_nodes] + [
                 n for n in self.idle if n in ctx.avoid_nodes
             ]
         #: Joinable resident groups keyed by resident job id.
         self.groups: dict[int, ResidentGroup] = {}
-        for job in ctx.running.values():
-            allocation = job.allocation
-            if allocation is None or not allocation.is_shared:
-                continue
-            if all(
-                cluster.node(node_id).has_free_lane
-                for node_id in allocation.node_ids
-            ):
-                self.groups[job.job_id] = ResidentGroup(
-                    job=job,
-                    profile=ctx.profile_of(job),
-                    node_ids=allocation.node_ids,
-                )
+        running = ctx.running
+        for job_id in cluster.joinable_job_ids():
+            job = running.get(job_id)
+            if job is not None:
+                self._add_group(job, ctx.profile_of(job), job.allocation.node_ids)
 
     # ------------------------------------------------------------------
     # Queries
@@ -153,6 +149,15 @@ class AvailabilityView:
         shared mode; the new group is joinable later this pass."""
         if job.job_id in self.groups:
             raise SchedulingError(f"job {job.job_id} already owns a group")
+        self._add_group(job, profile, tuple(node_ids))
+
+    def _add_group(
+        self, job: Job, profile: ResourceProfile, node_ids: tuple[int, ...]
+    ) -> None:
+        nodes = self._ctx.cluster.nodes
         self.groups[job.job_id] = ResidentGroup(
-            job=job, profile=profile, node_ids=tuple(node_ids)
+            job=job,
+            profile=profile,
+            node_ids=node_ids,
+            min_memory_mb=min(nodes[i].memory_mb for i in node_ids),
         )

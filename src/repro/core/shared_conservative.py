@@ -46,6 +46,9 @@ class SharedConservativeStrategy(Strategy):
             if release_time == float("inf"):
                 continue
             profile.add_release(release_time)
+        # Nodes free once every running job has ended; failed and
+        # drained nodes never count, since their return is unknown.
+        capacity = profile.free[-1]
 
         reservations = 0
         for job in ctx.pending:
@@ -60,6 +63,8 @@ class SharedConservativeStrategy(Strategy):
             if placement is not None:
                 placements.append(placement)
                 continue
+            if job.num_nodes > capacity:
+                continue  # waits for repairs
 
             if job.spec.shareable and ctx.allow_open_shared:
                 kind = AllocationKind.SHARED

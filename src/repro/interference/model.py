@@ -59,6 +59,19 @@ class InterferenceModel:
 
     def __init__(self, params: ModelParams | None = None):
         self.params = params or ModelParams()
+        #: (profile, co_profile) -> speed.  Keyed on the profile values
+        #: (frozen dataclasses), so equal profiles share an entry and
+        #: distinct ones never do; derived, so not pickled.
+        self._speeds: dict[tuple[ResourceProfile, ResourceProfile], float] = {}
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_speeds", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._speeds = {}
 
     def speed(
         self, profile: ResourceProfile, co_profile: ResourceProfile | None
@@ -66,6 +79,15 @@ class InterferenceModel:
         """Speed of a job with *profile* given its node co-runner."""
         if co_profile is None:
             return 1.0
+        key = (profile, co_profile)
+        speed = self._speeds.get(key)
+        if speed is None:
+            speed = self._speeds[key] = self._predict(profile, co_profile)
+        return speed
+
+    def _predict(
+        self, profile: ResourceProfile, co_profile: ResourceProfile
+    ) -> float:
         p = self.params
         core = smt_core_factor(
             profile.core_demand,

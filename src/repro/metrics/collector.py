@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.cluster.machine import Cluster
-from repro.cluster.node import SMT_LANES
 from repro.metrics.timeline import Timeline
 from repro.slurm.accounting import JobRecord
 
@@ -39,23 +38,18 @@ class MetricsCollector:
     # Sampling
     # ------------------------------------------------------------------
     def _sample(self, now: float, manager: "WorkloadManager") -> None:
-        busy = 0
-        shared = 0
-        for node in self.cluster.nodes:
-            occupants = len(node.occupant_ids)
-            if occupants:
-                busy += 1
-            if occupants >= SMT_LANES:
-                shared += 1
+        cluster = self.cluster
+        jobs = manager.jobs
+        # Ascending job-id order fixes the floating-point sum.
         rate = 0.0
-        for job_id in self.cluster.running_job_ids():
-            job = manager.jobs.get(job_id)
+        for job_id in cluster.running_job_ids():
+            job = jobs.get(job_id)
             if job is None:
                 continue  # reservation phantom occupancy
-            rate += job.rate * job.num_nodes
+            rate += job.rate * job.spec.num_nodes
         self.times.append(now)
-        self.busy_nodes.append(busy)
-        self.shared_nodes.append(shared)
+        self.busy_nodes.append(cluster.num_busy())
+        self.shared_nodes.append(cluster.num_shared())
         self.queue_lengths.append(len(manager.queue))
         self.work_rates.append(rate)
         self._timeline = None  # invalidate cache

@@ -17,7 +17,9 @@ Checked invariants
 * execution sanity: every running job has state RUNNING, a rate in
   (0, 1], and non-negative remaining work; a job's rate is 1.0
   exactly when it has no co-runner on any node;
-* queue sanity: queued jobs are PENDING and hold no allocation.
+* queue sanity: queued jobs are PENDING and hold no allocation;
+* cluster indexes: every occupancy index the cluster maintains
+  incrementally equals a full scan (:meth:`Cluster.check_indexes`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.cluster.node import SMT_LANES, NodeMode
-from repro.errors import SimulationError
+from repro.errors import AllocationError, SimulationError
 from repro.metrics.collector import MetricsCollector
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -52,6 +54,10 @@ class ValidatingCollector(MetricsCollector):
     def _check(self, now: float, manager: "WorkloadManager") -> None:
         self.checks += 1
         cluster = self.cluster
+        try:
+            cluster.check_indexes()
+        except AllocationError as exc:
+            self._fail(now, str(exc))
         busy = 0
         down = 0
         occupants_by_job: dict[int, set[int]] = {}

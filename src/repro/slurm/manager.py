@@ -382,17 +382,14 @@ class WorkloadManager:
     # ------------------------------------------------------------------
     # Execution model
     # ------------------------------------------------------------------
-    def _job_rate(self, job: Job) -> float:
+    def _job_rate(self, job: Job, co_runners: set[int]) -> float:
         """Current speed: bulk-synchronous jobs run at the rate of
-        their slowest node, scaled by the allocation's rack-locality
-        factor (fixed at start)."""
-        assert job.allocation is not None
+        their slowest node (the worst of their *co_runners*, the
+        distinct jobs sharing any of their nodes), scaled by the
+        allocation's rack-locality factor (fixed at start)."""
         profile = self.profile_of(job)
         rate = 1.0
-        for node_id in job.allocation.node_ids:
-            co_id = self.cluster.node(node_id).co_runner_of(job.job_id)
-            if co_id is None:
-                continue
+        for co_id in co_runners:
             co_profile = self.profile_of(self.jobs[co_id])
             rate = min(rate, self.model.speed(profile, co_profile))
         # Checkpoint writes steal wall time at a steady-state rate of
@@ -426,7 +423,7 @@ class WorkloadManager:
         co_runners = self.cluster.jobs_sharing_with(job.job_id)
         job.sharing_now = bool(co_runners)
         job.corun_job_ids |= co_runners
-        new_rate = self._job_rate(job)
+        new_rate = self._job_rate(job, co_runners)
         if job.finish_event is not None and not job.finish_event.cancelled:
             if abs(new_rate - job.rate) < 1e-12:
                 return
@@ -773,8 +770,8 @@ class WorkloadManager:
             else 0.0
         )
         for node in nodes:
-            node.mark_down()
-            node.mark_repairing()
+            self.cluster.mark_down(node.node_id)
+            self.cluster.mark_repairing(node.node_id)
             if self.health is not None:
                 self.health.record_failure(node.node_id, now)
             self.sim.schedule_in(repair, EventKind.NODE_REPAIR, node.node_id)
@@ -856,13 +853,13 @@ class WorkloadManager:
         if self.health is not None and self.health.should_drain(
             node.node_id, sim.now
         ):
-            node.mark_drained()
+            self.cluster.mark_drained(node.node_id)
             self.health.mark_drained(node.node_id)
             if self.decisions is not None:
                 self.decisions.event(sim.now, "node_drain", node=node.node_id)
             self._cancel_unsatisfiable()
         else:
-            node.mark_up()
+            self.cluster.mark_up(node.node_id)
             if self.decisions is not None:
                 self.decisions.event(sim.now, "node_repair", node=node.node_id)
             self._request_pass()
@@ -895,8 +892,7 @@ class WorkloadManager:
                 nodes=reservation.num_nodes,
             )
         if kind == "res_start":
-            idle = [n.node_id for n in self.cluster.idle_nodes()]
-            granted = idle[: reservation.num_nodes]
+            granted = self.cluster.idle_node_ids()[: reservation.num_nodes]
             reservation.shortfall = reservation.num_nodes - len(granted)
             reservation.granted_node_ids = tuple(granted)
             if granted:
@@ -1063,7 +1059,7 @@ class WorkloadManager:
         co_runners = self.cluster.jobs_sharing_with(job.job_id)
         job.sharing_now = bool(co_runners)
         job.corun_job_ids |= co_runners
-        job.rate = self._job_rate(job)
+        job.rate = self._job_rate(job, co_runners)
         job.finish_event = self.sim.schedule(job.eta(now), EventKind.JOB_FINISH, job)
         job.timeout_event = self.sim.schedule(
             now + job.effective_limit, EventKind.JOB_TIMEOUT, job

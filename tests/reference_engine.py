@@ -1,0 +1,190 @@
+"""Scan-based reference engine: the oracle for the incremental indexes.
+
+The engine answers its occupancy queries from indexes the
+:class:`~repro.cluster.machine.Cluster` maintains incrementally, and
+memoises interference predictions per profile pair.  This module keeps
+the straightforward versions they replaced — every query answered by
+walking the nodes, every prediction recomputed — so differential tests
+can run both engines on the same workload and demand identical
+placements and metrics.
+
+Nothing here is used outside the test suite.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import sys
+from typing import Iterator
+
+from repro.cluster.node import SMT_LANES
+from repro.core.pairing import PairingPolicy
+from repro.core.selector import AvailabilityView, ResidentGroup
+from repro.core.strategy import Strategy
+from repro.interference.contention import cache_factor, membw_factor
+from repro.interference.model import InterferenceModel
+from repro.interference.smt import smt_core_factor
+from repro.metrics.collector import MetricsCollector
+from repro.slurm.manager import WorkloadManager
+
+
+class ReferenceAvailabilityView(AvailabilityView):
+    """Availability built by scanning every node and running job."""
+
+    def __init__(self, ctx) -> None:
+        self._ctx = ctx
+        cluster = ctx.cluster
+        self.idle = [n.node_id for n in cluster.nodes if n.is_idle]
+        if ctx.avoid_nodes:
+            self.idle = [n for n in self.idle if n not in ctx.avoid_nodes] + [
+                n for n in self.idle if n in ctx.avoid_nodes
+            ]
+        self.groups = {}
+        for job in ctx.running.values():
+            allocation = job.allocation
+            if allocation is None or not allocation.is_shared:
+                continue
+            if all(
+                cluster.node(node_id).has_free_lane
+                for node_id in allocation.node_ids
+            ):
+                self.groups[job.job_id] = ResidentGroup(
+                    job=job,
+                    profile=ctx.profile_of(job),
+                    node_ids=allocation.node_ids,
+                    min_memory_mb=min(
+                        cluster.node(node_id).memory_mb
+                        for node_id in allocation.node_ids
+                    ),
+                )
+
+
+class ReferenceCollector(MetricsCollector):
+    """Samples by walking every node and sorting every allocation."""
+
+    def _sample(self, now, manager) -> None:
+        busy = 0
+        shared = 0
+        for node in self.cluster.nodes:
+            occupants = len(node.occupant_ids)
+            if occupants:
+                busy += 1
+            if occupants >= SMT_LANES:
+                shared += 1
+        rate = 0.0
+        allocated = sorted(
+            job_id for job_id in manager.jobs
+            if self.cluster.has_allocation(job_id)
+        )
+        for job_id in allocated:
+            job = manager.jobs[job_id]
+            rate += job.rate * job.num_nodes
+        self.times.append(now)
+        self.busy_nodes.append(busy)
+        self.shared_nodes.append(shared)
+        self.queue_lengths.append(len(manager.queue))
+        self.work_rates.append(rate)
+        self._timeline = None
+
+
+class ReferenceModel(InterferenceModel):
+    """The co-run model with every prediction recomputed."""
+
+    def speed(self, profile, co_profile) -> float:
+        if co_profile is None:
+            return 1.0
+        p = self.params
+        core = smt_core_factor(
+            profile.core_demand,
+            co_profile.core_demand,
+            smt_headroom=p.smt_headroom,
+            corun_ceiling=p.corun_ceiling,
+        )
+        bw = membw_factor(
+            profile.membw_demand,
+            co_profile.membw_demand,
+            capacity=p.membw_capacity,
+        )
+        cache = cache_factor(
+            profile.cache_footprint,
+            co_profile.cache_footprint,
+            penalty=p.cache_penalty,
+        )
+        return max(p.min_speed, core * bw * cache)
+
+
+class ReferencePairing(PairingPolicy):
+    """The pairing policy with every verdict recomputed."""
+
+    def compatible(self, a, b) -> bool:
+        if self.oblivious:
+            return True
+        speed_a = self.model.speed(a, b)
+        speed_b = self.model.speed(b, a)
+        if speed_a + speed_b < self.threshold:
+            return False
+        min_speed = 1.0 / self.max_dilation
+        return speed_a >= min_speed and speed_b >= min_speed
+
+    def score(self, a, b) -> float:
+        if self.oblivious:
+            return 1.0
+        return self.model.pair_throughput(a, b)
+
+
+class ReferenceManager(WorkloadManager):
+    """A manager on the reference model and pairing policy, computing
+    rates node by node.  Pair it with :class:`ReferenceCollector` and
+    run it inside :func:`reference_views`."""
+
+    def __init__(self, cluster, config=None, strategy=None, collector=None,
+                 **kwargs) -> None:
+        super().__init__(cluster, config=config, strategy=strategy,
+                         collector=collector, **kwargs)
+        if type(self.model) is InterferenceModel:
+            self.model = ReferenceModel(self.model.params)
+        # else: the time-sliced model, whose speed is a constant.
+        self.pairing = ReferencePairing(
+            model=self.model,
+            threshold=self.pairing.threshold,
+            max_dilation=self.pairing.max_dilation,
+            oblivious=self.pairing.oblivious,
+        )
+
+    def _job_rate(self, job, co_runners) -> float:
+        profile = self.profile_of(job)
+        rate = 1.0
+        for node_id in job.allocation.node_ids:
+            co_id = self.cluster.node(node_id).co_runner_of(job.job_id)
+            if co_id is None:
+                continue
+            co_profile = self.profile_of(self.jobs[co_id])
+            rate = min(rate, self.model.speed(profile, co_profile))
+        return rate * job.locality_factor * job.checkpoint_slowdown
+
+
+def _strategy_modules() -> list:
+    found, todo = [], [Strategy]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        module = sys.modules[cls.__module__]
+        if getattr(module, "AvailabilityView", None) is not None:
+            found.append(module)
+    return found
+
+
+@contextlib.contextmanager
+def reference_views() -> Iterator[None]:
+    """Every strategy builds :class:`ReferenceAvailabilityView` inside
+    the block."""
+    import repro.core  # noqa: F401 - registers every strategy module
+
+    modules = _strategy_modules()
+    for module in modules:
+        module.AvailabilityView = ReferenceAvailabilityView
+    try:
+        yield
+    finally:
+        for module in modules:
+            module.AvailabilityView = AvailabilityView

@@ -1,0 +1,177 @@
+"""Differential test: the indexed engine against the scan-based reference.
+
+Both engines run the same random workload; the reference answers every
+occupancy query by walking the nodes and recomputes every interference
+prediction (:mod:`tests.reference_engine`).  At every scheduler pass
+the two must return the identical placement list, and at the end the
+identical accounting records and metrics series.  The scenarios arm
+everything that moves the cluster's indexes: node and rack failures
+with flaky-node blacklisting (the placement's ``avoid_nodes``),
+topology-aware selection, memory-constrained joins on nodes of mixed
+memory, and time-sliced sharing.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.cluster.machine import Cluster
+from repro.cluster.node import Node
+from repro.core.strategy import all_strategy_names, make_strategy
+from repro.metrics.validation import ValidatingCollector
+from repro.resilience.config import ResilienceConfig
+from repro.slurm.config import SchedulerConfig
+from repro.slurm.manager import WorkloadManager
+from repro.workload.trinity import TrinityWorkloadGenerator
+from tests.reference_engine import (
+    ReferenceCollector,
+    ReferenceManager,
+    reference_views,
+)
+
+STRATEGIES = all_strategy_names()
+SERIES = ("times", "busy_nodes", "shared_nodes", "queue_lengths", "work_rates")
+
+
+@dataclass(frozen=True)
+class Scenario:
+    seed: int
+    strategy: str
+    num_jobs: int = 30
+    nodes: int = 12
+    share_fraction: float = 0.8
+    failures: bool = False
+    topology_aware: bool = False
+    memory_constrained: bool = False
+    time_sliced: bool = False
+
+
+def _cluster(scenario: Scenario) -> Cluster:
+    rng = np.random.default_rng(scenario.seed + 7)
+    sizes = (128_000, 96_000, 64_000) if scenario.memory_constrained else (128_000,)
+    return Cluster(
+        Node(node_id=i, memory_mb=int(rng.choice(sizes)), rack=i // 4)
+        for i in range(scenario.nodes)
+    )
+
+
+def _config(scenario: Scenario) -> SchedulerConfig:
+    config = SchedulerConfig(strategy=scenario.strategy)
+    if scenario.topology_aware:
+        config.topology_aware = True
+        config.rack_comm_penalty = 0.2
+    if scenario.time_sliced:
+        # Loose enough that time-sliced pairs qualify at all.
+        config.sharing_mode = "time_sliced"
+        config.share_threshold = 0.9
+        config.walltime_grace = 2.5
+    return config
+
+
+def run_engine(scenario: Scenario, reference: bool):
+    """Run *scenario*; returns (manager, result, per-pass placements)."""
+    trace = TrinityWorkloadGenerator(
+        share_obeys_app=False,
+        share_fraction=scenario.share_fraction,
+        offered_load=1.5,
+    ).generate(scenario.num_jobs, scenario.nodes,
+               np.random.default_rng(scenario.seed))
+    cluster = _cluster(scenario)
+    manager_cls = ReferenceManager if reference else WorkloadManager
+    collector_cls = ReferenceCollector if reference else ValidatingCollector
+    manager = manager_cls(
+        cluster,
+        config=_config(scenario),
+        strategy=make_strategy(scenario.strategy),
+        collector=collector_cls(cluster),
+    )
+    manager.load(trace)
+    if scenario.failures:
+        manager.enable_resilience(ResilienceConfig(
+            node_mtbf_hours=40.0,
+            rack_mtbf_hours=60.0,
+            repair_hours=1.0,
+            max_requeues=2,
+            blacklist_failures=2,
+            blacklist_window_hours=12.0,
+            seed=scenario.seed,
+        ))
+    passes: list[list[tuple]] = []
+    schedule = manager.strategy.schedule
+
+    def recording_schedule(ctx):
+        placements = schedule(ctx)
+        passes.append([
+            (p.job.job_id, p.node_ids, p.kind) for p in placements
+        ])
+        return placements
+
+    manager.strategy.schedule = recording_schedule
+    if reference:
+        with reference_views():
+            result = manager.run()
+    else:
+        result = manager.run()
+    return manager, result, passes
+
+
+def assert_engines_agree(scenario: Scenario):
+    ref_manager, ref, ref_passes = run_engine(scenario, reference=True)
+    manager, result, passes = run_engine(scenario, reference=False)
+    for index, (expected, actual) in enumerate(zip(ref_passes, passes)):
+        assert actual == expected, f"pass {index} placed differently"
+    assert len(passes) == len(ref_passes)
+    assert list(result.accounting) == list(ref.accounting)
+    for name in SERIES:
+        assert getattr(manager.collector, name) == getattr(
+            ref_manager.collector, name
+        ), name
+    manager.cluster.check_indexes()
+    return manager
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 10_000),
+    strategy=st.sampled_from(STRATEGIES),
+    num_jobs=st.integers(5, 40),
+    share_fraction=st.floats(min_value=0.0, max_value=1.0),
+    failures=st.booleans(),
+    topology_aware=st.booleans(),
+    memory_constrained=st.booleans(),
+    time_sliced=st.booleans(),
+)
+def test_indexed_engine_matches_reference(seed, strategy, num_jobs,
+                                          share_fraction, failures,
+                                          topology_aware, memory_constrained,
+                                          time_sliced):
+    assert_engines_agree(Scenario(
+        seed=seed, strategy=strategy, num_jobs=num_jobs,
+        share_fraction=share_fraction, failures=failures,
+        topology_aware=topology_aware, memory_constrained=memory_constrained,
+        time_sliced=time_sliced,
+    ))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_every_feature_armed_matches_reference(strategy):
+    manager = assert_engines_agree(Scenario(
+        seed=11, strategy=strategy, num_jobs=40, share_fraction=0.9,
+        failures=True, topology_aware=True, memory_constrained=True,
+    ))
+    assert manager.failures_injected > 0
+
+
+@pytest.mark.parametrize("strategy", ["shared_backfill", "easy_backfill"])
+def test_failure_injection_matches_reference(strategy):
+    manager = assert_engines_agree(Scenario(
+        seed=3, strategy=strategy, num_jobs=50, nodes=16, share_fraction=0.9,
+        failures=True,
+    ))
+    assert manager.failures_injected > 0
+    assert manager.rack_failures_injected > 0
+    assert manager.jobs_requeued > 0

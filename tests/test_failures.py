@@ -40,8 +40,25 @@ class TestNodeDownState:
 
     def test_cluster_idle_excludes_down(self):
         cluster = Cluster.homogeneous(4)
-        cluster.node(0).mark_down()
+        cluster.mark_down(0)
         assert cluster.num_idle() == 3
+        cluster.check_indexes()
+
+    def test_cluster_health_round_trip_keeps_idle_index(self):
+        cluster = Cluster.homogeneous(4)
+        cluster.mark_down(2)
+        cluster.mark_repairing(2)
+        assert [n.node_id for n in cluster.idle_nodes()] == [0, 1, 3]
+        cluster.mark_drained(2)
+        cluster.mark_up(2)
+        assert cluster.idle_node_ids() == [0, 1, 2, 3]
+        cluster.check_indexes()
+
+    def test_health_change_behind_the_cluster_is_detected(self):
+        cluster = Cluster.homogeneous(4)
+        cluster.node(0).mark_down()
+        with pytest.raises(AllocationError, match="_idle_ids is stale"):
+            cluster.check_indexes()
 
 
 class TestFailureModel:
