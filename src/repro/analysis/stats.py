@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.analysis.sweep import run_params_many
 from repro.campaign.spec import simulate_params, trinity_workload
@@ -57,6 +56,16 @@ def confidence_interval(
         raise ConfigError(
             f"need at least 2 samples for an interval, got {values.size}"
         )
+    try:
+        # Imported here, not at module load: scipy is an optional
+        # dependency and costs more than a second to import, which
+        # every CLI command would otherwise pay.
+        from scipy import stats as sps
+    except ImportError as exc:
+        raise ConfigError(
+            "confidence intervals need scipy, which is not installed "
+            "(pip install scipy)"
+        ) from exc
     mean = float(values.mean())
     sem = float(values.std(ddof=1) / np.sqrt(values.size))
     t_crit = float(sps.t.ppf(0.5 + level / 2.0, df=values.size - 1))

@@ -690,6 +690,40 @@ DEFAULT_WORKER_CONFIG: dict[str, object] = {
 }
 
 
+def queue_config_from_settings(
+    settings: Mapping[str, object], store_dir: Path
+) -> dict[str, object]:
+    """Translate campaign manifest settings into the queue's
+    ``config.json`` so bare ``repro queue work <store>`` workers pick
+    up the same retry/deadline/guard/sidecar behaviour the join parent
+    (or the HTTP service) was asked for."""
+    bundle_dir = Path(str(settings.get("bundle_dir") or store_dir / "bundles"))
+    snapshot_dir = Path(
+        str(settings.get("snapshot_dir") or store_dir / "snapshots")
+    )
+    telemetry_dir = (
+        store_dir / "telemetry" if settings.get("telemetry") else None
+    )
+    return {
+        "retries": int(settings.get("retries", 2) or 0),
+        "backoff": float(settings.get("backoff", 0.5) or 0.5),
+        # The campaign's per-run timeout becomes the queue's deadline
+        # budget: a run that exceeds it is quarantined, not retried.
+        "deadline_s": float(settings.get("timeout", 0.0) or 0.0),
+        "rss_budget_mb": float(settings.get("rss_budget_mb", 0.0) or 0.0),
+        "disk_min_free_mb": float(
+            settings.get("disk_min_free_mb", 0.0) or 0.0
+        ),
+        "bundle_dir": str(bundle_dir),
+        "snapshot_dir": str(snapshot_dir),
+        "snapshot_every": str(settings.get("snapshot_every") or "") or None,
+        "telemetry_dir": str(telemetry_dir) if telemetry_dir else None,
+        # Fleet event sidecars (observability plane); always on — they
+        # live under .queue/, outside the byte-identity surface.
+        "metrics": True,
+    }
+
+
 @dataclass
 class WorkerOutcome:
     """What one :meth:`QueueWorker.drain` call did."""
@@ -1101,14 +1135,33 @@ class JoinOutcome:
         return self.status == "drained"
 
 
-def _spawn_worker(
-    store_root: Path, index: int, python: str, env: Mapping[str, str]
+def spawn_worker(
+    store_root: Path,
+    log_name: str,
+    *,
+    python: str = sys.executable,
+    env: Mapping[str, str] | None = None,
 ) -> subprocess.Popen:
-    log_path = (
-        store_root / QUEUE_DIR_NAME / LOGS_DIR / f"worker-{index:03d}.log"
-    )
-    handle = log_path.open("ab")
-    try:
+    """Start one ``repro queue work <store> --quiet`` drain worker with
+    its stdout and stderr appended to ``.queue/logs/<log_name>``.
+
+    The child's ``PYTHONPATH`` leads with the root of this ``repro``
+    package, so the worker runs the same code as its parent even when
+    the parent found the package some other way than the environment.
+    """
+    import repro
+
+    environment = dict(os.environ if env is None else env)
+    pkg_root = str(Path(repro.__file__).resolve().parent.parent)
+    environment["PYTHONPATH"] = os.pathsep.join([pkg_root] + [
+        part for part in environment.get("PYTHONPATH", "").split(os.pathsep)
+        if part and part != pkg_root
+    ])
+    log_path = store_root / QUEUE_DIR_NAME / LOGS_DIR / log_name
+    log_path.parent.mkdir(parents=True, exist_ok=True)
+    with log_path.open("ab") as handle:
+        # Closing this copy once the child has started is safe: the
+        # child holds its own inherited descriptor.
         return subprocess.Popen(
             [
                 python, "-m", "repro.cli",
@@ -1116,10 +1169,8 @@ def _spawn_worker(
             ],
             stdout=handle,
             stderr=subprocess.STDOUT,
-            env=dict(env),
+            env=environment,
         )
-    finally:
-        handle.close()  # the child owns its inherited descriptor
 
 
 def drain_with_workers(
@@ -1152,7 +1203,6 @@ def drain_with_workers(
         # tenures with.
         queue.arm_events()
     say = note or (lambda message: None)
-    environment = dict(os.environ if env is None else env)
     budget = RESPAWN_BUDGET_PER_WORKER * workers + 8
     outcome = JoinOutcome(status="drained", workers=workers)
     fleet: dict[int, subprocess.Popen] = {}
@@ -1160,7 +1210,9 @@ def drain_with_workers(
 
     def _launch() -> None:
         nonlocal spawned
-        proc = _spawn_worker(store_root, spawned, python, environment)
+        proc = spawn_worker(
+            store_root, f"worker-{spawned:03d}.log", python=python, env=env
+        )
         fleet[spawned] = proc
         spawned += 1
 

@@ -55,6 +55,13 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+# Loaded here so that pool children, which fork from this process,
+# inherit them instead of each importing them again on every campaign
+# call: numpy loads both only on first use (``np.random`` for workload
+# and failure generators, ``numpy.ma`` under ``np.median``).
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 from repro.campaign.progress import (
     CACHED,
     COMPLETED,

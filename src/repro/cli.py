@@ -183,7 +183,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.analysis import experiments as exp
 from repro.core.strategy import all_strategy_names
 from repro.errors import ReproError
 from repro.metrics.report import format_comparison, format_json, format_table
@@ -519,6 +518,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.analysis import experiments as exp
+
     experiment_id = args.id.lower()
     if experiment_id == "list":
         for eid in exp.experiment_ids():
@@ -887,40 +888,6 @@ def _execute_campaign(
     return 0
 
 
-def _queue_config_from_settings(
-    settings: dict[str, object], store_dir: Path
-) -> dict[str, object]:
-    """Translate campaign manifest settings into the queue's
-    ``config.json`` so bare ``repro queue work <store>`` workers pick
-    up the same retry/deadline/guard/sidecar behaviour the join parent
-    was asked for."""
-    bundle_dir = Path(str(settings.get("bundle_dir") or store_dir / "bundles"))
-    snapshot_dir = Path(
-        str(settings.get("snapshot_dir") or store_dir / "snapshots")
-    )
-    telemetry_dir = (
-        store_dir / "telemetry" if settings.get("telemetry") else None
-    )
-    return {
-        "retries": int(settings.get("retries", 2) or 0),
-        "backoff": float(settings.get("backoff", 0.5) or 0.5),
-        # The campaign's per-run timeout becomes the queue's deadline
-        # budget: a run that exceeds it is quarantined, not retried.
-        "deadline_s": float(settings.get("timeout", 0.0) or 0.0),
-        "rss_budget_mb": float(settings.get("rss_budget_mb", 0.0) or 0.0),
-        "disk_min_free_mb": float(
-            settings.get("disk_min_free_mb", 0.0) or 0.0
-        ),
-        "bundle_dir": str(bundle_dir),
-        "snapshot_dir": str(snapshot_dir),
-        "snapshot_every": str(settings.get("snapshot_every") or "") or None,
-        "telemetry_dir": str(telemetry_dir) if telemetry_dir else None,
-        # Fleet event sidecars (observability plane); always on — they
-        # live under .queue/, outside the byte-identity surface.
-        "metrics": True,
-    }
-
-
 def _execute_campaign_join(
     spec,
     store_dir: Path,
@@ -935,7 +902,11 @@ def _execute_campaign_join(
     queue-recorded ``resume``: enqueue the runs as durable items, then
     supervise a cooperative worker fleet draining them."""
     from repro.campaign import ResultStore
-    from repro.campaign.queue import WorkQueue, drain_with_workers
+    from repro.campaign.queue import (
+        WorkQueue,
+        drain_with_workers,
+        queue_config_from_settings,
+    )
     from repro.snapshot import suspend as _suspend
 
     try:
@@ -963,7 +934,7 @@ def _execute_campaign_join(
             "settings": manifest_settings,
         })
         queue = WorkQueue(store_dir)
-        queue.write_config(_queue_config_from_settings(settings, store_dir))
+        queue.write_config(queue_config_from_settings(settings, store_dir))
         queue.arm_events()
         # The trace id is the content hash of the campaign document —
         # the exact value the HTTP service uses as its submission id,
@@ -1795,6 +1766,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
+    from repro.analysis import experiments as exp
+
     print(exp.e2_pairing_matrix().text)
     return 0
 

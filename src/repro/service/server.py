@@ -39,10 +39,11 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
-from repro.campaign.queue import WorkQueue, has_queue
+from repro.campaign.queue import WorkQueue, has_queue, spawn_worker
 from repro.errors import ConfigError, ReproError
 from repro.faultinject.registry import failpoint
 from repro.service import http as _http
@@ -86,6 +87,9 @@ class ReproService:
         self._draining = False
         self._drain_reason = ""
         self._drain_event = asyncio.Event()
+        #: Set when the worker fleet may have work to pick up: a new
+        #: submission, a worker exit, a drain request.
+        self._wake = asyncio.Event()
         self._signals = 0
         self._fleet: dict[str, subprocess.Popen] = {}
         self._respawns: dict[str, int] = {}
@@ -138,6 +142,7 @@ class ReproService:
             return
         self._draining = True
         self._drain_reason = reason
+        self._wake.set()
         self._note(f"drain requested ({reason}): accepting stops, "
                    f"in-flight responses get "
                    f"{self.config.drain_grace_s:.0f}s")
@@ -370,6 +375,7 @@ class ReproService:
             self.metrics["submissions_replayed"] += 1
         elif created:
             self.metrics["submissions_created"] += 1
+            self._wake.set()
         payload = dict(record)
         payload["replayed"] = replayed
         return _http.json_response(201 if created else 200, payload)
@@ -556,36 +562,38 @@ class ReproService:
             self._streams -= 1
 
     # -- worker fleet supervision --------------------------------------
-    def _worker_env(self) -> dict[str, str]:
-        env = dict(os.environ)
-        import repro
-
-        pkg_root = str(Path(repro.__file__).resolve().parent.parent)
-        parts = [pkg_root] + [
-            p for p in env.get("PYTHONPATH", "").split(os.pathsep)
-            if p and p != pkg_root
-        ]
-        env["PYTHONPATH"] = os.pathsep.join(parts)
-        return env
-
     def _spawn_worker(self, sub_id: str) -> subprocess.Popen:
-        store_dir = self.registry.store_dir(sub_id)
-        log_path = store_dir / ".queue" / "logs" / "service-worker.log"
-        log_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(log_path, "ab") as log:
-            return subprocess.Popen(
-                [sys.executable, "-m", "repro.cli", "queue", "work",
-                 str(store_dir), "--quiet"],
-                env=self._worker_env(),
-                stdout=log,
-                stderr=log,
-            )
+        proc = spawn_worker(
+            self.registry.store_dir(sub_id), "service-worker.log"
+        )
+        # A worker's exit frees its fleet slot: wake the supervisor
+        # then instead of at its next tick.
+        loop = asyncio.get_running_loop()
+
+        def _wait_exit() -> None:
+            proc.wait()
+            try:
+                loop.call_soon_threadsafe(self._wake.set)
+            except RuntimeError:  # the loop closed first
+                pass
+
+        threading.Thread(
+            target=_wait_exit, daemon=True, name=f"worker-exit-{proc.pid}"
+        ).start()
+        return proc
 
     async def _supervise_workers(self) -> None:
         """Keep up to ``config.workers`` drain workers running across
-        submission stores with outstanding queue items."""
+        submission stores with outstanding queue items.
+
+        A new submission and a worker's exit each wake the supervisor
+        at once; the ``SUPERVISE_POLL_S`` tick remains the fallback
+        for work no event announces, such as the stores a restarted
+        server recovers or items other processes requeue.
+        """
         try:
             while not self._draining:
+                self._wake.clear()
                 for sub_id, proc in list(self._fleet.items()):
                     if proc.poll() is not None:
                         del self._fleet[sub_id]
@@ -610,7 +618,12 @@ class ReproService:
                         continue
                     self._respawns[sub_id] = spawned + 1
                     self._fleet[sub_id] = self._spawn_worker(sub_id)
-                await asyncio.sleep(SUPERVISE_POLL_S)
+                try:
+                    await asyncio.wait_for(
+                        self._wake.wait(), SUPERVISE_POLL_S
+                    )
+                except asyncio.TimeoutError:
+                    pass
         except asyncio.CancelledError:
             pass
 

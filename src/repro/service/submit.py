@@ -40,7 +40,7 @@ import tempfile
 from pathlib import Path
 from typing import Mapping
 
-from repro.campaign.queue import WorkQueue, has_queue
+from repro.campaign.queue import WorkQueue, has_queue, queue_config_from_settings
 from repro.campaign.spec import CampaignSpec, run_id_of
 from repro.campaign.store import ResultStore
 from repro.errors import ConfigError
@@ -199,9 +199,7 @@ class SubmissionRegistry:
             "settings": settings,
         })
         queue = WorkQueue(store_dir)
-        from repro.cli import _queue_config_from_settings
-
-        queue.write_config(_queue_config_from_settings(settings, store_dir))
+        queue.write_config(queue_config_from_settings(settings, store_dir))
         queue.arm_events()
         # The submission id *is* the trace id: both are the content
         # hash of the spec, so an idempotent replay — or the same

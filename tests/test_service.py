@@ -30,6 +30,7 @@ from repro.errors import ConfigError
 from repro.faultinject.chaos import store_fingerprint
 from repro.service import client
 from repro.service import http as shttp
+from repro.service import server as server_module
 from repro.service.config import ServiceConfig
 from repro.service.server import ReproService, serve_main
 from repro.service.submit import (
@@ -760,6 +761,36 @@ class TestSSEStreams:
         handle.drain("test-drain")
         streamer.join(timeout=15)
         assert seen[-1] == "drain"
+
+
+class TestFleetSupervisor:
+    def test_submission_and_worker_exit_wake_the_supervisor(
+        self, serve, monkeypatch
+    ):
+        # With the fallback tick a minute long, the second campaign
+        # finishes in time only if a new submission starts a worker
+        # and that worker's exit frees its slot without waiting for
+        # the tick.
+        monkeypatch.setattr(server_module, "SUPERVISE_POLL_S", 60.0)
+        handle = serve(ServiceConfig(port=0, poll_s=0.02, workers=1))
+        port = handle.port
+        sub_ids = []
+        for spec in (SPEC_A, SPEC_B):
+            status, doc = client.post_json(
+                "127.0.0.1", port, "/v1/campaigns", spec
+            )
+            assert status == 201
+            sub_ids.append(doc["submission"])
+
+        def complete() -> bool:
+            return all(
+                client.get_json(
+                    "127.0.0.1", port, f"/v1/campaigns/{sub_id}"
+                )[1]["state"] == "complete"
+                for sub_id in sub_ids
+            )
+
+        assert _wait_for(complete, timeout=20.0, interval=0.05)
 
 
 class TestFleetShutdown:
