@@ -7,17 +7,30 @@ window, executed strictly in window order:
   runs the simulator ``until`` just below the chain's first boundary
   (the first submit time of window 1 — ties are never split, the
   planner guarantees it);
-* window ``k > 0`` restores the boundary snapshot window ``k-1``
-  wrote, registers its own trace via :meth:`~repro.slurm.manager.
-  WorkloadManager.extend` (which deliberately does *not* re-kick the
-  periodic backfill chain — its phase must survive the boundary),
-  and runs to the next boundary;
+* window ``k > 0`` takes up the world at the boundary snapshot
+  window ``k-1`` wrote, registers its own trace via :meth:`~repro.
+  slurm.manager.WorkloadManager.extend` (which deliberately does
+  *not* re-kick the periodic backfill chain — its phase must survive
+  the boundary), and runs to the next boundary;
 * after each segment the manager's terminal jobs are compacted out
   (:meth:`~repro.slurm.manager.WorkloadManager.compact_terminated`)
   and flushed to the columnar store with :meth:`~repro.archive.
   columnar.ColumnarStore.append_once` — idempotent per window, so
   re-executing a window (cache loss, crash recovery) never
-  double-counts.
+  double-counts.  The window's ``jobs`` and ``windows`` appends share
+  one :meth:`~repro.archive.columnar.ColumnarStore.batch`, so both
+  marks commit in one manifest write.
+
+Every window still writes its boundary snapshot, the crash-recovery
+contract.  When window ``k+1`` runs in the process that just ran
+window ``k`` it need not read that snapshot back: window ``k`` leaves
+``(snapshot path, payload_sha256, manager)`` in a module-level
+hand-off slot, and window ``k+1`` uses the live manager when the path
+and the snapshot header on disk (``spec_hash`` and payload digest)
+match.  Otherwise — a resumed replay, crash recovery, a predecessor
+in another process, a snapshot rewritten since — it restores the
+snapshot file.  A hand-off is not a resume: ``resume_count`` counts
+real restores only.
 
 While later windows remain, ``manager.expect_more_work`` keeps the
 periodic backfill chain and failure processes armed across idle gaps
@@ -44,7 +57,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
@@ -54,6 +67,7 @@ from repro.archive.columnar import (
     ColumnarStore,
     job_records_to_array,
 )
+from repro.archive.ingest import MANIFEST_NAME as ARCHIVE_MANIFEST_NAME
 from repro.archive.ingest import Archive, load_archive
 from repro.campaign.runner import CampaignResult, CampaignRunner
 from repro.campaign.spec import RunSpec, run_id_of
@@ -61,7 +75,11 @@ from repro.campaign.store import ResultStore
 from repro.errors import ConfigError, SnapshotError
 from repro.slurm.config import SchedulerConfig
 from repro.slurm.job import JobState
+from repro.snapshot import state as snapshot_state
 from repro.snapshot.guards import ResourceGuards
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.slurm.manager import WorkloadManager
 
 #: Subdirectory of a replay store holding the columnar results.
 COLUMNAR_DIR_NAME = "columnar"
@@ -71,6 +89,35 @@ BOUNDARY_DIR_NAME = "boundaries"
 
 #: Stitched whole-trace summary written after a successful replay.
 STITCHED_NAME = "stitched.json"
+
+#: What the last window run in this process left for its successor:
+#: ``(boundary snapshot path, its payload_sha256, live manager)``.
+#: Module-level because the campaign runner calls each window with
+#: its params alone.  Holds at most one manager; every window pops
+#: it on entry and :func:`replay_archive` empties it on return.
+_handoff: "tuple[Path, str, WorkloadManager] | None" = None
+
+#: The last archive opened by :func:`_open_archive`, keyed on its
+#: resolved root and the manifest's ``(st_ino, st_size, st_mtime_ns)``.
+_archive_memo: tuple[tuple, Archive] | None = None
+
+
+def _open_archive(archive_dir: str | Path) -> Archive:
+    """:func:`load_archive`, parsing the manifest once per process.
+
+    A re-ingest replaces the manifest atomically (new inode), so the
+    key changes and the next call parses the new one.
+    """
+    global _archive_memo
+    root = Path(archive_dir).resolve()
+    try:
+        stat = (root / ARCHIVE_MANIFEST_NAME).stat()
+    except OSError:
+        return load_archive(root)  # raises the usual ConfigError
+    key = (root, stat.st_ino, stat.st_size, stat.st_mtime_ns)
+    if _archive_memo is None or _archive_memo[0] != key:
+        _archive_memo = (key, load_archive(root))
+    return _archive_memo[1]
 
 
 def replay_window_params(
@@ -97,9 +144,10 @@ def replay_window_params(
 
 def chain_id_of(params: Mapping[str, object]) -> str:
     """Identity of the whole replay chain: the run params minus the
-    window index.  Names boundary snapshots and columnar marks, so
-    two chains over the same archive with different strategies never
-    collide in a shared store."""
+    window index.  Names boundary snapshots and columnar marks.  The
+    columnar ``jobs`` and ``windows`` families hold one chain per
+    store, so :func:`replay_archive` refuses a store whose marks name
+    another chain."""
     reduced = {k: v for k, v in params.items() if k != "window"}
     return run_id_of(reduced)
 
@@ -136,6 +184,8 @@ def execute_replay_window(
     the columnar store, everything nondeterministic (wall clock) to
     the telemetry sidecar.
     """
+    global _handoff
+    handed, _handoff = _handoff, None
     if params.get("kind") != "replay_window":
         raise ConfigError(f"unknown run kind {params.get('kind')!r}")
     if archive_dir is None or columnar_dir is None or boundary_dir is None:
@@ -146,7 +196,7 @@ def execute_replay_window(
     import time as _wallclock
 
     started = _wallclock.perf_counter()
-    archive = load_archive(archive_dir)
+    archive = _open_archive(archive_dir)
     if archive.archive_id != params["archive_id"]:
         raise ConfigError(
             f"archive at {archive_dir} has id {archive.archive_id}, "
@@ -188,9 +238,21 @@ def execute_replay_window(
                 f"this chain's results from the store to re-run it",
                 reason="unreadable",
             )
-        manager = WorkloadManager.restore(
-            snap_path, expect_spec_hash=f"{chain}:{window}"
-        )
+        # The live manager stands in for the snapshot only if it is
+        # exactly what the file on disk holds.
+        spec_hash = f"{chain}:{window}"
+        header = snapshot_state.read_snapshot_header(snap_path)
+        if (
+            handed is not None
+            and handed[0] == snap_path
+            and handed[1] == header.get("payload_sha256")
+            and header.get("spec_hash") == spec_hash
+        ):
+            manager = handed[2]
+        else:
+            manager = WorkloadManager.restore(
+                snap_path, expect_spec_hash=spec_hash
+            )
         jobs_loaded = manager.extend(trace)
 
     boundary = archive.boundary_of(window)
@@ -204,11 +266,6 @@ def execute_replay_window(
     carried_queued = len(manager.jobs) - carried_running
     boundary_time = float(manager.sim.now) if boundary is None else boundary
 
-    store = ColumnarStore(columnar_dir)
-    if flushed:
-        store.append_once(
-            "jobs", f"{chain}:jobs:{window}", job_records_to_array(flushed)
-        )
     window_row = np.array(
         [(
             window, jobs_loaded, len(flushed),
@@ -218,13 +275,23 @@ def execute_replay_window(
         )],
         dtype=WINDOWS_DTYPE,
     )
-    store.append_once("windows", f"{chain}:windows:{window}", window_row)
+    store = ColumnarStore(columnar_dir)
+    with store.batch():
+        if flushed:
+            store.append_once(
+                "jobs", f"{chain}:jobs:{window}", job_records_to_array(flushed)
+            )
+        store.append_once("windows", f"{chain}:windows:{window}", window_row)
 
+    handoff = None
     if boundary is not None:
-        manager.snapshot(
-            boundary_snapshot_path(boundary_dir, chain, window + 1),
-            spec_hash=f"{chain}:{window + 1}",
+        next_path = boundary_snapshot_path(boundary_dir, chain, window + 1)
+        written: dict = {}
+        snapshot_state.write_snapshot(
+            manager, next_path, spec_hash=f"{chain}:{window + 1}",
+            header_out=written,
         )
+        handoff = (next_path, written["payload_sha256"], manager)
 
     if telemetry_dir is not None:
         from repro.observability.stats import write_telemetry_sidecar
@@ -242,6 +309,7 @@ def execute_replay_window(
             },
         )
 
+    _handoff = handoff
     return {
         "kind": "replay_window",
         "archive_id": archive.archive_id,
@@ -287,8 +355,8 @@ def replay_archive(
 ) -> ReplayOutcome:
     """Replay a whole ingested archive, window by window.
 
-    Windows execute serially in order (window ``k+1`` restores the
-    snapshot window ``k`` wrote — there is no window parallelism to
+    Windows execute serially in order (window ``k+1`` continues from
+    the snapshot window ``k`` wrote — there is no window parallelism to
     exploit *within* one chain; run different strategies as separate
     chains for that).  Completed windows are cached in the campaign
     store and their columnar appends are idempotent, so an
@@ -296,7 +364,8 @@ def replay_archive(
     success the boundary snapshots are deleted and a stitched
     whole-trace summary is written to ``<store>/stitched.json``.
     """
-    archive = load_archive(archive_dir)
+    global _handoff
+    archive = _open_archive(archive_dir)
     store_dir = Path(store_dir)
     columnar_dir = store_dir / COLUMNAR_DIR_NAME
     boundary_dir = store_dir / BOUNDARY_DIR_NAME
@@ -314,6 +383,18 @@ def replay_archive(
         for k in range(len(archive))
     ]
     chain = chain_id_of(runs[0].params)
+    if ColumnarStore.is_store(columnar_dir):
+        others = {
+            key.split(":", 1)[0] for key in ColumnarStore(columnar_dir).marks()
+        } - {chain}
+        if others:
+            raise ConfigError(
+                f"replay store {store_dir} already holds rows of another "
+                f"replay chain ({', '.join(sorted(others))}); its jobs and "
+                f"windows families hold one chain, so {strategy} on "
+                f"{num_nodes} nodes needs a fresh --store (or replay-trace "
+                f"--strategies, which gives each chain its own sub-store)"
+            )
     entry = partial(
         execute_replay_window,
         archive_dir=str(archive_dir),
@@ -332,7 +413,10 @@ def replay_archive(
         progress=progress,
         install_signal_handlers=install_signal_handlers,
     )
-    campaign = runner.run(runs)
+    try:
+        campaign = runner.run(runs)
+    finally:
+        _handoff = None
     stitched: dict[str, object] | None = None
     if campaign.ok:
         stitched = stitched_summary(columnar_dir)

@@ -7,9 +7,13 @@ executed producer (``append_once`` marks) — plus the converter
 round-trips between domain objects and the fixed dtypes.
 """
 
+import functools
+import json
+
 import numpy as np
 import pytest
 
+import repro.archive.columnar as columnar
 from repro.archive.columnar import (
     JOB_STATE_CODES,
     JOBS_DTYPE,
@@ -20,6 +24,7 @@ from repro.archive.columnar import (
     specs_to_array,
 )
 from repro.errors import ConfigError
+from repro.faultinject import FailpointSpec, FaultPlan, armed
 from repro.slurm.accounting import JobRecord
 from repro.slurm.job import JobState
 from repro.workload.spec import JobSpec
@@ -118,6 +123,114 @@ class TestIdempotenceAndCrashSafety:
         (tmp_path / "manifest.json").write_text("{not json")
         with pytest.raises(ConfigError):
             ColumnarStore(tmp_path)
+
+
+def store_bytes(root):
+    """Every file of a store by name (temp residue included)."""
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+class TestBatch:
+    def window_batch(self, store, window):
+        with store.batch():
+            store.append_once("jobs", f"c:jobs:{window}", jobs_batch(3))
+            store.append_once("windows", f"c:windows:{window}", jobs_batch(1))
+
+    def test_one_manifest_write_per_batch(self, tmp_path, monkeypatch):
+        writes = []
+        original = ColumnarStore._write_manifest
+
+        def counting(self):
+            writes.append(dict(self._manifest["marks"]))
+            return original(self)
+
+        monkeypatch.setattr(ColumnarStore, "_write_manifest", counting)
+        store = ColumnarStore(tmp_path)
+        self.window_batch(store, 0)
+        assert len(writes) == 1
+        assert set(writes[0]) == {"c:jobs:0", "c:windows:0"}
+        # Re-running a committed batch appends nothing and writes nothing.
+        self.window_batch(store, 0)
+        assert len(writes) == 1
+        reopened = ColumnarStore(tmp_path)
+        assert reopened.rows("jobs") == 3
+        assert reopened.rows("windows") == 1
+
+    def test_batch_matches_unbatched_bytes(self, tmp_path):
+        self.window_batch(ColumnarStore(tmp_path / "a"), 0)
+        plain = ColumnarStore(tmp_path / "b")
+        plain.append_once("jobs", "c:jobs:0", jobs_batch(3))
+        plain.append_once("windows", "c:windows:0", jobs_batch(1))
+        assert store_bytes(tmp_path / "a") == store_bytes(tmp_path / "b")
+
+    def test_failed_manifest_write_commits_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        # One attempt, so the injected EIO is not retried away.
+        monkeypatch.setattr(
+            columnar, "with_io_retries",
+            functools.partial(columnar.with_io_retries, attempts=1),
+        )
+        store = ColumnarStore(tmp_path / "crash")
+        self.window_batch(store, 0)
+        before = store_bytes(tmp_path / "crash")
+        plan = FaultPlan([
+            FailpointSpec("columnar.manifest.write", "eio", nth=1)
+        ])
+        with armed(plan), pytest.raises(OSError):
+            self.window_batch(store, 1)
+        assert plan.hits["columnar.manifest.write"] == 1
+        for view in (store, ColumnarStore(tmp_path / "crash")):
+            assert not view.marked("c:jobs:1")
+            assert not view.marked("c:windows:1")
+            assert view.rows("jobs") == 3
+            assert view.rows("windows") == 1
+        assert (
+            (tmp_path / "crash" / "manifest.json").read_bytes()
+            == before["manifest.json"]
+        )
+        # Re-running the batch gives exactly a clean run's bytes.
+        self.window_batch(ColumnarStore(tmp_path / "crash"), 1)
+        clean = ColumnarStore(tmp_path / "clean")
+        self.window_batch(clean, 0)
+        self.window_batch(clean, 1)
+        assert store_bytes(tmp_path / "crash") == store_bytes(
+            tmp_path / "clean"
+        )
+
+    def test_failed_block_rolls_back_earlier_appends(self, tmp_path):
+        store = ColumnarStore(tmp_path)
+        with pytest.raises(ConfigError):
+            with store.batch():
+                store.append_once("jobs", "c:jobs:0", jobs_batch(3))
+                store.append_once("jobs", "c:bad:0", np.zeros(1, SPECS_DTYPE))
+        assert not store.marked("c:jobs:0")
+        assert store.rows("jobs") == 0
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_batches_do_not_nest(self, tmp_path):
+        store = ColumnarStore(tmp_path)
+        with pytest.raises(RuntimeError):
+            with store.batch():
+                store.append_once("jobs", "c:jobs:0", jobs_batch(1))
+                with store.batch():
+                    pass
+        assert ColumnarStore(tmp_path).rows("jobs") == 0
+
+    def test_indented_manifest_opens_and_appends(self, tmp_path):
+        store = ColumnarStore(tmp_path)
+        store.append_once("jobs", "c:jobs:0", jobs_batch(2))
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        path.write_text(json.dumps(manifest, sort_keys=True, indent=1))
+        reopened = ColumnarStore(tmp_path)
+        assert reopened.marked("c:jobs:0")
+        assert reopened.rows("jobs") == 2
+        assert reopened.append_once("jobs", "c:jobs:1", jobs_batch(3, 2)) == 2
+        again = ColumnarStore(tmp_path)
+        assert list(again.read("jobs")["job_id"]) == [0, 1, 2, 3, 4]
+        assert again.marks() == ["c:jobs:0", "c:jobs:1"]
+        assert b"\n" not in path.read_bytes()
 
 
 class TestConverters:
