@@ -54,18 +54,22 @@ WINDOWS_DIR = "windows"
 
 
 def _atomic_write_bytes(
-    path: Path, data: bytes, fp_name: str = "archive.manifest"
+    path: Path, data: bytes, write_fp: str, rename_fp: str | None = None
 ) -> None:
+    """Write *data* to *path* through a fsynced temp file and
+    :func:`os.replace`, tripping failpoint *write_fp* on the temp-file
+    write and *rename_fp* (when given) just before the rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(
         prefix=f".{path.stem}-", suffix=".tmp", dir=path.parent
     )
     try:
         with os.fdopen(fd, "wb") as handle:
-            failpoint_write(f"{fp_name}.write", handle, data)
+            failpoint_write(write_fp, handle, data)
             handle.flush()
             os.fsync(handle.fileno())
-        failpoint(f"{fp_name}.rename")
+        if rename_fp is not None:
+            failpoint(rename_fp)
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -146,7 +150,8 @@ def ingest_swf(
         hasher.update(data)
         file_name = f"window-{window.index:05d}.col"
         _atomic_write_bytes(
-            windows_dir / file_name, data, fp_name="archive.window"
+            windows_dir / file_name, data,
+            "archive.window.write", "archive.window.rename",
         )
         windows_meta.append({
             "index": window.index,
@@ -198,10 +203,12 @@ def ingest_swf(
     _atomic_write_bytes(
         out / MANIFEST_NAME,
         json.dumps(manifest, sort_keys=True, indent=1).encode("utf-8"),
+        "archive.manifest.write", "archive.manifest.rename",
     )
     _atomic_write_bytes(
         out / QUARANTINE_NAME,
         json.dumps(anomalies.as_dict(), indent=1).encode("utf-8"),
+        "archive.manifest.write", "archive.manifest.rename",
     )
     return IngestResult(
         out_dir=out,

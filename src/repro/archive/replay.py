@@ -1,36 +1,32 @@
 """Sharded window execution with deterministic boundary stitching.
 
-One archive replay is a *chain* of campaign runs, one per trace
-window, executed strictly in window order:
+One archive replay is a *chain* of windows, which
+:func:`replay_archive` runs as a plain loop, strictly in window order:
 
 * window 0 builds a fresh manager from the first window's trace and
   runs the simulator ``until`` just below the chain's first boundary
   (the first submit time of window 1 — ties are never split, the
   planner guarantees it);
-* window ``k > 0`` takes up the world at the boundary snapshot
-  window ``k-1`` wrote, registers its own trace via :meth:`~repro.
-  slurm.manager.WorkloadManager.extend` (which deliberately does
-  *not* re-kick the periodic backfill chain — its phase must survive
-  the boundary), and runs to the next boundary;
+* window ``k > 0`` continues the manager window ``k-1`` returned,
+  registers its own trace via :meth:`~repro.slurm.manager.
+  WorkloadManager.extend` (which deliberately does *not* re-kick the
+  periodic backfill chain — its phase must survive the boundary), and
+  runs to the next boundary.  Only the first window of a resumed call
+  has no predecessor in memory; it restores the boundary snapshot
+  window ``k-1`` wrote;
 * after each segment the manager's terminal jobs are compacted out
-  (:meth:`~repro.slurm.manager.WorkloadManager.compact_terminated`)
-  and flushed to the columnar store with :meth:`~repro.archive.
-  columnar.ColumnarStore.append_once` — idempotent per window, so
-  re-executing a window (cache loss, crash recovery) never
-  double-counts.  The window's ``jobs`` and ``windows`` appends share
-  one :meth:`~repro.archive.columnar.ColumnarStore.batch`, so both
-  marks commit in one manifest write.
+  (:meth:`~repro.slurm.manager.WorkloadManager.compact_terminated`),
+  the boundary snapshot for window ``k+1`` is written, and only then
+  are the window's ``jobs`` and ``windows`` rows committed to the
+  columnar store in one :meth:`~repro.archive.columnar.ColumnarStore.
+  batch` — one manifest write carrying both idempotence marks.
 
-Every window still writes its boundary snapshot, the crash-recovery
-contract.  When window ``k+1`` runs in the process that just ran
-window ``k`` it need not read that snapshot back: window ``k`` leaves
-``(snapshot path, payload_sha256, manager)`` in a module-level
-hand-off slot, and window ``k+1`` uses the live manager when the path
-and the snapshot header on disk (``spec_hash`` and payload digest)
-match.  Otherwise — a resumed replay, crash recovery, a predecessor
-in another process, a snapshot rewritten since — it restores the
-snapshot file.  A hand-off is not a resume: ``resume_count`` counts
-real restores only.
+The columnar ``{chain}:windows:{k}`` mark is the only record of
+progress: a call starts at the first window without one.  Because the
+snapshot is written before the commit, a committed mark implies that
+its successor's snapshot exists; a crash between the two re-runs
+window ``k`` from snapshot ``k``, and :meth:`~repro.archive.columnar.
+ColumnarStore.append_once` keeps a re-run from double-counting.
 
 While later windows remain, ``manager.expect_more_work`` keeps the
 periodic backfill chain and failure processes armed across idle gaps
@@ -44,18 +40,17 @@ records of one monolithic run over the whole trace: each job
 terminates in exactly one segment, segments execute in order, and
 the snapshot layer restores the simulation world exactly.
 
-Each window is a content-hashed campaign run (``kind":
-"replay_window"``), so the PR-1 runner provides caching, retry,
-store locking and progress for free; the *chain id* — the hash of
-the params minus the window index — names the boundary snapshots
-and columnar idempotence marks.
+The *chain id* — the content hash of a window's params minus the
+window index — names the boundary snapshots and the columnar marks.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import time as _wallclock
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping
 
@@ -68,14 +63,23 @@ from repro.archive.columnar import (
     job_records_to_array,
 )
 from repro.archive.ingest import MANIFEST_NAME as ARCHIVE_MANIFEST_NAME
-from repro.archive.ingest import Archive, load_archive
-from repro.campaign.runner import CampaignResult, CampaignRunner
-from repro.campaign.spec import RunSpec, run_id_of
-from repro.campaign.store import ResultStore
+from repro.archive.ingest import Archive, _atomic_write_bytes, load_archive
+from repro.campaign.progress import (
+    CACHED,
+    COMPLETED,
+    FAILED,
+    GUARD,
+    STARTED,
+    ProgressTracker,
+)
+from repro.campaign.runner import CampaignResult, RunFailure
+from repro.campaign.spec import run_id_of
+from repro.campaign.store import StoreLock
 from repro.errors import ConfigError, SnapshotError
 from repro.slurm.config import SchedulerConfig
 from repro.slurm.job import JobState
 from repro.snapshot import state as snapshot_state
+from repro.snapshot import suspend as _suspend
 from repro.snapshot.guards import ResourceGuards
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -89,13 +93,6 @@ BOUNDARY_DIR_NAME = "boundaries"
 
 #: Stitched whole-trace summary written after a successful replay.
 STITCHED_NAME = "stitched.json"
-
-#: What the last window run in this process left for its successor:
-#: ``(boundary snapshot path, its payload_sha256, live manager)``.
-#: Module-level because the campaign runner calls each window with
-#: its params alone.  Holds at most one manager; every window pops
-#: it on entry and :func:`replay_archive` empties it on return.
-_handoff: "tuple[Path, str, WorkloadManager] | None" = None
 
 #: The last archive opened by :func:`_open_archive`, keyed on its
 #: resolved root and the manifest's ``(st_ino, st_size, st_mtime_ns)``.
@@ -171,30 +168,21 @@ def _run_until_boundary(manager, boundary: float | None):
 
 def execute_replay_window(
     params: Mapping[str, object],
-    archive_dir: str | None = None,
-    columnar_dir: str | None = None,
-    boundary_dir: str | None = None,
-    telemetry_dir: str | None = None,
-) -> dict[str, object]:
-    """Execute one window of a replay chain (campaign entry function).
+    archive_dir: str | Path,
+    columnar_dir: str | Path,
+    boundary_dir: str | Path,
+    telemetry_dir: str | Path | None = None,
+    manager: "WorkloadManager | None" = None,
+) -> "WorkloadManager":
+    """Execute one window of a replay chain; returns the live manager.
 
-    Module-level and driven by string directories so the campaign
-    runner can ``partial`` it and stay picklable.  Returns a
-    deterministic payload; everything bulky (per-job records) goes to
-    the columnar store, everything nondeterministic (wall clock) to
-    the telemetry sidecar.
+    *manager* is what the previous window returned.  Without it,
+    window 0 builds a fresh manager and a later window restores the
+    boundary snapshot its predecessor wrote.  The window writes the
+    next boundary snapshot, then commits its ``jobs`` and ``windows``
+    rows in one columnar batch.  Everything nondeterministic (wall
+    clock) goes to the telemetry sidecar.
     """
-    global _handoff
-    handed, _handoff = _handoff, None
-    if params.get("kind") != "replay_window":
-        raise ConfigError(f"unknown run kind {params.get('kind')!r}")
-    if archive_dir is None or columnar_dir is None or boundary_dir is None:
-        raise ConfigError(
-            "execute_replay_window needs archive_dir, columnar_dir "
-            "and boundary_dir"
-        )
-    import time as _wallclock
-
     started = _wallclock.perf_counter()
     archive = _open_archive(archive_dir)
     if archive.archive_id != params["archive_id"]:
@@ -210,7 +198,6 @@ def execute_replay_window(
             f"chain expects {windows} windows, archive has {len(archive)}"
         )
     strategy = str(params["strategy"])
-    num_nodes = int(params["num_nodes"])  # type: ignore[arg-type]
     chain = chain_id_of(params)
     trace = archive.window_trace(window)
 
@@ -218,40 +205,30 @@ def execute_replay_window(
         from repro.slurm.manager import build_manager
 
         config_kwargs = dict(params.get("config", {}))  # type: ignore[arg-type]
-        config = SchedulerConfig(strategy=strategy, **config_kwargs)
         manager = build_manager(
             trace,
-            num_nodes=num_nodes,
+            num_nodes=int(params["num_nodes"]),  # type: ignore[arg-type]
             strategy=strategy,
-            config=config,
+            config=SchedulerConfig(strategy=strategy, **config_kwargs),
             collect_metrics=False,
         )
         jobs_loaded = len(trace)
     else:
-        from repro.slurm.manager import WorkloadManager
+        if manager is None:
+            from repro.slurm.manager import WorkloadManager
 
-        snap_path = boundary_snapshot_path(boundary_dir, chain, window)
-        if not snap_path.is_file():
-            raise SnapshotError(
-                f"boundary snapshot {snap_path} is missing — window "
-                f"{window - 1} must complete (uncached) first; clear "
-                f"this chain's results from the store to re-run it",
-                reason="unreadable",
-            )
-        # The live manager stands in for the snapshot only if it is
-        # exactly what the file on disk holds.
-        spec_hash = f"{chain}:{window}"
-        header = snapshot_state.read_snapshot_header(snap_path)
-        if (
-            handed is not None
-            and handed[0] == snap_path
-            and handed[1] == header.get("payload_sha256")
-            and header.get("spec_hash") == spec_hash
-        ):
-            manager = handed[2]
-        else:
+            snap_path = boundary_snapshot_path(boundary_dir, chain, window)
+            if not snap_path.is_file():
+                raise SnapshotError(
+                    f"boundary snapshot {snap_path} is missing, so window "
+                    f"{window} cannot start.  If window {window - 1} is "
+                    f"committed, an older version was killed between "
+                    f"that commit and this snapshot; replay into a "
+                    f"fresh --store",
+                    reason="unreadable",
+                )
             manager = WorkloadManager.restore(
-                snap_path, expect_spec_hash=spec_hash
+                snap_path, expect_spec_hash=f"{chain}:{window}"
             )
         jobs_loaded = manager.extend(trace)
 
@@ -263,18 +240,22 @@ def execute_replay_window(
     carried_running = sum(
         1 for job in manager.jobs.values() if job.state is JobState.RUNNING
     )
-    carried_queued = len(manager.jobs) - carried_running
-    boundary_time = float(manager.sim.now) if boundary is None else boundary
-
     window_row = np.array(
         [(
             window, jobs_loaded, len(flushed),
             int(manager.sim.events_dispatched),
             int(manager.scheduler_passes),
-            boundary_time, carried_running, carried_queued,
+            float(manager.sim.now) if boundary is None else boundary,
+            carried_running, len(manager.jobs) - carried_running,
         )],
         dtype=WINDOWS_DTYPE,
     )
+    if boundary is not None:
+        snapshot_state.write_snapshot(
+            manager,
+            boundary_snapshot_path(boundary_dir, chain, window + 1),
+            spec_hash=f"{chain}:{window + 1}",
+        )
     store = ColumnarStore(columnar_dir)
     with store.batch():
         if flushed:
@@ -283,24 +264,15 @@ def execute_replay_window(
             )
         store.append_once("windows", f"{chain}:windows:{window}", window_row)
 
-    handoff = None
-    if boundary is not None:
-        next_path = boundary_snapshot_path(boundary_dir, chain, window + 1)
-        written: dict = {}
-        snapshot_state.write_snapshot(
-            manager, next_path, spec_hash=f"{chain}:{window + 1}",
-            header_out=written,
-        )
-        handoff = (next_path, written["payload_sha256"], manager)
-
     if telemetry_dir is not None:
         from repro.observability.stats import write_telemetry_sidecar
 
+        run_id = run_id_of(dict(params))
         write_telemetry_sidecar(
             telemetry_dir,
-            run_id_of(dict(params)),
+            run_id,
             {
-                "run_id": run_id_of(dict(params)),
+                "run_id": run_id,
                 "exec": {
                     "wall_clock_s": _wallclock.perf_counter() - started,
                     "resume_count": int(getattr(manager, "resume_count", 0)),
@@ -308,24 +280,7 @@ def execute_replay_window(
                 },
             },
         )
-
-    _handoff = handoff
-    return {
-        "kind": "replay_window",
-        "archive_id": archive.archive_id,
-        "window": window,
-        "windows": windows,
-        "strategy": strategy,
-        "num_nodes": num_nodes,
-        "jobs_loaded": jobs_loaded,
-        "jobs_flushed": len(flushed),
-        "carried": {"running": carried_running, "queued": carried_queued},
-        "boundary_time": boundary_time,
-        # Cumulative across the chain so far — monotone per window,
-        # which the stitching tests exploit.
-        "events_dispatched": int(manager.sim.events_dispatched),
-        "scheduler_passes": int(manager.scheduler_passes),
-    }
+    return manager
 
 
 @dataclass
@@ -355,38 +310,47 @@ def replay_archive(
 ) -> ReplayOutcome:
     """Replay a whole ingested archive, window by window.
 
-    Windows execute serially in order (window ``k+1`` continues from
-    the snapshot window ``k`` wrote — there is no window parallelism to
-    exploit *within* one chain; run different strategies as separate
-    chains for that).  Completed windows are cached in the campaign
-    store and their columnar appends are idempotent, so an
-    interrupted replay re-run picks up where it stopped.  On full
-    success the boundary snapshots are deleted and a stitched
-    whole-trace summary is written to ``<store>/stitched.json``.
+    Windows execute serially in order, each handing its live manager
+    to the next (window ``k+1`` continues where window ``k`` stopped —
+    there is no window parallelism to exploit *within* one chain; run
+    different strategies as separate chains for that).  The call holds
+    the store lock, starts at the first window without a ``windows``
+    mark and counts the marked ones as cached, so an interrupted
+    replay re-run picks up where it stopped.  It stops early at the
+    first failing window (later windows cannot run without it), at a
+    suspend request (checked between windows), or when *guards* trip
+    on this process after a committed window.  On full success the
+    boundary snapshots are deleted and a stitched whole-trace summary
+    is written to ``<store>/stitched.json``.
     """
-    global _handoff
+    started = _wallclock.monotonic()
     archive = _open_archive(archive_dir)
     store_dir = Path(store_dir)
     columnar_dir = store_dir / COLUMNAR_DIR_NAME
     boundary_dir = store_dir / BOUNDARY_DIR_NAME
-    runs = [
-        RunSpec.from_params(
-            replay_window_params(
-                archive.archive_id,
-                window=k,
-                windows=len(archive),
-                strategy=strategy,
-                num_nodes=num_nodes,
-                config=config,
-            )
+    window_params = [
+        replay_window_params(
+            archive.archive_id,
+            window=k,
+            windows=len(archive),
+            strategy=strategy,
+            num_nodes=num_nodes,
+            config=config,
         )
         for k in range(len(archive))
     ]
-    chain = chain_id_of(runs[0].params)
-    if ColumnarStore.is_store(columnar_dir):
-        others = {
-            key.split(":", 1)[0] for key in ColumnarStore(columnar_dir).marks()
-        } - {chain}
+    run_ids = [run_id_of(params) for params in window_params]
+    chain = chain_id_of(window_params[0])
+    campaign = CampaignResult(order=run_ids, results={})
+    tracker = ProgressTracker(total=len(window_params), sink=progress)
+    stitched: dict[str, object] | None = None
+    with StoreLock(store_dir):
+        marks = (
+            set(ColumnarStore(columnar_dir).marks())
+            if ColumnarStore.is_store(columnar_dir)
+            else set()
+        )
+        others = {key.split(":", 1)[0] for key in marks} - {chain}
         if others:
             raise ConfigError(
                 f"replay store {store_dir} already holds rows of another "
@@ -395,46 +359,79 @@ def replay_archive(
                 f"{num_nodes} nodes needs a fresh --store (or replay-trace "
                 f"--strategies, which gives each chain its own sub-store)"
             )
-    entry = partial(
-        execute_replay_window,
-        archive_dir=str(archive_dir),
-        columnar_dir=str(columnar_dir),
-        boundary_dir=str(boundary_dir),
-        telemetry_dir=(
-            str(telemetry_dir) if telemetry_dir is not None else None
-        ),
-    )
-    runner = CampaignRunner(
-        store=ResultStore(store_dir),
-        workers=1,  # chain order is a correctness requirement
-        retries=0,  # window state is consumed; a blind retry cannot help
-        entry=entry,
-        guards=guards,
-        progress=progress,
-        install_signal_handlers=install_signal_handlers,
-    )
-    try:
-        campaign = runner.run(runs)
-    finally:
-        _handoff = None
-    stitched: dict[str, object] | None = None
-    if campaign.ok:
-        stitched = stitched_summary(columnar_dir)
-        stitched["archive_id"] = archive.archive_id
-        stitched["chain"] = chain
-        stitched["strategy"] = strategy
-        stitched["num_nodes"] = num_nodes
-        import json
-
-        from repro.faultinject import failpoint
-
-        failpoint("stitched.write")
-        (store_dir / STITCHED_NAME).write_text(
-            json.dumps(stitched, sort_keys=True, indent=1) + "\n",
-            encoding="utf-8",
+        first = next(
+            (k for k in range(len(window_params))
+             if f"{chain}:windows:{k}" not in marks),
+            len(window_params),
         )
-        for snap in sorted(boundary_dir.glob(f"{chain}-w*.snap")):
-            snap.unlink(missing_ok=True)
+        for k in range(first):
+            tracker.emit(CACHED, run_ids[k], f"window {k}")
+        previous_handlers = (
+            _suspend.install_signal_handlers()
+            if install_signal_handlers
+            else None
+        )
+        try:
+            manager = None
+            for k in range(first, len(window_params)):
+                if _suspend.suspend_requested():
+                    _suspend.reset()
+                    campaign.interrupted = True
+                    break
+                label = f"window {k}"
+                tracker.emit(STARTED, run_ids[k], label)
+                try:
+                    manager = execute_replay_window(
+                        window_params[k], archive_dir, columnar_dir,
+                        boundary_dir, telemetry_dir, manager=manager,
+                    )
+                except Exception as exc:  # noqa: BLE001 - ends the chain
+                    error = f"{type(exc).__name__}: {exc}"
+                    tracker.emit(FAILED, run_ids[k], label, error=error)
+                    campaign.failures.append(
+                        RunFailure(run_ids[k], label, 1, error)
+                    )
+                    break
+                tracker.emit(COMPLETED, run_ids[k], label)
+                if guards is not None and k + 1 < len(window_params):
+                    trips = guards.check((os.getpid(),))
+                    for trip in trips or ():
+                        tracker.emit(
+                            GUARD, run_id="", label=trip.kind,
+                            error=trip.message,
+                        )
+                    if trips:
+                        campaign.interrupted = True
+                        break
+        finally:
+            _suspend.restore_signal_handlers(previous_handlers)
+        if ColumnarStore.is_store(columnar_dir):
+            # Results are read back from the marks' rows, cached or not.
+            for row in ColumnarStore(columnar_dir).read("windows"):
+                k = int(row["window"])
+                campaign.results[run_ids[k]] = {
+                    "run_id": run_ids[k],
+                    "params": window_params[k],
+                    "result": {
+                        name: row[name].item() for name in WINDOWS_DTYPE.names
+                    },
+                }
+        if campaign.ok:
+            stitched = stitched_summary(columnar_dir)
+            stitched["archive_id"] = archive.archive_id
+            stitched["chain"] = chain
+            stitched["strategy"] = strategy
+            stitched["num_nodes"] = num_nodes
+            document = json.dumps(stitched, sort_keys=True, indent=1) + "\n"
+            _atomic_write_bytes(
+                store_dir / STITCHED_NAME, document.encode("utf-8"),
+                write_fp="stitched.write",
+            )
+            for snap in sorted(boundary_dir.glob(f"{chain}-w*.snap")):
+                snap.unlink(missing_ok=True)
+    campaign.completed = tracker.completed
+    campaign.cached = tracker.cached
+    campaign.elapsed_s = _wallclock.monotonic() - started
     return ReplayOutcome(
         chain=chain,
         campaign=campaign,

@@ -1065,12 +1065,13 @@ class QueueWorker:
         """One whole per-strategy replay window chain as a queue item.
 
         The chain executes serially inside this worker (window order
-        is a correctness requirement), into its own sub-store — the
-        queue provides the *across-strategy* parallelism ROADMAP item
-        2 left open.  Suspension of the inner chain propagates as
+        is a correctness requirement), into its own sub-store, while
+        the queue runs different strategies' chains in parallel.  A
+        suspension between windows propagates as
         :class:`SuspendRequested` so the degradation ladder requeues
-        the chain; completed windows stay cached in the sub-store and
-        a redelivery resumes where it stopped.
+        the chain; each committed window keeps its columnar
+        ``windows`` mark in the sub-store, and a redelivery resumes at
+        the first window without one.
         """
         from repro.archive.replay import replay_archive
 

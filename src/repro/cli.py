@@ -103,10 +103,11 @@ Commands
     replayable window archive: per-window record files plus a
     content-hashed manifest with boundary and carried-job metadata.
 ``replay-trace``
-    Replay an ingested archive window by window: each window is a
-    cached campaign run stitched to the next through a boundary
-    snapshot, with per-job results streamed to a columnar store.
-    Byte-identical to a monolithic simulation of the same trace.
+    Replay an ingested archive window by window: each window hands
+    its live manager to the next, writes a boundary snapshot and
+    commits its per-job results to a columnar store, whose marks let
+    a re-run resume at the first uncommitted window.  Byte-identical
+    to a monolithic simulation of the same trace.
     ``--strategies a b c`` fans the independent per-strategy window
     chains out as queue items drained by ``--workers`` processes.
 ``fsck``
@@ -2114,8 +2115,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rt.add_argument("archive", help="ingested archive directory")
     p_rt.add_argument("--store", required=True,
-                      help="replay store directory (results, columnar "
-                           "records, boundary snapshots)")
+                      help="replay store directory (columnar records, "
+                           "boundary snapshots, stitched summary)")
     p_rt.add_argument(
         "--strategy", choices=all_strategy_names(), default="easy_backfill"
     )
@@ -2135,7 +2136,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rt.add_argument("--threshold", type=float, default=1.1,
                       help="pairing compatibility threshold")
     p_rt.add_argument("--rss-budget-mb", type=float, default=0.0,
-                      help="arm the RSS resource guard (0 = off)")
+                      help="RSS budget: a replay over it stops after "
+                           "its current window; re-run to resume "
+                           "(0 = off)")
     p_rt.add_argument("--telemetry", action="store_true",
                       help="write per-window telemetry sidecars")
     p_rt.add_argument("--quiet", action="store_true",

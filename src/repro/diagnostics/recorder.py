@@ -1,10 +1,9 @@
 """The flight recorder: a bounded ring buffer of dispatched events.
 
-Unlike :class:`~repro.engine.trace.EventTrace` (an analysis tool the
-caller opts into and inspects), the flight recorder is an always-on
-black box: the engine feeds it every dispatched event, it retains only
-the last N as plain JSON-ready dicts, and its contents surface only
-when a crash report is assembled.  Recording is one deque append per
+The flight recorder is an always-on black box: the engine feeds it
+every dispatched event, it retains only the last N as plain JSON-ready
+dicts, and its contents surface in crash reports (or wherever a caller
+reads :meth:`FlightRecorder.tail`).  Recording is one deque append per
 event, so it is safe to leave enabled in production runs.
 """
 
@@ -18,7 +17,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 def _payload_label(payload: object) -> str:
-    """Short identifier for an event payload (mirrors EventTrace)."""
+    """Short identifier for an event payload."""
     if payload is None:
         return ""
     for attr in ("job_id", "name", "id"):

@@ -9,7 +9,6 @@ from repro.engine.events import Event, EventKind
 from repro.engine.heap import EventHeap
 from repro.engine.rng import RngStreams
 from repro.engine.simulator import Simulator
-from repro.engine.trace import EventTrace, TraceRecord
 
 __all__ = [
     "Event",
@@ -17,6 +16,4 @@ __all__ = [
     "EventHeap",
     "RngStreams",
     "Simulator",
-    "EventTrace",
-    "TraceRecord",
 ]

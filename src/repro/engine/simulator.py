@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.engine.events import Event, EventKind
 from repro.engine.heap import EventHeap
-from repro.engine.trace import EventTrace
 from repro.errors import (
     MaxEventsError,
     SimulationError,
@@ -60,9 +59,6 @@ class Simulator:
 
     Parameters
     ----------
-    trace:
-        Optional :class:`~repro.engine.trace.EventTrace` that records
-        every dispatched event for post-mortem inspection.
     max_events:
         Safety valve: raise :class:`~repro.errors.MaxEventsError` after
         this many dispatches (guards against livelock in faulty
@@ -85,7 +81,6 @@ class Simulator:
 
     def __init__(
         self,
-        trace: EventTrace | None = None,
         max_events: int = DEFAULT_MAX_EVENTS,
         recorder: "FlightRecorder | None" = None,
         wall_clock_limit_s: float | None = None,
@@ -94,7 +89,6 @@ class Simulator:
     ):
         self.now: float = 0.0
         self.heap = EventHeap()
-        self.trace = trace
         self.max_events = int(max_events)
         self.recorder = recorder
         self.wall_clock_limit_s = wall_clock_limit_s
@@ -250,8 +244,6 @@ class Simulator:
             )
         if self.stall_event_limit is not None:
             self._check_progress_guard()
-        if self.trace is not None:
-            self.trace.record(event)
         if self.recorder is not None:
             self.recorder.record(event)
         if self.profiler is None:

@@ -61,7 +61,9 @@ STAGE_TIMEOUT_S = 300.0
 
 #: Failpoints additionally exercised with a torn (truncated) write,
 #: not just a clean kill at the boundary.
-TORN_WRITE_FAILPOINTS = ("columnar.append.write", "snapshot.write")
+TORN_WRITE_FAILPOINTS = (
+    "columnar.append.write", "snapshot.write", "stitched.write",
+)
 
 #: Bytes of payload that survive a torn-write trial.
 TORN_WRITE_BYTES = 17

@@ -188,7 +188,7 @@ def fsck_store(root: str | Path, *, repair: bool = False) -> FsckReport:
     if (columnar / "manifest.json").is_file():
         store = _check_columnar(report, columnar)
         if store is not None:
-            _check_replay_coherence(report, root, store, records)
+            _check_replay_coherence(report, root, store)
     return report
 
 
@@ -578,9 +578,7 @@ def _check_columnar(report: FsckReport, root: Path):
 # ----------------------------------------------------------------------
 # Replay-specific coherence
 # ----------------------------------------------------------------------
-def _check_replay_coherence(
-    report: FsckReport, root: Path, store, records: dict[str, dict]
-) -> None:
+def _check_replay_coherence(report: FsckReport, root: Path, store) -> None:
     if "windows" not in store.families():
         return
     windows = store.read("windows")
@@ -619,40 +617,7 @@ def _check_replay_coherence(
                     f"window {idx} flushed {int(row['jobs_flushed'])} "
                     f"jobs but has no {chain}:jobs:{idx} mark",
                 )
-    # Window records (when this is a replay store) must agree with the
-    # columnar window rows — the same fact persisted through two paths.
-    for run_id, record in sorted(records.items()):
-        result = record.get("result")
-        if not isinstance(result, dict) or result.get("kind") != "replay_window":
-            continue
-        idx = int(result.get("window", -1))
-        row = by_window.get(idx)
-        if row is None:
-            report.add(
-                "error", "windows.record-orphan", root / f"{run_id}.json",
-                f"record for window {idx} has no columnar windows row",
-            )
-            continue
-        for rec_key, col_key in (
-            ("jobs_loaded", "jobs_loaded"),
-            ("jobs_flushed", "jobs_flushed"),
-            ("boundary_time", "boundary_time"),
-        ):
-            if result.get(rec_key) != _pynum(row[col_key]):
-                report.add(
-                    "error", "windows.record-mismatch",
-                    root / f"{run_id}.json",
-                    f"window {idx}: record {rec_key}="
-                    f"{result.get(rec_key)!r} but columnar row says "
-                    f"{_pynum(row[col_key])!r}",
-                )
     _check_stitched(report, root, store)
-
-
-def _pynum(value):
-    """numpy scalar → plain int/float for == against JSON values."""
-    out = value.item()
-    return out
 
 
 def _check_stitched(report: FsckReport, root: Path, store) -> None:

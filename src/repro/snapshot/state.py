@@ -91,16 +91,12 @@ def write_snapshot(
     manager: "WorkloadManager",
     path: str | Path,
     spec_hash: str | None = None,
-    *,
-    header_out: dict | None = None,
 ) -> Path:
     """Atomically persist *manager*'s state to *path*.
 
     Written via temp file + :func:`os.replace` in the target
     directory, so a crash mid-write leaves either the previous
     snapshot or the complete new one — never a truncated file.
-    When *header_out* is given it receives the header just written
-    (including ``payload_sha256``), once the file is in place.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -136,8 +132,6 @@ def write_snapshot(
         except OSError:
             pass
         raise
-    if header_out is not None:
-        header_out.update(header)
     return path
 
 

@@ -11,10 +11,12 @@ shareable/exclusive jobs.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+import repro.archive.columnar as columnar_module
 import repro.archive.replay as replay
 import repro.snapshot.state as snapshot_state
 from repro.archive import (
@@ -33,7 +35,10 @@ from repro.archive.replay import (
 )
 from repro.errors import ConfigError, SnapshotError
 from repro.core.strategy import all_strategy_names
+from repro.faultinject.chaos import store_fingerprint
 from repro.faultinject.fsck import fsck_store
+from repro.snapshot import suspend
+from repro.snapshot.guards import ResourceGuards
 
 
 def gap_workload_lines():
@@ -63,19 +68,47 @@ def ingest_gap(root, lines=None):
     )
 
 
-def wrap_windows(monkeypatch, before):
-    """Route every replay window through *before(params)* first."""
+def wrap_windows(monkeypatch, before=None, after=None):
+    """Call *before(params)* and *after(params)* around every replay
+    window."""
     original = replay.execute_replay_window
 
-    def wrapped(params, **kwargs):
-        before(params)
-        return original(params, **kwargs)
+    def wrapped(params, *args, **kwargs):
+        if before is not None:
+            before(params)
+        manager = original(params, *args, **kwargs)
+        if after is not None:
+            after(params)
+        return manager
 
     monkeypatch.setattr(replay, "execute_replay_window", wrapped)
 
 
+def suspend_after(window=None):
+    """*after* hook requesting a suspend once *window* (default: any
+    window) returns, as SIGTERM would."""
+    def after(params):
+        if window is None or params["window"] == window:
+            suspend.request_suspend()
+
+    return after
+
+
+def replay_until_ok(gap_archive, store, limit=10, **kwargs):
+    """Re-call :func:`replay_archive` until it is ok; returns the
+    outcomes of every call."""
+    outcomes = []
+    try:
+        while not (outcomes and outcomes[-1].ok):
+            assert len(outcomes) < limit, "replay never finished"
+            outcomes.append(replay_archive(gap_archive, store, **kwargs))
+    finally:
+        suspend.reset()  # a suspend requested after the last window
+    return outcomes
+
+
 def count_restores(monkeypatch):
-    """Count real snapshot restores (hand-offs do not read one)."""
+    """Count snapshot restores."""
     calls = []
     original = snapshot_state.read_snapshot
 
@@ -116,22 +149,25 @@ class TestByteIdentity:
     def test_sharded_equals_monolithic_without_handoff(
         self, gap_archive, tmp_path, monkeypatch, strategy
     ):
-        """Emptying the hand-off slot before every window forces each
-        window through WorkloadManager.restore: the stitching
-        invariant must hold on that path too."""
-        def defeat(params):
-            replay._handoff = None
-
-        wrap_windows(monkeypatch, defeat)
+        """A suspend after every window ends each call there, so every
+        later window restores its boundary snapshot in a new call
+        instead of taking its predecessor's live manager: the
+        stitching invariant must hold on that path too."""
+        wrap_windows(monkeypatch, after=suspend_after())
         restores = count_restores(monkeypatch)
         config = {"backfill_interval": 120.0}
-        outcome = replay_archive(
+        outcomes = replay_until_ok(
             gap_archive, tmp_path / "store", strategy=strategy,
             num_nodes=64, config=config,
         )
-        assert outcome.ok
+        assert len(outcomes) == 5
+        for outcome in outcomes[:-1]:
+            assert outcome.campaign.interrupted
+            assert outcome.campaign.completed == 1
         assert len(restores) == 4
-        sharded = np.asarray(ColumnarStore(outcome.columnar).read("jobs"))
+        sharded = np.asarray(
+            ColumnarStore(outcomes[-1].columnar).read("jobs")
+        )
         reference = monolithic_jobs_array(
             load_archive(gap_archive), strategy, 64, config=config
         )
@@ -154,94 +190,57 @@ class TestHandoff:
         for sidecar in telemetry.glob("*.telemetry.json"):
             assert json.loads(sidecar.read_text())["exec"]["resume_count"] == 0
 
-    def test_rewritten_snapshot_declines_handoff(
+    def test_deleted_snapshot_still_rejected(
         self, gap_archive, tmp_path, monkeypatch
     ):
-        boundary_dir = tmp_path / "store" / BOUNDARY_DIR_NAME
-        read = snapshot_state.read_snapshot
-        rewritten = []
-
-        def rewrite(params):
-            if params["window"] != 2:
-                return
-            chain = chain_id_of(params)
-            path = boundary_dir / f"{chain}-w00002.snap"
-            manager = read(path, expect_spec_hash=f"{chain}:2")
-            before = path.read_bytes()
-            snapshot_state.write_snapshot(
-                manager, path, spec_hash=f"{chain}:2"
-            )
-            rewritten.append(path.read_bytes() != before)
-
-        wrap_windows(monkeypatch, rewrite)
-        restores = count_restores(monkeypatch)
-        outcome = replay_archive(
-            gap_archive, tmp_path / "store", strategy="easy_backfill",
-            num_nodes=64,
-        )
-        assert outcome.ok
-        assert rewritten == [True]
-        assert [p.name for p in restores] == [
-            f"{outcome.chain}-w00002.snap"
-        ]
-        sharded = np.asarray(ColumnarStore(outcome.columnar).read("jobs"))
-        reference = monolithic_jobs_array(
-            load_archive(gap_archive), "easy_backfill", 64
-        )
-        assert sharded.tobytes() == reference.tobytes()
-
-    def test_deleted_snapshot_still_rejected(self, gap_archive, tmp_path):
-        archive = load_archive(gap_archive)
-        dirs = {
-            "archive_dir": str(gap_archive),
-            "columnar_dir": str(tmp_path / COLUMNAR_DIR_NAME),
-            "boundary_dir": str(tmp_path / BOUNDARY_DIR_NAME),
-        }
+        """Older versions wrote a boundary snapshot after the commit of
+        the window before it; a kill between the two left a committed
+        window with no successor snapshot.  Such a store is refused,
+        naming the cause."""
+        store = tmp_path / "store"
+        wrap_windows(monkeypatch, after=suspend_after(window=1))
         try:
-            for window in (0, 1):
-                execute_replay_window(
-                    replay_window_params(
-                        archive.archive_id, window, len(archive), "fcfs", 64
-                    ),
-                    **dirs,
-                )
-            assert replay._handoff is not None
-            replay._handoff[0].unlink()
-            with pytest.raises(SnapshotError):
-                execute_replay_window(
-                    replay_window_params(
-                        archive.archive_id, 2, len(archive), "fcfs", 64
-                    ),
-                    **dirs,
-                )
-            assert replay._handoff is None
+            first = replay_archive(
+                gap_archive, store, strategy="fcfs", num_nodes=64
+            )
         finally:
-            replay._handoff = None
-
-    def test_slot_empty_after_replay(self, gap_archive, tmp_path):
-        outcome = replay_archive(
-            gap_archive, tmp_path / "store", strategy="fcfs", num_nodes=64
+            suspend.reset()
+        assert first.campaign.interrupted
+        assert first.campaign.completed == 2
+        snap = store / BOUNDARY_DIR_NAME / f"{first.chain}-w00002.snap"
+        snap.unlink()
+        second = replay_archive(
+            gap_archive, store, strategy="fcfs", num_nodes=64
         )
-        assert outcome.ok
-        assert replay._handoff is None
+        assert not second.ok
+        assert second.campaign.cached == 2
+        (failure,) = second.campaign.failures
+        assert failure.label == "window 2"
+        assert failure.error.startswith("SnapshotError")
+        assert "killed between" in failure.error
+        assert "fresh --store" in failure.error
 
-    def test_slot_empty_after_failed_window(
+    def test_failed_window_stops_the_chain(
         self, gap_archive, tmp_path, monkeypatch
     ):
-        seen = []
-
-        def fail_last(params):
-            if params["window"] == 4:
-                seen.append(replay._handoff is not None)
+        def fail(params):
+            if params["window"] == 1:
                 raise RuntimeError("injected window failure")
 
-        wrap_windows(monkeypatch, fail_last)
+        wrap_windows(monkeypatch, before=fail)
+        events = []
         outcome = replay_archive(
-            gap_archive, tmp_path / "store", strategy="fcfs", num_nodes=64
+            gap_archive, tmp_path / "store", strategy="fcfs", num_nodes=64,
+            progress=events.append,
         )
         assert not outcome.ok
-        assert seen == [True]  # the slot was full when the window failed
-        assert replay._handoff is None
+        assert [f.label for f in outcome.campaign.failures] == ["window 1"]
+        assert [e.label for e in events if e.kind == "started"] == [
+            "window 0", "window 1",
+        ]
+        assert len(outcome.campaign.results) == 1
+        assert outcome.stitched is None
+        assert not (tmp_path / "store" / "stitched.json").exists()
 
 
 class TestArchiveMemo:
@@ -275,18 +274,15 @@ class TestArchiveMemo:
                 archive.archive_id, window, len(archive), "fcfs", 64
             )
 
-        try:
-            execute_replay_window(params(0), **dirs)
-            # Same directory, same window count, different jobs.
-            lines = gap_workload_lines()
-            fields = lines[5].split()
-            fields[3] = str(int(fields[3]) + 1)  # one job's runtime
-            lines[5] = " ".join(fields)
-            assert ingest_gap(tmp_path, lines).archive_id != archive.archive_id
-            with pytest.raises(ConfigError, match="re-ingested"):
-                execute_replay_window(params(1), **dirs)
-        finally:
-            replay._handoff = None
+        execute_replay_window(params(0), **dirs)
+        # Same directory, same window count, different jobs.
+        lines = gap_workload_lines()
+        fields = lines[5].split()
+        fields[3] = str(int(fields[3]) + 1)  # one job's runtime
+        lines[5] = " ".join(fields)
+        assert ingest_gap(tmp_path, lines).archive_id != archive.archive_id
+        with pytest.raises(ConfigError, match="re-ingested"):
+            execute_replay_window(params(1), **dirs)
 
 
 class TestSharedStore:
@@ -312,33 +308,143 @@ class TestSharedStore:
 
 
 class TestResumeIdempotence:
-    def test_rerun_does_not_double_count(self, gap_archive, tmp_path):
+    def test_rerun_does_not_double_count(
+        self, gap_archive, tmp_path, monkeypatch
+    ):
+        """Window 2 fails after its snapshot and column bytes are
+        written but before its manifest commit: the re-run restores
+        snapshot 2 once and its columnar appends overwrite the
+        uncommitted tail instead of adding to it."""
+        store = tmp_path / "store"
+        original = columnar_module.failpoint
+        commits = []
+
+        def fail_third_commit(name):
+            if name == "columnar.manifest.rename":
+                commits.append(name)
+                if len(commits) == 3:
+                    raise RuntimeError("injected failure before the rename")
+            original(name)
+
+        monkeypatch.setattr(columnar_module, "failpoint", fail_third_commit)
+        first = replay_archive(
+            gap_archive, store, strategy="easy_backfill", num_nodes=64
+        )
+        assert not first.ok
+        assert [f.label for f in first.campaign.failures] == ["window 2"]
+        assert ColumnarStore(first.columnar).rows("windows") == 2
+        monkeypatch.setattr(columnar_module, "failpoint", original)
+
+        restores = count_restores(monkeypatch)
+        second = replay_archive(
+            gap_archive, store, strategy="easy_backfill", num_nodes=64
+        )
+        assert second.ok
+        assert (second.campaign.cached, second.campaign.completed) == (2, 3)
+        assert [p.name for p in restores] == [f"{second.chain}-w00002.snap"]
+        after = np.asarray(ColumnarStore(second.columnar).read("jobs"))
+        reference = monolithic_jobs_array(
+            load_archive(gap_archive), "easy_backfill", 64
+        )
+        assert after.tobytes() == reference.tobytes()
+        assert ColumnarStore(second.columnar).rows("windows") == 5
+        report = fsck_store(store)
+        assert report.ok, [f.render() for f in report.findings]
+
+    def test_failed_snapshot_leaves_its_window_uncommitted(
+        self, gap_archive, tmp_path, monkeypatch
+    ):
+        """Window 2 writes snapshot 3 before its commit, so a failed
+        write leaves window 2 unmarked, to be re-run from snapshot 2."""
+        store = tmp_path / "store"
+        original = snapshot_state.write_snapshot
+        writes = []
+
+        def fail_third_write(manager, path, spec_hash=None):
+            writes.append(path)
+            if len(writes) == 3:
+                raise OSError("injected snapshot write failure")
+            return original(manager, path, spec_hash=spec_hash)
+
+        monkeypatch.setattr(snapshot_state, "write_snapshot", fail_third_write)
+        first = replay_archive(
+            gap_archive, store, strategy="easy_backfill", num_nodes=64
+        )
+        assert [f.label for f in first.campaign.failures] == ["window 2"]
+        assert ColumnarStore(first.columnar).rows("windows") == 2
+        monkeypatch.setattr(snapshot_state, "write_snapshot", original)
+
+        restores = count_restores(monkeypatch)
+        second = replay_archive(
+            gap_archive, store, strategy="easy_backfill", num_nodes=64
+        )
+        assert second.ok
+        assert [p.name for p in restores] == [f"{second.chain}-w00002.snap"]
+        after = np.asarray(ColumnarStore(second.columnar).read("jobs"))
+        reference = monolithic_jobs_array(
+            load_archive(gap_archive), "easy_backfill", 64
+        )
+        assert after.tobytes() == reference.tobytes()
+
+    def test_finished_chain_rerun_is_a_no_op(self, gap_archive, tmp_path):
         store = tmp_path / "store"
         first = replay_archive(
             gap_archive, store, strategy="easy_backfill", num_nodes=64
         )
         assert first.ok
-        jobs_before = np.asarray(
-            ColumnarStore(first.columnar).read("jobs")
-        ).tobytes()
-        # Drop window 0's campaign JSON: the runner re-executes it
-        # (window 0 needs no boundary snapshot) and the columnar
-        # append_once mark must swallow the duplicate flush.
-        victim = None
-        for path in store.glob("*.json"):
-            doc = json.loads(path.read_text())
-            if doc.get("params", {}).get("window") == 0:
-                victim = path
-                break
-        assert victim is not None
-        victim.unlink()
+        assert len(first.campaign.results) == 5
+        # The columnar marks are the only progress record.
+        assert sorted(p.name for p in store.glob("*.json")) == [
+            "stitched.json"
+        ]
+        before = store_fingerprint(store)
         second = replay_archive(
             gap_archive, store, strategy="easy_backfill", num_nodes=64
         )
         assert second.ok
-        after = np.asarray(ColumnarStore(second.columnar).read("jobs"))
-        assert after.tobytes() == jobs_before
-        assert ColumnarStore(second.columnar).rows("windows") == 5
+        assert (second.campaign.completed, second.campaign.cached) == (0, 5)
+        assert second.campaign.results == first.campaign.results
+        assert store_fingerprint(store) == before
+
+
+class TestGuards:
+    def test_rss_trip_ends_the_call_after_one_window(
+        self, gap_archive, tmp_path
+    ):
+        probed = []
+
+        def over_budget(pid):
+            probed.append(pid)
+            return 1000.0
+
+        def guards():
+            return ResourceGuards(
+                rss_budget_mb=1, poll_interval_s=0, rss_probe=over_budget
+            )
+
+        events = []
+        first = replay_archive(
+            gap_archive, tmp_path / "guarded", strategy="fcfs",
+            num_nodes=64, guards=guards(), progress=events.append,
+        )
+        assert first.campaign.interrupted
+        assert first.campaign.completed == 1
+        assert [e.label for e in events if e.kind == "guard"] == ["rss"]
+        assert set(probed) == {os.getpid()}
+        outcomes = [first] + replay_until_ok(
+            gap_archive, tmp_path / "guarded", strategy="fcfs",
+            num_nodes=64, guards=guards(),
+        )
+        # Every call makes progress; the last window has no successor
+        # to protect, so no guard is polled after it.
+        assert len(outcomes) == 5
+        clean = replay_archive(
+            gap_archive, tmp_path / "clean", strategy="fcfs", num_nodes=64
+        )
+        assert clean.ok
+        assert store_fingerprint(tmp_path / "guarded") == store_fingerprint(
+            tmp_path / "clean"
+        )
 
 
 class TestStitchedSummary:

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.diagnostics.recorder import FlightRecorder
 from repro.engine.events import EventKind
 from repro.engine.simulator import Simulator
-from repro.engine.trace import EventTrace
 from repro.errors import SimulationError
 
 
@@ -117,10 +117,10 @@ class TestHandlers:
         assert sim.run() == 1.0
 
     def test_trace_records_dispatches(self):
-        trace = EventTrace()
-        sim = Simulator(trace=trace)
+        recorder = FlightRecorder()
+        sim = Simulator(recorder=recorder)
         sim.schedule(1.0, EventKind.CHECKPOINT)
         sim.schedule(2.0, EventKind.SIM_END)
         sim.run()
-        assert len(trace) == 2
-        assert trace[0].kind is EventKind.CHECKPOINT
+        assert len(recorder) == 2
+        assert recorder.tail()[0]["kind"] == EventKind.CHECKPOINT.name
