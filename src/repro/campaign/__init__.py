@@ -25,12 +25,6 @@ The picklable per-run entry point lives in :mod:`repro.slurm.entry`
 so worker processes import only what a run needs.
 """
 
-from repro.campaign.backend import (
-    ColumnarBackend,
-    JsonStoreBackend,
-    ResultBackend,
-    detect_backend,
-)
 from repro.campaign.progress import ProgressEvent, ProgressTracker
 from repro.campaign.runner import CampaignResult, CampaignRunner, RunFailure
 from repro.campaign.spec import (
@@ -48,10 +42,6 @@ __all__ = [
     "CampaignResult",
     "CampaignRunner",
     "CampaignSpec",
-    "ColumnarBackend",
-    "JsonStoreBackend",
-    "ResultBackend",
-    "detect_backend",
     "ProgressEvent",
     "ProgressTracker",
     "ResultStore",

@@ -381,9 +381,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result = manager.run()
     summary = summarize(result)
     if args.trace_out:
-        from repro.observability import write_perfetto
+        from repro.observability import perfetto_trace, write_trace
 
-        written = write_perfetto(args.trace_out, result, manager.decisions)
+        written = write_trace(
+            args.trace_out, perfetto_trace(result, manager.decisions)
+        )
         print(f"trace: {written}", file=sys.stderr)
     if args.json:
         payload = {
@@ -1222,7 +1224,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_stitched(args: argparse.Namespace) -> int:
-    from repro.observability import stitch_store, validate_trace
+    from repro.observability import stitch_store, validate_trace, write_trace
 
     if not args.record:
         print(
@@ -1254,9 +1256,7 @@ def _cmd_trace_stitched(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(document, sort_keys=True), encoding="utf-8")
+    out = write_trace(args.out, document)
     superseded = sum(
         1 for e in spans if e.get("args", {}).get("superseded")
     )
@@ -1281,7 +1281,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.observability import TelemetryConfig, perfetto_trace
+    from repro.observability import TelemetryConfig, perfetto_trace, write_trace
 
     if args.stitched:
         return _cmd_trace_stitched(args)
@@ -1324,9 +1324,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
     result = manager.run()
     document = perfetto_trace(result, manager.decisions)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(document, sort_keys=True), encoding="utf-8")
+    out = write_trace(args.out, document)
     print(
         f"trace: {len(document['traceEvents'])} events "
         f"({strategy}, {num_nodes} nodes) -> {out}"
@@ -1620,19 +1618,20 @@ def _cmd_replay_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from repro.campaign.backend import detect_backend
     from repro.errors import ConfigError
+    from repro.observability.stats import aggregate_store
 
     fmt = "json" if args.json else args.format
     try:
-        backend = detect_backend(args.store)
-        if fmt == "json":
-            print(format_json(backend.aggregate()))
-            return 0
-        rows = backend.summary_rows()
+        document = aggregate_store(args.store)
     except ConfigError as exc:
         print(f"stats error: {exc}", file=sys.stderr)
         return 2
+    if fmt == "json":
+        print(format_json(document))
+        return 0
+    columnar = document["backend"] == "columnar"
+    rows = document["windows" if columnar else "strategies"]
     if fmt == "csv":
         import csv
 
@@ -1642,8 +1641,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             writer.writerows(rows)
         return 0
     # table
-    document = backend.aggregate()
-    if backend.name == "columnar":
+    if columnar:
         if rows:
             print(format_table(rows, title=f"replay store: {args.store}"))
         summary = document.get("summary", {})

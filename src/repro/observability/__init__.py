@@ -34,7 +34,7 @@ from repro.observability.perfetto import (
     SCHEDULER_PID,
     perfetto_trace,
     validate_trace,
-    write_perfetto,
+    write_trace,
 )
 from repro.observability.profiler import HotLoopProfiler
 from repro.observability.stats import (
@@ -91,6 +91,6 @@ __all__ = [
     "telemetry_path_for",
     "validate_trace",
     "write_campaign_telemetry",
-    "write_perfetto",
     "write_telemetry_sidecar",
+    "write_trace",
 ]

@@ -21,17 +21,6 @@ from typing import Mapping
 
 from repro.errors import ConfigError
 
-#: Default in-memory decision-record ring capacity — large enough to
-#: hold every record of an evaluation-sized run, bounded so a runaway
-#: simulation cannot exhaust memory.
-DEFAULT_RING = 65_536
-
-#: Default JSONL flush batch (records buffered before an append).
-DEFAULT_FLUSH_EVERY = 256
-
-#: Default size at which the decision JSONL rotates (bytes).
-DEFAULT_ROTATE_BYTES = 64 * 1024 * 1024
-
 
 @dataclass(frozen=True)
 class TelemetryConfig:
@@ -50,42 +39,15 @@ class TelemetryConfig:
         Arm the hot-loop profiler attributing wall-clock to event
         kinds and scheduler phases.  Only meaningful with
         ``enabled=True``.
-    ring:
-        In-memory decision records retained (older records drop but
-        stay counted; the JSONL stream, when armed, keeps everything).
     decisions_path:
         Append decision records as JSONL to this file (with size-based
         rotation); ``None`` keeps records in memory only.
-    flush_every:
-        Records buffered before each JSONL append.
-    rotate_bytes:
-        Rotate the JSONL file once it exceeds this size.
-    keep:
-        Rotated files retained (``decisions.jsonl.1`` ... ``.keep``).
     """
 
     enabled: bool = False
     decisions: bool = True
     profile: bool = False
-    ring: int = DEFAULT_RING
     decisions_path: str | None = None
-    flush_every: int = DEFAULT_FLUSH_EVERY
-    rotate_bytes: int = DEFAULT_ROTATE_BYTES
-    keep: int = 2
-
-    def __post_init__(self) -> None:
-        if self.ring < 1:
-            raise ConfigError(f"ring must be >= 1, got {self.ring}")
-        if self.flush_every < 1:
-            raise ConfigError(
-                f"flush_every must be >= 1, got {self.flush_every}"
-            )
-        if self.rotate_bytes < 1:
-            raise ConfigError(
-                f"rotate_bytes must be >= 1, got {self.rotate_bytes}"
-            )
-        if self.keep < 1:
-            raise ConfigError(f"keep must be >= 1, got {self.keep}")
 
     # ------------------------------------------------------------------
     # (De)serialisation — stable keys for campaign content hashing

@@ -1,22 +1,33 @@
-"""Chrome/Perfetto trace export: the nodes×jobs timeline as trace.json.
+"""Chrome/Perfetto trace export: the one Trace Event Format builder.
 
-Builds a `Trace Event Format`_ document from a finished
-:class:`~repro.slurm.manager.SimulationResult`:
+Every `Trace Event Format`_ document the repository writes is built
+and written here:
+the event constructors (:func:`metadata_event`, :func:`name_event`,
+:func:`complete_event`, :func:`instant_event`), the microsecond
+conversion (:func:`usec`), the document envelope
+(:func:`trace_document`) and the writer (:func:`write_trace`).  Two
+producers use them:
 
-* **pid 1 "cluster"** — one thread per (node, SMT lane); every job
-  becomes a complete ("X") event on each node it occupied, so the
-  Perfetto UI shows the machine as stacked per-node swimlanes with
-  co-allocated jobs side by side on a node's two lanes.
-* **pid 2 "scheduler"** — instant ("i") events from the decision
-  trace (scheduler passes, accepts, coded rejects, lifecycle edges),
-  when one is supplied.
+* :func:`perfetto_trace` folds a finished
+  :class:`~repro.slurm.manager.SimulationResult` into the in-simulator
+  lanes:
 
-The export is a pure function of the accounting log and the decision
-records — both deterministic — so traces are byte-identical across
-serial/parallel campaigns, and pids/tids are stable across
+  - **pid 1 "cluster"** — one thread per (node, SMT lane); every job
+    becomes a complete ("X") event on each node it occupied, so the
+    Perfetto UI shows the machine as stacked per-node swimlanes with
+    co-allocated jobs side by side on a node's two lanes.
+  - **pid 2 "scheduler"** — instant ("i") events from the decision
+    trace (scheduler passes, accepts, coded rejects, lifecycle edges),
+    when one is supplied.
+
+* :func:`~repro.observability.stitch.stitch_store` folds a store's
+  fleet events into the service, lease and worker lanes (pids 3-5).
+
+The simulator export is a pure function of the accounting log and the
+decision records — both deterministic — so traces are byte-identical
+across serial/parallel campaigns, and pids/tids are stable across
 suspend/resume (asserted by the test suite).  Timestamps are
-simulated seconds scaled to microseconds, the unit the format
-expects.
+seconds scaled to microseconds, the unit the format expects.
 
 .. _Trace Event Format:
    https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
@@ -45,8 +56,69 @@ _LANE_SLOTS = 4
 _SCHEDULER_TIDS = {"span": 1, "accept": 2, "reject": 3, "lifecycle": 4, "event": 5}
 
 
-def _usec(t: float) -> int:
+def usec(t: float) -> int:
+    """Seconds to the integer microseconds the format expects."""
     return int(round(t * 1e6))
+
+
+def metadata_event(
+    name: str, pid: int, args: dict, tid: int | None = None
+) -> dict:
+    """A metadata ("M") event; without *tid* it names the process."""
+    event = {"name": name, "ph": "M", "pid": pid, "args": args}
+    if tid is not None:
+        event["tid"] = tid
+    return event
+
+
+def name_event(pid: int, name: str, tid: int | None = None) -> dict:
+    """``process_name`` metadata, or ``thread_name`` when *tid* is set."""
+    if tid is None:
+        return metadata_event("process_name", pid, {"name": name})
+    return metadata_event("thread_name", pid, {"name": name}, tid)
+
+
+def complete_event(
+    name: str, cat: str, ts: int, dur: int, pid: int, tid: int, args: dict
+) -> dict:
+    """A complete ("X") span; *ts* and *dur* are microseconds."""
+    return {
+        "name": name, "cat": cat, "ph": "X", "ts": ts, "dur": dur,
+        "pid": pid, "tid": tid, "args": args,
+    }
+
+
+def instant_event(
+    name: str, ts: int, pid: int, tid: int, args: dict,
+    cat: str | None = None,
+) -> dict:
+    """A thread-scoped instant ("i") event at *ts* microseconds."""
+    event = {
+        "name": name, "ph": "i", "s": "t", "ts": ts,
+        "pid": pid, "tid": tid, "args": args,
+    }
+    if cat is not None:
+        event["cat"] = cat
+    return event
+
+
+def trace_document(events: list[dict], other_data: dict) -> dict:
+    """The Trace Event Format envelope around *events*."""
+    return {
+        "traceEvents": events,
+        "displayTimeUnit": "ms",
+        "otherData": other_data,
+    }
+
+
+def write_trace(path: str | Path, document: Mapping[str, object]) -> Path:
+    """Write *document* as sorted-key JSON plus a trailing newline."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(
+        json.dumps(document, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    return path
 
 
 def _job_events(result: "SimulationResult") -> tuple[list[dict], set[tuple[int, int]]]:
@@ -80,15 +152,12 @@ def _job_events(result: "SimulationResult") -> tuple[list[dict], set[tuple[int, 
             lane = min(lane, _LANE_SLOTS - 1)
             tid = node_id * _LANE_SLOTS + lane + 1
             used.add((node_id, lane))
-            events.append({
-                "name": f"job {record.job_id} ({record.app or 'unknown'})",
-                "cat": "job",
-                "ph": "X",
-                "ts": _usec(record.start_time),
-                "dur": max(_usec(record.end_time) - _usec(record.start_time), 0),
-                "pid": CLUSTER_PID,
-                "tid": tid,
-                "args": {
+            events.append(complete_event(
+                f"job {record.job_id} ({record.app or 'unknown'})", "job",
+                usec(record.start_time),
+                max(usec(record.end_time) - usec(record.start_time), 0),
+                CLUSTER_PID, tid,
+                {
                     "job": record.job_id,
                     "app": record.app,
                     "state": record.state.value,
@@ -96,7 +165,7 @@ def _job_events(result: "SimulationResult") -> tuple[list[dict], set[tuple[int, 
                     "num_nodes": record.num_nodes,
                     "requeues": record.requeues,
                 },
-            })
+            ))
     return events, used
 
 
@@ -119,57 +188,27 @@ def _scheduler_events(records: Iterable[Mapping[str, object]]) -> list[dict]:
         args = {
             k: v for k, v in record.items() if k not in ("t", "type")
         }
-        events.append({
-            "name": name,
-            "cat": record_type,
-            "ph": "i",
-            "s": "t",
-            "ts": _usec(float(record.get("t", 0.0))),  # type: ignore[arg-type]
-            "pid": SCHEDULER_PID,
-            "tid": tid,
-            "args": args,
-        })
+        events.append(instant_event(
+            name, usec(float(record.get("t", 0.0))),  # type: ignore[arg-type]
+            SCHEDULER_PID, tid, args, cat=record_type,
+        ))
     return events
 
 
 def _metadata(used_lanes: set[tuple[int, int]], with_scheduler: bool) -> list[dict]:
-    events: list[dict] = [{
-        "name": "process_name",
-        "ph": "M",
-        "pid": CLUSTER_PID,
-        "args": {"name": "cluster"},
-    }]
+    events = [name_event(CLUSTER_PID, "cluster")]
     for node_id, lane in sorted(used_lanes):
         tid = node_id * _LANE_SLOTS + lane + 1
-        events.append({
-            "name": "thread_name",
-            "ph": "M",
-            "pid": CLUSTER_PID,
-            "tid": tid,
-            "args": {"name": f"node {node_id} lane {lane}"},
-        })
-        events.append({
-            "name": "thread_sort_index",
-            "ph": "M",
-            "pid": CLUSTER_PID,
-            "tid": tid,
-            "args": {"sort_index": tid},
-        })
+        events.append(
+            name_event(CLUSTER_PID, f"node {node_id} lane {lane}", tid)
+        )
+        events.append(metadata_event(
+            "thread_sort_index", CLUSTER_PID, {"sort_index": tid}, tid
+        ))
     if with_scheduler:
-        events.append({
-            "name": "process_name",
-            "ph": "M",
-            "pid": SCHEDULER_PID,
-            "args": {"name": "scheduler"},
-        })
+        events.append(name_event(SCHEDULER_PID, "scheduler"))
         for track, tid in sorted(_SCHEDULER_TIDS.items(), key=lambda kv: kv[1]):
-            events.append({
-                "name": "thread_name",
-                "ph": "M",
-                "pid": SCHEDULER_PID,
-                "tid": tid,
-                "args": {"name": track},
-            })
+            events.append(name_event(SCHEDULER_PID, track, tid))
     return events
 
 
@@ -186,31 +225,12 @@ def perfetto_trace(
     events = _metadata(used_lanes, with_scheduler=bool(scheduler_events))
     events.extend(job_events)
     events.extend(scheduler_events)
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "strategy": result.strategy,
-            "cluster_nodes": result.cluster_nodes,
-            "jobs": len(result.accounting),
-            "makespan_s": result.makespan,
-        },
-    }
-
-
-def write_perfetto(
-    path: str | Path,
-    result: "SimulationResult",
-    decisions: "DecisionTrace | Iterable[Mapping[str, object]] | None" = None,
-) -> Path:
-    """Export *result* as a Perfetto-loadable ``trace.json``."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    document = perfetto_trace(result, decisions)
-    path.write_text(
-        json.dumps(document, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return path
+    return trace_document(events, {
+        "strategy": result.strategy,
+        "cluster_nodes": result.cluster_nodes,
+        "jobs": len(result.accounting),
+        "makespan_s": result.makespan,
+    })
 
 
 def validate_trace(document: Mapping[str, object]) -> list[str]:

@@ -1,4 +1,4 @@
-"""Campaign-level aggregation behind ``repro stats <store>``.
+"""Store aggregation behind ``repro stats <store>``.
 
 A campaign store holds one deterministic result record per run plus —
 when the campaign ran with ``--telemetry`` — one *sidecar* file per
@@ -7,16 +7,26 @@ execution provenance (wall-clock, resume count, snapshot restore
 time) and the run's merged telemetry hub.  Keeping the two apart is
 what preserves the store's byte-identity guarantees; this module is
 where they come back together for reporting.
+
+:func:`aggregate_store` is the one aggregator for every store shape:
+the JSON campaign store above, a replay store (JSON run records plus a
+``columnar/`` subdirectory — the columnar view wins, that is where the
+per-job truth lives) and a bare columnar root.  Columnar stores are
+aggregated by streaming mmapped batches without a single
+``json.loads``.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import ConfigError
 from repro.observability.hub import merge_hub_dicts
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.archive.columnar import ColumnarStore
 
 #: Subdirectory of a campaign store holding per-run telemetry sidecars.
 TELEMETRY_DIR_NAME = "telemetry"
@@ -81,7 +91,10 @@ def merge_campaign_telemetry(
 ) -> dict[str, object]:
     """The runner-side merge: fold every per-worker sidecar into one
     campaign-level document (written as ``<store>/telemetry.json``)."""
-    sidecars = read_telemetry_sidecars(store_dir, telemetry_dir)
+    return _merge_sidecars(read_telemetry_sidecars(store_dir, telemetry_dir))
+
+
+def _merge_sidecars(sidecars: Mapping[str, dict]) -> dict[str, object]:
     execs = [s.get("exec", {}) for s in sidecars.values()]
     merged: dict[str, object] = {
         "runs": len(sidecars),
@@ -118,17 +131,79 @@ def write_campaign_telemetry(
     return path
 
 
-def aggregate_store(store_dir: str | Path) -> dict[str, object]:
-    """Aggregate a campaign store for ``repro stats``.
+def aggregate_store(path: str | Path) -> dict[str, object]:
+    """Aggregate any result store for ``repro stats``.
 
-    Groups simulate records per strategy (runs, jobs, mean makespan /
-    wait / efficiency), folds in telemetry sidecars where present, and
-    reports quarantine counts — the complete campaign picture in one
-    document.
+    The document names its shape under ``backend`` and carries its
+    table rows: ``strategies`` for a JSON campaign store (``json-store``),
+    ``windows`` for a replay store or bare columnar root (``columnar``).
     """
-    store_dir = Path(store_dir)
-    if not store_dir.is_dir():
-        raise ConfigError(f"no such campaign store: {store_dir}")
+    root = Path(path)
+    if not root.is_dir():
+        raise ConfigError(f"no such campaign store: {root}")
+    # Imported here, not at module level: every worker process imports
+    # this package, and repro.archive imports the slurm layer, which
+    # imports this package back (a cycle).
+    from repro.archive.columnar import ColumnarStore
+    from repro.archive.replay import COLUMNAR_DIR_NAME
+
+    nested = root / COLUMNAR_DIR_NAME
+    if ColumnarStore.is_store(nested):
+        return _aggregate_columnar(ColumnarStore(nested), store_dir=root)
+    if ColumnarStore.is_store(root):
+        return _aggregate_columnar(ColumnarStore(root), store_dir=None)
+    return _aggregate_json_store(root)
+
+
+def _aggregate_columnar(
+    store: "ColumnarStore", store_dir: Path | None
+) -> dict[str, object]:
+    """One row per replay window plus the whole-trace summary.
+
+    *store_dir* (when the columnar root lives inside a replay store)
+    adds the chain-level ``stitched.json`` context — strategy, archive
+    id — without touching run records.
+    """
+    from repro.archive.replay import STITCHED_NAME, stitched_summary
+
+    rows: list[dict[str, object]] = []
+    if "windows" in store.families():
+        for batch in store.iter_batches("windows"):
+            for record in batch:
+                rows.append({
+                    "window": int(record["window"]),
+                    "jobs_loaded": int(record["jobs_loaded"]),
+                    "jobs_flushed": int(record["jobs_flushed"]),
+                    "events": int(record["events_dispatched"]),
+                    "passes": int(record["scheduler_passes"]),
+                    "boundary_t": float(record["boundary_time"]),
+                    "carried_run": int(record["carried_running"]),
+                    "carried_queue": int(record["carried_queued"]),
+                })
+        rows.sort(key=lambda r: r["window"])  # type: ignore[arg-type]
+    document: dict[str, object] = {
+        "store": str(store_dir or store.root),
+        "backend": "columnar",
+        "summary": stitched_summary(store.root),
+        "windows": rows,
+    }
+    if store_dir is not None:
+        stitched_path = store_dir / STITCHED_NAME
+        try:
+            stitched = json.loads(stitched_path.read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError):
+            stitched = None
+        if isinstance(stitched, dict):
+            for key in ("archive_id", "chain", "strategy", "num_nodes"):
+                if key in stitched:
+                    document[key] = stitched[key]
+    return document
+
+
+def _aggregate_json_store(store_dir: Path) -> dict[str, object]:
+    """Simulate records grouped per strategy (runs, jobs, mean makespan
+    / wait / efficiency), telemetry sidecars folded in where present,
+    and quarantine counts — the complete campaign picture."""
     from repro.campaign.store import ResultStore
 
     store = ResultStore(store_dir)
@@ -200,5 +275,6 @@ def aggregate_store(store_dir: str | Path) -> dict[str, object]:
         "strategies": rows,
     }
     if sidecars:
-        document["telemetry"] = merge_campaign_telemetry(store_dir)
+        document["telemetry"] = _merge_sidecars(sidecars)
+    document["backend"] = "json-store"
     return document

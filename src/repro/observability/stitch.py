@@ -18,9 +18,11 @@ scheduler pid 2):
 * pid 5 — **workers**: one thread per worker process; a span per run
   execution attempt, so fleet utilisation is readable at a glance.
 
-The output passes the same :func:`~repro.observability.perfetto.
-validate_trace` contract as every other exporter in the repo:
-integer microseconds, non-overlapping X spans per lane.
+Events, the microsecond conversion and the document envelope come
+from :mod:`repro.observability.perfetto`, so the output passes the same
+:func:`~repro.observability.perfetto.validate_trace` contract as the
+simulator export: integer microseconds, non-overlapping X spans per
+lane.
 """
 
 from __future__ import annotations
@@ -28,6 +30,13 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.observability.events import TRACE_KEY, read_fleet_events
+from repro.observability.perfetto import (
+    complete_event,
+    instant_event,
+    name_event,
+    trace_document,
+    usec,
+)
 
 #: Process lanes (pids 1 and 2 belong to the in-simulator exporter).
 SERVICE_PID = 3
@@ -45,19 +54,6 @@ _TENURE_ENDERS = {
     "quarantined": "quarantined",
     "fenced": "fenced",
 }
-
-
-def _meta(pid: int, name: str, tid: int = 0) -> dict:
-    event: dict = {
-        "name": "process_name" if tid == 0 else "thread_name",
-        "ph": "M",
-        "pid": pid,
-        "ts": 0,
-        "args": {"name": name},
-    }
-    if tid:
-        event["tid"] = tid
-    return event
 
 
 def _clip_lane_overlaps(spans: list[dict]) -> None:
@@ -89,24 +85,24 @@ def stitch_store(store_root: str | Path) -> dict:
     events = read_fleet_events(store_root)
     base = min((float(e["t"]) for e in events), default=0.0)
 
-    def usec(t: float) -> int:
-        return max(0, int(round((t - base) * 1e6)))
+    def ts(t: float) -> int:
+        return usec(t - base)
+
+    def dur(start: float, end: float) -> int:
+        return max(_MIN_DUR_US, ts(end) - ts(start))
 
     trace_events: list[dict] = [
-        _meta(SERVICE_PID, "service: submissions"),
-        _meta(LEASE_PID, "queue: lease tenures"),
-        _meta(WORKER_PID, "fleet: workers"),
+        name_event(SERVICE_PID, "service: submissions"),
+        name_event(LEASE_PID, "queue: lease tenures"),
+        name_event(WORKER_PID, "fleet: workers"),
     ]
     instants: list[dict] = []
     lanes: dict[tuple[int, int], list[dict]] = {}
 
-    def add_span(pid: int, tid: int, span: dict) -> None:
-        span["pid"] = pid
-        span["tid"] = tid
-        lanes.setdefault((pid, tid), []).append(span)
+    def add_span(span: dict) -> None:
+        lanes.setdefault((span["pid"], span["tid"]), []).append(span)
 
     # --- service lane: one span per submission -----------------------
-    submit_tid = 0
     submit_lanes: dict[str, int] = {}
     end_by_trace: dict[str, float] = {}
     for event in events:
@@ -123,35 +119,26 @@ def stitch_store(store_root: str | Path) -> dict:
         trace = str(event.get(TRACE_KEY, ""))
         if trace in submit_lanes:
             # Idempotent replay: joins the original span as an instant.
-            instants.append({
-                "name": "submit replayed",
-                "ph": "i",
-                "s": "t",
-                "pid": SERVICE_PID,
-                "tid": submit_lanes[trace],
-                "ts": usec(float(event["t"])),
-                "args": {"trace": trace},
-            })
+            instants.append(instant_event(
+                "submit replayed", ts(float(event["t"])),
+                SERVICE_PID, submit_lanes[trace], {"trace": trace},
+            ))
             continue
-        submit_tid += 1
-        submit_lanes[trace] = submit_tid
+        submit_tid = submit_lanes[trace] = len(submit_lanes) + 1
         trace_events.append(
-            _meta(SERVICE_PID, f"submission {trace[:12]}", submit_tid)
+            name_event(SERVICE_PID, f"submission {trace[:12]}", submit_tid)
         )
         start = float(event["t"])
         end = max(end_by_trace.get(trace, start), start)
-        add_span(SERVICE_PID, submit_tid, {
-            "name": f"campaign {trace[:12]}",
-            "cat": "service",
-            "ph": "X",
-            "ts": usec(start),
-            "dur": max(_MIN_DUR_US, usec(end) - usec(start)),
-            "args": {
+        add_span(complete_event(
+            f"campaign {trace[:12]}", "service", ts(start), dur(start, end),
+            SERVICE_PID, submit_tid,
+            {
                 "trace": trace,
                 "runs": int(event.get("runs", 0)),
                 "source": str(event.get("source", "")),
             },
-        })
+        ))
 
     # --- lease lanes: one thread per run, one span per tenure --------
     run_tids: dict[str, int] = {}
@@ -160,9 +147,28 @@ def stitch_store(store_root: str | Path) -> dict:
         if run_id not in run_tids:
             run_tids[run_id] = len(run_tids) + 1
             trace_events.append(
-                _meta(LEASE_PID, f"run {run_id[:16]}", run_tids[run_id])
+                name_event(LEASE_PID, f"run {run_id[:16]}", run_tids[run_id])
             )
         return run_tids[run_id]
+
+    def tenure_span(
+        run_id: str, tenure: dict, end: float, outcome: str, **args: object
+    ) -> None:
+        add_span(complete_event(
+            f"lease #{tenure['token']} ({outcome})", "lease",
+            ts(tenure["start"]), dur(tenure["start"], end),
+            LEASE_PID, lease_tid(run_id),
+            {
+                "run": run_id,
+                "token": tenure["token"],
+                "holder_pid": tenure["pid"],
+                "renews": tenure["renews"],
+                "outcome": outcome,
+                "trace": tenure["trace"],
+                "superseded": False,
+                **args,
+            },
+        ))
 
     open_tenures: dict[str, dict] = {}
     for event in events:
@@ -173,15 +179,10 @@ def stitch_store(store_root: str | Path) -> dict:
         t = float(event["t"])
         trace = event.get(TRACE_KEY)
         if kind == "enqueue":
-            instants.append({
-                "name": "enqueue",
-                "ph": "i",
-                "s": "t",
-                "pid": LEASE_PID,
-                "tid": lease_tid(run_id),
-                "ts": usec(t),
-                "args": {"run": run_id, "trace": trace},
-            })
+            instants.append(instant_event(
+                "enqueue", ts(t), LEASE_PID, lease_tid(run_id),
+                {"run": run_id, "trace": trace},
+            ))
         elif kind == "claim":
             open_tenures[run_id] = {
                 "start": t,
@@ -196,85 +197,32 @@ def stitch_store(store_root: str | Path) -> dict:
                 tenure["renews"] += 1
         elif kind in _TENURE_ENDERS:
             tenure = open_tenures.pop(run_id, None)
-            if tenure is None:
-                continue
-            add_span(LEASE_PID, lease_tid(run_id), {
-                "name": f"lease #{tenure['token']} ({_TENURE_ENDERS[kind]})",
-                "cat": "lease",
-                "ph": "X",
-                "ts": usec(tenure["start"]),
-                "dur": max(_MIN_DUR_US, usec(t) - usec(tenure["start"])),
-                "args": {
-                    "run": run_id,
-                    "token": tenure["token"],
-                    "holder_pid": tenure["pid"],
-                    "renews": tenure["renews"],
-                    "outcome": _TENURE_ENDERS[kind],
-                    "trace": tenure["trace"],
-                    "superseded": False,
-                },
-            })
+            if tenure is not None:
+                tenure_span(run_id, tenure, t, _TENURE_ENDERS[kind])
         elif kind == "reclaim":
             # The zombie tenure: claim with token k, displaced by a
             # fencing bump to new_token.  Marked superseded, kept.
             tenure = open_tenures.pop(run_id, None)
             new_token = int(event.get("new_token", 0))
             if tenure is not None:
-                add_span(LEASE_PID, lease_tid(run_id), {
-                    "name": f"lease #{tenure['token']} (superseded)",
-                    "cat": "lease",
-                    "ph": "X",
-                    "ts": usec(tenure["start"]),
-                    "dur": max(
-                        _MIN_DUR_US, usec(t) - usec(tenure["start"])
-                    ),
-                    "args": {
-                        "run": run_id,
-                        "token": tenure["token"],
-                        "holder_pid": int(
-                            event.get("holder_pid", tenure["pid"])
-                        ),
-                        "renews": tenure["renews"],
-                        "outcome": "superseded",
-                        "trace": tenure["trace"] or trace,
-                        "superseded": True,
-                        "fenced_by": new_token,
-                    },
-                })
-            instants.append({
-                "name": f"reclaim -> #{new_token}",
-                "ph": "i",
-                "s": "t",
-                "pid": LEASE_PID,
-                "tid": lease_tid(run_id),
-                "ts": usec(t),
-                "args": {
-                    "run": run_id,
-                    "fenced_by": new_token,
-                    "trace": trace,
-                },
-            })
+                tenure_span(
+                    run_id, tenure, t, "superseded",
+                    holder_pid=int(event.get("holder_pid", tenure["pid"])),
+                    trace=tenure["trace"] or trace,
+                    superseded=True,
+                    fenced_by=new_token,
+                )
+            instants.append(instant_event(
+                f"reclaim -> #{new_token}", ts(t),
+                LEASE_PID, lease_tid(run_id),
+                {"run": run_id, "fenced_by": new_token, "trace": trace},
+            ))
 
     # A tenure still open at the end of the log (a live in-flight run,
     # or a kill so hard no later event exists) closes at the log tail.
     tail = max((float(e["t"]) for e in events), default=0.0)
     for run_id, tenure in open_tenures.items():
-        add_span(LEASE_PID, lease_tid(run_id), {
-            "name": f"lease #{tenure['token']} (open)",
-            "cat": "lease",
-            "ph": "X",
-            "ts": usec(tenure["start"]),
-            "dur": max(_MIN_DUR_US, usec(tail) - usec(tenure["start"])),
-            "args": {
-                "run": run_id,
-                "token": tenure["token"],
-                "holder_pid": tenure["pid"],
-                "renews": tenure["renews"],
-                "outcome": "open",
-                "trace": tenure["trace"],
-                "superseded": False,
-            },
-        })
+        tenure_span(run_id, tenure, tail, "open")
 
     # --- worker lanes: one thread per pid, a span per attempt --------
     worker_tids: dict[int, int] = {}
@@ -283,7 +231,7 @@ def stitch_store(store_root: str | Path) -> dict:
         if pid not in worker_tids:
             worker_tids[pid] = len(worker_tids) + 1
             trace_events.append(
-                _meta(WORKER_PID, f"worker pid {pid}", worker_tids[pid])
+                name_event(WORKER_PID, f"worker pid {pid}", worker_tids[pid])
             )
         return worker_tids[pid]
 
@@ -308,19 +256,17 @@ def stitch_store(store_root: str | Path) -> dict:
             outcome = (
                 "killed" if kind == "reclaim" else _TENURE_ENDERS[kind]
             )
-            add_span(WORKER_PID, worker_tid(attempt["pid"]), {
-                "name": f"{run_id[:16]} ({outcome})",
-                "cat": "worker",
-                "ph": "X",
-                "ts": usec(attempt["start"]),
-                "dur": max(_MIN_DUR_US, usec(t) - usec(attempt["start"])),
-                "args": {
+            add_span(complete_event(
+                f"{run_id[:16]} ({outcome})", "worker",
+                ts(attempt["start"]), dur(attempt["start"], t),
+                WORKER_PID, worker_tid(attempt["pid"]),
+                {
                     "run": run_id,
                     "token": attempt["token"],
                     "outcome": outcome,
                     "trace": attempt["trace"],
                 },
-            })
+            ))
 
     for lane in lanes.values():
         _clip_lane_overlaps(lane)
@@ -333,13 +279,9 @@ def stitch_store(store_root: str | Path) -> dict:
             if isinstance(e.get(TRACE_KEY), str) and e[TRACE_KEY]
         }
     )
-    return {
-        "traceEvents": trace_events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "exporter": "repro.observability.stitch",
-            "store": str(store_root),
-            "traces": traces,
-            "events": len(events),
-        },
-    }
+    return trace_document(trace_events, {
+        "exporter": "repro.observability.stitch",
+        "store": str(store_root),
+        "traces": traces,
+        "events": len(events),
+    })

@@ -104,7 +104,9 @@ class DecisionTrace:
     path:
         JSONL output file; ``None`` keeps records in memory only.
     ring:
-        In-memory records retained (drop-oldest beyond this).
+        In-memory records retained (drop-oldest beyond this).  The
+        default holds every record of an evaluation-sized run and
+        bounds a runaway one.
     flush_every:
         Records buffered between JSONL appends.
     rotate_bytes:
@@ -115,6 +117,10 @@ class DecisionTrace:
         Optional :class:`~repro.observability.hub.TelemetryHub`; the
         typed emit helpers bump its counters so metrics and trace
         cannot drift apart.
+
+    The manager always takes the defaults of *ring*, *flush_every*,
+    *rotate_bytes* and *keep*; they are parameters so tests can force
+    drops and rotation.
     """
 
     def __init__(

@@ -153,14 +153,7 @@ class WorkloadManager:
             TelemetryHub() if telemetry.enabled else None
         )
         self.decisions: DecisionTrace | None = (
-            DecisionTrace(
-                path=telemetry.decisions_path,
-                ring=telemetry.ring,
-                flush_every=telemetry.flush_every,
-                rotate_bytes=telemetry.rotate_bytes,
-                keep=telemetry.keep,
-                hub=self.hub,
-            )
+            DecisionTrace(path=telemetry.decisions_path, hub=self.hub)
             if telemetry.enabled and telemetry.decisions
             else None
         )

@@ -51,6 +51,20 @@ def test_cli_loads_neither_scipy_nor_analysis():
     assert loaded == {"scipy": False, "repro.analysis": False}
 
 
+@pytest.mark.parametrize("module", ["repro.cli", "repro.observability"])
+def test_startup_loads_no_archive_or_backend_module(module):
+    # repro stats aggregates columnar stores through repro.archive; that
+    # import must stay inside aggregate_store, off worker start-up.
+    code = (
+        f"import sys\nimport {module}\n"
+        "print(' '.join(sorted(m for m in sys.modules if "
+        "m.startswith('repro.archive') or m == 'repro.campaign.backend')))"
+    )
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 def test_cli_imports_without_scipy():
     proc = _python("-c", BLOCK_SCIPY + "import repro.cli")
     assert proc.returncode == 0, proc.stderr

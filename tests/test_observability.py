@@ -106,17 +106,18 @@ class TestTelemetryConfig:
         assert config.non_default_dict() == {}
 
     def test_round_trip(self):
-        config = TelemetryConfig(enabled=True, profile=True, ring=128)
+        config = TelemetryConfig(
+            enabled=True, profile=True, decisions_path="d.jsonl"
+        )
         restored = TelemetryConfig.from_dict(config.to_dict())
         assert restored == config
 
     def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ConfigError):
-            TelemetryConfig.from_dict({"nope": 1})
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            TelemetryConfig(ring=0)
+        # The decision-trace buffering knobs are DecisionTrace
+        # constants now; a spec dict still carrying one is refused.
+        for key in ("nope", "ring", "flush_every", "rotate_bytes", "keep"):
+            with pytest.raises(ConfigError):
+                TelemetryConfig.from_dict({key: 1})
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ from repro.observability import (
     TelemetryConfig,
     perfetto_trace,
     validate_trace,
-    write_perfetto,
+    write_trace,
 )
 from repro.slurm.config import SchedulerConfig
 from repro.slurm.manager import build_manager
@@ -60,8 +60,9 @@ class TestExportSchema:
     def test_export_is_valid_and_loadable(self, tmp_path):
         manager = build()
         result = manager.run()
-        path = write_perfetto(tmp_path / "trace.json", result,
-                              manager.decisions)
+        path = write_trace(
+            tmp_path / "trace.json", perfetto_trace(result, manager.decisions)
+        )
         document = json.loads(path.read_text(encoding="utf-8"))
         assert validate_trace(document) == []
         assert document["displayTimeUnit"] == "ms"
