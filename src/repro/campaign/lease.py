@@ -293,7 +293,8 @@ class HeartbeatKeeper:
     :class:`LeaseLost` the keeper drops the run from its watch set and
     invokes *on_lost* — the queue worker uses that to fence the
     in-flight execution (request a cooperative suspend and discard
-    the result).
+    the result).  A lease found gone for a run that was unwatched
+    while the beat was in flight is ignored: its owner released it.
     """
 
     def __init__(
@@ -343,7 +344,10 @@ class HeartbeatKeeper:
                 try:
                     self.leases.renew(run_id)
                 except LeaseLost:
-                    self.unwatch(run_id)
+                    with self._mutex:
+                        if run_id not in self._watched:
+                            continue
+                        self._watched.discard(run_id)
                     if self.on_lost is not None:
                         self.on_lost(run_id)
                 except OSError:

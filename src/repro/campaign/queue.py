@@ -898,42 +898,47 @@ class QueueWorker:
             f"run {item.run_id} claimed (token {token}, "
             f"delivery {item.deliveries})"
         )
+        failure: BaseException | None = None
         try:
             while True:
                 attempt += 1
                 try:
                     payload = self._execute_item(item)
-                except SuspendRequested as exc:
-                    self._handle_suspend(item, token, exc, outcome)
-                    return
-                except KeyboardInterrupt:
-                    self.queue.requeue(
-                        item, token, penalty=False, reason="interrupted"
-                    )
-                    outcome.requeued += 1
-                    outcome.status = "suspended"
-                    return
+                except (SuspendRequested, KeyboardInterrupt) as exc:
+                    failure = exc
                 except Exception as exc:
-                    error = f"{type(exc).__name__}: {exc}"
                     if attempt <= retries:
                         self._note(
                             f"run {item.run_id} attempt {attempt} failed "
-                            f"({error}); retrying"
+                            f"({type(exc).__name__}: {exc}); retrying"
                         )
                         self._sleep(backoff * (2.0 ** (attempt - 1)))
                         continue
-                    if self.queue.fail_item(item, token, error):
-                        outcome.failed += 1
-                        self._note(f"run {item.run_id} FAILED: {error}")
-                    else:
-                        outcome.fenced += 1
-                    return
-                else:
-                    self._commit(item, token, payload, attempt, outcome)
-                    return
+                    failure = exc
+                break
         finally:
+            # Every branch below releases the lease, so the heartbeat
+            # stops first: a beat landing after the release would read
+            # the lease as lost and ask this worker to suspend.
             stop.set()
             self._keeper.unwatch(item.run_id)
+        if failure is None:
+            self._commit(item, token, payload, attempt, outcome)
+        elif isinstance(failure, SuspendRequested):
+            self._handle_suspend(item, token, failure, outcome)
+        elif isinstance(failure, KeyboardInterrupt):
+            self.queue.requeue(
+                item, token, penalty=False, reason="interrupted"
+            )
+            outcome.requeued += 1
+            outcome.status = "suspended"
+        else:
+            error = f"{type(failure).__name__}: {failure}"
+            if self.queue.fail_item(item, token, error):
+                outcome.failed += 1
+                self._note(f"run {item.run_id} FAILED: {error}")
+            else:
+                outcome.fenced += 1
 
     def _commit(
         self,
@@ -1136,15 +1141,11 @@ class JoinOutcome:
         return self.status == "drained"
 
 
-def spawn_worker(
-    store_root: Path,
-    log_name: str,
-    *,
-    python: str = sys.executable,
+def worker_environment(
     env: Mapping[str, str] | None = None,
-) -> subprocess.Popen:
-    """Start one ``repro queue work <store> --quiet`` drain worker with
-    its stdout and stderr appended to ``.queue/logs/<log_name>``.
+) -> dict[str, str]:
+    """The environment for a worker child process: *env*, or this
+    process's own, with ``PYTHONPATH`` adjusted.
 
     The child's ``PYTHONPATH`` leads with the root of this ``repro``
     package, so the worker runs the same code as its parent even when
@@ -1158,6 +1159,18 @@ def spawn_worker(
         part for part in environment.get("PYTHONPATH", "").split(os.pathsep)
         if part and part != pkg_root
     ])
+    return environment
+
+
+def spawn_worker(
+    store_root: Path,
+    log_name: str,
+    *,
+    python: str = sys.executable,
+    env: Mapping[str, str] | None = None,
+) -> subprocess.Popen:
+    """Start one ``repro queue work <store> --quiet`` drain worker with
+    its stdout and stderr appended to ``.queue/logs/<log_name>``."""
     log_path = store_root / QUEUE_DIR_NAME / LOGS_DIR / log_name
     log_path.parent.mkdir(parents=True, exist_ok=True)
     with log_path.open("ab") as handle:
@@ -1170,7 +1183,7 @@ def spawn_worker(
             ],
             stdout=handle,
             stderr=subprocess.STDOUT,
-            env=environment,
+            env=worker_environment(env),
         )
 
 

@@ -43,7 +43,7 @@ import threading
 import time
 from pathlib import Path
 
-from repro.campaign.queue import WorkQueue, has_queue, spawn_worker
+from repro.campaign.queue import WorkQueue, has_queue, worker_environment
 from repro.errors import ConfigError, ReproError
 from repro.faultinject.registry import failpoint
 from repro.service import http as _http
@@ -55,13 +55,17 @@ from repro.service.submit import (
     write_service_manifest,
 )
 
-#: Supervisor respawn budget per submission store: a worker that keeps
-#: dying (poison run, config problem) stops being respawned instead of
+#: Supervisor respawn budget per submission store: a store whose
+#: drains keep ending undrained (its worker dies holding it, a poison
+#: run, a config problem) stops being handed out instead of
 #: crash-looping; the queue's own delivery budget quarantines the run.
 WORKER_RESPAWN_BUDGET = 5
 
 #: Supervisor poll interval.
 SUPERVISE_POLL_S = 0.3
+
+#: Shared stderr log of the warm drain workers, under the service root.
+WORKER_LOG = "workers.log"
 
 
 class ReproService:
@@ -88,10 +92,12 @@ class ReproService:
         self._drain_reason = ""
         self._drain_event = asyncio.Event()
         #: Set when the worker fleet may have work to pick up: a new
-        #: submission, a worker exit, a drain request.
+        #: submission, a worker's answer or exit, a drain request.
         self._wake = asyncio.Event()
         self._signals = 0
-        self._fleet: dict[str, subprocess.Popen] = {}
+        #: Live warm drain workers, each mapped to the submission whose
+        #: store it is draining (None while idle).
+        self._fleet: dict[subprocess.Popen, str | None] = {}
         self._respawns: dict[str, int] = {}
         self._stalled: set[str] = set()
         self.metrics: dict[str, int] = {
@@ -427,9 +433,9 @@ class ReproService:
             "submissions": len(self.registry.list_ids()),
             "workers": {
                 "configured": self.config.workers,
+                # Copied in one step: the loop thread mutates the fleet.
                 "live": sum(
-                    1 for proc in self._fleet.values()
-                    if proc.poll() is None
+                    1 for proc in list(self._fleet) if proc.poll() is None
                 ),
                 "stalled_stores": sorted(self._stalled),
             },
@@ -562,62 +568,106 @@ class ReproService:
             self._streams -= 1
 
     # -- worker fleet supervision --------------------------------------
-    def _spawn_worker(self, sub_id: str) -> subprocess.Popen:
-        proc = spawn_worker(
-            self.registry.store_dir(sub_id), "service-worker.log"
-        )
-        # A worker's exit frees its fleet slot: wake the supervisor
-        # then instead of at its next tick.
+    def _spawn_worker(self) -> subprocess.Popen:
+        """Start one idle warm drain worker (:mod:`repro.campaign.warm`)
+        and the thread that reads its answers."""
+        with (self.root / WORKER_LOG).open("ab") as log:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.campaign.warm"],
+                bufsize=0,  # a hand-off is one write; close never flushes
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=log,
+                env=worker_environment(),
+            )
+        self._fleet[proc] = None
         loop = asyncio.get_running_loop()
 
-        def _wait_exit() -> None:
+        def _read_answers() -> None:
+            # Each answer frees the worker, and its exit frees its
+            # slot: both wake the supervisor, in the order they came.
+            def _call(*args) -> None:
+                try:
+                    loop.call_soon_threadsafe(*args)
+                except RuntimeError:  # the loop closed first
+                    pass
+
+            with proc.stdout:
+                for line in proc.stdout:
+                    _call(self._answered, proc, line)
             proc.wait()
-            try:
-                loop.call_soon_threadsafe(self._wake.set)
-            except RuntimeError:  # the loop closed first
-                pass
+            _call(self._exited, proc)
 
         threading.Thread(
-            target=_wait_exit, daemon=True, name=f"worker-exit-{proc.pid}"
+            target=_read_answers, daemon=True, name=f"worker-{proc.pid}"
         ).start()
         return proc
 
-    async def _supervise_workers(self) -> None:
-        """Keep up to ``config.workers`` drain workers running across
-        submission stores with outstanding queue items.
+    def _hand_off(self, proc: subprocess.Popen, sub_id: str) -> None:
+        try:
+            proc.stdin.write(f"{self.registry.store_dir(sub_id)}\n".encode())
+        except OSError:  # it died idle; _exited charges nothing
+            del self._fleet[proc]
+            return
+        self._fleet[proc] = sub_id
 
-        A new submission and a worker's exit each wake the supervisor
-        at once; the ``SUPERVISE_POLL_S`` tick remains the fallback
-        for work no event announces, such as the stores a restarted
-        server recovers or items other processes requeue.
+    def _answered(self, proc: subprocess.Popen, line: bytes) -> None:
+        sub_id = self._fleet.get(proc)
+        if sub_id is None:
+            return
+        if json.loads(line)["status"] == "drained":
+            self._fleet[proc] = None
+        else:  # suspended or shed: the worker exits after this answer
+            del self._fleet[proc]
+            self._charge(sub_id)
+        self._wake.set()
+
+    def _exited(self, proc: subprocess.Popen) -> None:
+        sub_id = self._fleet.pop(proc, None)
+        if sub_id is not None:  # died holding the store
+            self._charge(sub_id)
+        proc.stdin.close()
+        self._wake.set()
+
+    def _charge(self, sub_id: str) -> None:
+        """Count a drain of *sub_id* that ended without draining it."""
+        self._respawns[sub_id] = self._respawns.get(sub_id, 0) + 1
+        if self._respawns[sub_id] > WORKER_RESPAWN_BUDGET:
+            self._stalled.add(sub_id)
+            self._note(
+                f"worker respawn budget exhausted for {sub_id}; leaving "
+                f"its queue to external workers"
+            )
+
+    async def _supervise_workers(self) -> None:
+        """Hand submission stores with outstanding queue items to up to
+        ``config.workers`` warm drain workers, starting one only when
+        a store needs it and every live worker is busy.
+
+        A new submission, a worker's answer and a worker's exit each
+        wake the supervisor at once; the ``SUPERVISE_POLL_S`` tick
+        remains the fallback for work no event announces, such as the
+        stores a restarted server recovers or items other processes
+        requeue.
         """
         try:
             while not self._draining:
                 self._wake.clear()
-                for sub_id, proc in list(self._fleet.items()):
-                    if proc.poll() is not None:
-                        del self._fleet[sub_id]
                 for sub_id in self.registry.list_ids():
-                    if len(self._fleet) >= self.config.workers:
+                    idle = next(
+                        (p for p, held in self._fleet.items() if held is None),
+                        None,
+                    )
+                    if idle is None and len(self._fleet) >= self.config.workers:
                         break
-                    if sub_id in self._fleet or sub_id in self._stalled:
+                    if sub_id in self._fleet.values() or sub_id in self._stalled:
                         continue
                     store_dir = self.registry.store_dir(sub_id)
                     if not has_queue(store_dir):
                         continue
                     if WorkQueue(store_dir).drained():
                         continue
-                    spawned = self._respawns.get(sub_id, 0)
-                    if spawned > WORKER_RESPAWN_BUDGET:
-                        self._stalled.add(sub_id)
-                        self._note(
-                            f"worker respawn budget exhausted for "
-                            f"{sub_id}; leaving its queue to external "
-                            f"workers"
-                        )
-                        continue
-                    self._respawns[sub_id] = spawned + 1
-                    self._fleet[sub_id] = self._spawn_worker(sub_id)
+                    self._hand_off(idle or self._spawn_worker(), sub_id)
                 try:
                     await asyncio.wait_for(
                         self._wake.wait(), SUPERVISE_POLL_S
@@ -628,19 +678,19 @@ class ReproService:
             pass
 
     def _stop_fleet(self) -> None:
-        """SIGTERM the fleet (workers requeue their leases and exit 4),
-        escalating to SIGKILL when one absolute grace deadline —
-        shared by the whole fleet, not granted per worker — expires,
-        so total shutdown stays bounded by a single ``drain_grace_s``
-        however many workers are stuck."""
-        for proc in self._fleet.values():
+        """SIGTERM the fleet (busy workers requeue their leases, idle
+        ones leave at once; all exit 4), escalating to SIGKILL when one
+        absolute grace deadline — shared by the whole fleet, not
+        granted per worker — expires, so total shutdown stays bounded
+        by a single ``drain_grace_s`` however many workers are stuck."""
+        for proc in self._fleet:
             if proc.poll() is None:
                 try:
                     proc.send_signal(signal.SIGTERM)
                 except OSError:
                     pass
         deadline = time.monotonic() + max(0.1, self.config.drain_grace_s)
-        for proc in self._fleet.values():
+        for proc in self._fleet:
             remaining = deadline - time.monotonic()
             if remaining > 0:
                 try:
@@ -650,6 +700,8 @@ class ReproService:
                     pass
             proc.kill()
             proc.wait()
+        for proc in self._fleet:
+            proc.stdin.close()
         self._fleet.clear()
 
 

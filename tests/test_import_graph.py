@@ -1,9 +1,11 @@
 """Import-graph contracts that keep process start-up cheap.
 
-Every served submission and every ``repro campaign --join`` worker is a
-fresh ``python -m repro.cli queue work`` process, so whatever
-``repro.cli`` imports at module load is paid once per worker.  scipy
-alone used to cost more than a second of that.  Each check runs in its
+Every ``repro campaign --join`` worker is a fresh ``python -m
+repro.cli queue work`` process, and every warm drain worker of
+``repro serve`` a fresh ``python -m repro.campaign.warm`` one, so
+whatever they import at module load is paid once per worker (for a
+warm worker, on its first submission).  scipy alone used to cost more
+than a second of that.  Each check runs in its
 own interpreter: the test process has long since imported everything.
 """
 
@@ -96,6 +98,16 @@ def test_confidence_interval_names_missing_scipy():
 def test_service_server_does_not_load_cli():
     loaded = _loaded_after("import repro.service.server", "repro.cli")
     assert loaded == {"repro.cli": False}
+
+
+def test_warm_worker_loads_no_server_code():
+    # The server's modules (asyncio among them) would only add to the
+    # resident size of every warm worker.
+    loaded = _loaded_after(
+        "import repro.campaign.warm",
+        "repro.service.server", "asyncio", "repro.cli",
+    )
+    assert not any(loaded.values()), loaded
 
 
 def test_campaign_runner_warms_numpy_before_forking():

@@ -288,6 +288,20 @@ class TestWorkerDrain:
         assert outcome.completed == 1
         assert ResultStore(tmp_path).has(runs[0].run_id)
 
+    def test_heartbeat_racing_completion_does_not_suspend(self, tmp_path):
+        """A heartbeat landing between a run's commit and the end of its
+        watch must not read the just-released lease as lost: every
+        drain ends ``drained`` with its whole queue done."""
+        runs = _runs(48)
+        for index in range(4):
+            store = tmp_path / f"s{index}"
+            WorkQueue(store).enqueue(runs)
+            outcome = QueueWorker(
+                store, entry=_entry_ok, config={"heartbeat_s": 0.002}
+            ).drain()
+            assert (outcome.status, outcome.completed) == ("drained", 48)
+            assert WorkQueue(store).drained()
+
 
 class TestWorkerConfig:
     def test_store_config_overrides_defaults(self, tmp_path):

@@ -10,6 +10,7 @@ the CLI runs, exercised over real sockets.
 from __future__ import annotations
 
 import asyncio
+import io
 import json
 import socket
 import struct
@@ -47,6 +48,11 @@ SPEC_A = {
 SPEC_B = {
     "name": "svc-b", "jobs": 25, "cluster_sizes": [16],
     "seeds": [1], "strategies": ["easy_backfill"],
+}
+#: Six 300-job runs: long enough to kill its worker mid-drain.
+SPEC_SLOW = {
+    "name": "svc-slow", "jobs": 300, "cluster_sizes": [32],
+    "seeds": [1, 2, 3, 4, 5, 6], "strategies": ["easy_backfill"],
 }
 
 
@@ -769,8 +775,8 @@ class TestFleetSupervisor:
     ):
         # With the fallback tick a minute long, the second campaign
         # finishes in time only if a new submission starts a worker
-        # and that worker's exit frees its slot without waiting for
-        # the tick.
+        # and that worker's answer for the first store frees it
+        # without waiting for the tick.
         monkeypatch.setattr(server_module, "SUPERVISE_POLL_S", 60.0)
         handle = serve(ServiceConfig(port=0, poll_s=0.02, workers=1))
         port = handle.port
@@ -792,6 +798,101 @@ class TestFleetSupervisor:
 
         assert _wait_for(complete, timeout=20.0, interval=0.05)
 
+    def test_one_warm_worker_drains_sequential_submissions(self, serve):
+        handle = serve(ServiceConfig(port=0, poll_s=0.02, workers=1))
+        port = handle.port
+        pids: set[int] = set()
+        for seed in (1, 2, 3):
+            sub_id = _submit(port, dict(SPEC_A, seeds=[seed]))
+            assert _wait_for(lambda: _state(port, sub_id) == "complete")
+            pids.update(_worker_pids(handle, sub_id))
+            _, health = client.get_json("127.0.0.1", port, "/healthz")
+            assert health["workers"]["live"] == 1
+        assert len(pids) == 1
+
+    def test_worker_killed_holding_a_store_is_replaced_and_charged(
+        self, serve
+    ):
+        import os
+        import signal
+
+        handle = serve(ServiceConfig(port=0, poll_s=0.02, workers=1))
+        port = handle.port
+        sub_id = _submit(port, SPEC_SLOW)
+        store = handle.service.registry.store_dir(sub_id)
+        assert _wait_for(lambda: WorkQueue(store).status()["leased"])
+        (holder,) = [
+            proc for proc, held in handle.service._fleet.items()
+            if held == sub_id
+        ]
+        os.kill(holder.pid, signal.SIGKILL)
+        assert _wait_for(
+            lambda: _state(port, sub_id) == "complete", timeout=60.0
+        )
+        # The killed worker shows in the sidecars only if it finished
+        # a run first; one fresh worker finished the rest.
+        fresh = _worker_pids(handle, sub_id) - {holder.pid}
+        assert fresh == {proc.pid for proc in handle.service._fleet}
+        assert len(fresh) == 1
+        assert handle.service._respawns == {sub_id: 1}
+
+    def test_idle_warm_worker_exits_4_on_drain(self, serve):
+        handle = serve(ServiceConfig(
+            port=0, poll_s=0.02, workers=1, drain_grace_s=3.0
+        ))
+        sub_id = _submit(handle.port, SPEC_A)
+        assert _wait_for(lambda: _state(handle.port, sub_id) == "complete")
+        (worker,) = handle.service._fleet
+        started = time.monotonic()
+        handle.stop()
+        assert worker.wait(timeout=5) == 4
+        assert time.monotonic() - started < 3.0
+
+
+class TestWarmWorker:
+    def test_drains_a_handed_store_and_ends_at_stdin_eof(self, tmp_path):
+        import subprocess
+        import sys
+
+        from repro.campaign.queue import worker_environment
+
+        registry = SubmissionRegistry(tmp_path)
+        record, _, _ = registry.submit(SPEC_A, None)
+        store = registry.store_dir(record["submission"])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.campaign.warm"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, env=worker_environment(),
+        )
+        with proc.stdout:
+            proc.stdin.write(f"{store}\n".encode())
+            proc.stdin.flush()
+            answer = json.loads(proc.stdout.readline())
+            assert answer == {"store": str(store), "status": "drained"}
+            assert WorkQueue(store).drained()
+            proc.stdin.close()
+            assert proc.wait(timeout=30) == 0
+
+
+def _submit(port: int, spec: dict) -> str:
+    status, doc = client.post_json("127.0.0.1", port, "/v1/campaigns", spec)
+    assert status == 201, doc
+    return doc["submission"]
+
+
+def _state(port: int, sub_id: str) -> str:
+    return client.get_json(
+        "127.0.0.1", port, f"/v1/campaigns/{sub_id}"
+    )[1]["state"]
+
+
+def _worker_pids(handle: ServerHandle, sub_id: str) -> set[int]:
+    """Pids of the workers that drained *sub_id*, from its sidecars."""
+    from repro.observability.events import fleet_metrics
+
+    store = handle.service.registry.store_dir(sub_id)
+    return {row["pid"] for row in fleet_metrics(store)["workers"]}
+
 
 class TestFleetShutdown:
     def test_stop_fleet_shares_one_grace_deadline(self, tmp_path):
@@ -802,6 +903,7 @@ class TestFleetShutdown:
 
             def __init__(self) -> None:
                 self.killed = False
+                self.stdin = io.BytesIO()
 
             def poll(self):
                 return -9 if self.killed else None
@@ -822,14 +924,14 @@ class TestFleetShutdown:
             tmp_path, ServiceConfig(port=0, drain_grace_s=0.4)
         )
         workers = [Stuck() for _ in range(4)]
-        service._fleet = {f"s{i}": w for i, w in enumerate(workers)}
+        service._fleet = {w: f"s{i}" for i, w in enumerate(workers)}
         start = time.monotonic()
         service._stop_fleet()
         elapsed = time.monotonic() - start
         # One absolute deadline across the fleet: four stuck workers
         # must not stretch the drain to four grace windows.
         assert elapsed < 1.2, elapsed
-        assert all(w.killed for w in workers)
+        assert all(w.killed and w.stdin.closed for w in workers)
         assert service._fleet == {}
 
 
