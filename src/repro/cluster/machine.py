@@ -55,7 +55,10 @@ class Cluster:
     # ------------------------------------------------------------------
     #: Attributes derived from ``nodes`` and ``_allocations``; never
     #: pickled, rebuilt by :meth:`_build_indexes`.
-    _INDEXES = ("_running_ids", "_idle_ids", "_busy", "_shared", "_full_nodes")
+    _INDEXES = (
+        "_running_ids", "_idle_ids", "_busy", "_shared", "_full_nodes",
+        "min_memory_mb",
+    )
 
     def _scan_indexes(self) -> dict[str, object]:
         """Every index, computed from scratch by walking the nodes."""
@@ -77,6 +80,8 @@ class Cluster:
                 for job_id, alloc in self._allocations.items()
                 if alloc.is_shared
             },
+            # Smallest installed memory of any node (admission control).
+            "min_memory_mb": min((n.memory_mb for n in nodes), default=0),
         }
 
     def _build_indexes(self) -> None:
@@ -199,6 +204,8 @@ class Cluster:
 
     def jobs_sharing_with(self, job_id: int) -> set[int]:
         """Distinct co-runner job ids across all of a job's nodes."""
+        if not self.allocation_of(job_id).is_shared:
+            return set()  # exclusive nodes never host a co-runner
         return {
             other
             for other in self.co_runners_of(job_id).values()

@@ -13,6 +13,7 @@ computed is capped; jobs beyond the cap simply wait for a later pass.
 from __future__ import annotations
 
 import bisect
+import math
 
 from repro.core.easy_backfill import node_release_times
 from repro.core.placement import place_exclusive
@@ -35,7 +36,15 @@ class AvailabilityProfile:
         self.free: list[int] = [free_now]
 
     def add_release(self, time: float, count: int = 1) -> None:
-        """Nodes become free at *time* (and stay free thereafter)."""
+        """Nodes become free at *time* (and stay free thereafter).
+
+        The nodes are held at the profile's start, so they free just
+        after it even when their predicted end is already due (the
+        walltime predictor clamps an overdue end to the present).
+        """
+        start = self.times[0]
+        if time <= start:
+            time = math.nextafter(start, math.inf)
         self._add_delta(time, count)
 
     def _index_at(self, time: float) -> int:

@@ -20,7 +20,12 @@ from __future__ import annotations
 from repro.cluster.allocation import AllocationKind
 from repro.core.placement import place_exclusive
 from repro.core.selector import AvailabilityView
-from repro.core.strategy import Placement, ScheduleContext, Strategy
+from repro.core.strategy import (
+    Placement,
+    ScheduleContext,
+    Strategy,
+    raise_release_bounds,
+)
 from repro.slurm.job import Job
 
 
@@ -29,22 +34,25 @@ def node_release_times(
 ) -> list[float]:
     """Walltime-bound release time of every currently occupied node.
 
-    Computed per *node* (not per job): a shared node frees only when
-    the later of its occupants reaches its bound.  Includes nodes
-    granted by *placements* made earlier in this pass.
+    Computed per *node* (not per job).  Starts from the manager's
+    maintained per-node bounds when the context carries them
+    (``ctx.release_bounds``), else walks every running job.  Includes
+    nodes granted by *placements* made earlier in this pass.
     """
-    bounds: dict[int, float] = {}
-    for job in ctx.running.values():
-        assert job.allocation is not None
-        end = ctx.predicted_end(job)
-        for node_id in job.allocation.node_ids:
-            prev = bounds.get(node_id)
-            bounds[node_id] = end if prev is None else max(prev, end)
+    if ctx.release_bounds is not None:
+        bounds = dict(ctx.release_bounds)
+    else:
+        bounds = {}
+        for job in ctx.running.values():
+            assert job.allocation is not None
+            raise_release_bounds(
+                bounds, job.allocation.node_ids, ctx.predicted_end(job)
+            )
     for placement in placements:
-        end = ctx.now + ctx.walltime_bound(placement.job, placement.kind)
-        for node_id in placement.node_ids:
-            prev = bounds.get(node_id)
-            bounds[node_id] = end if prev is None else max(prev, end)
+        raise_release_bounds(
+            bounds, placement.node_ids,
+            ctx.now + ctx.walltime_bound(placement.job, placement.kind),
+        )
     return sorted(bounds.values())
 
 

@@ -156,12 +156,16 @@ def place_join(
         if decisions is not None:
             _reject(decisions, ctx, "join", job, "not_shareable")
         return None
+    need = job.num_nodes
+    if decisions is None and not view.may_cover(need):
+        # No groups at all sum to *need*, so no compatible ones do.
+        # An armed trace takes the full probe to classify the reject.
+        return None
     profile = ctx.profile_of(job)
     compatible = view.joinable_groups(profile)
     groups = [
         group for group in compatible if _memory_fits(job, group)
     ]
-    need = job.num_nodes
     fill = _exact_group_fill(groups, need)
     if fill is None:
         if decisions is not None:

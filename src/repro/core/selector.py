@@ -62,6 +62,13 @@ class AvailabilityView:
             ]
         #: Joinable resident groups keyed by resident job id.
         self.groups: dict[int, ResidentGroup] = {}
+        #: Bitmask of the subset sums of the groups' sizes (bit s set
+        #: iff some groups together hold s nodes); None until asked
+        #: for after the groups last changed.
+        self._sums: int | None = None
+        #: Profile -> its :meth:`joinable_groups` list, until the
+        #: groups next change.
+        self._joinable: dict[ResourceProfile, list[ResidentGroup]] = {}
         running = ctx.running
         for job_id in cluster.joinable_job_ids():
             job = running.get(job_id)
@@ -85,9 +92,27 @@ class AvailabilityView:
     def has_groups(self) -> bool:
         return bool(self.groups)
 
+    def may_cover(self, need: int) -> bool:
+        """Whether some of the groups hold exactly *need* nodes between
+        them: necessary for any join of that size to exist."""
+        sums = self._sums
+        if sums is None:
+            sums = 1
+            for group in self.groups.values():
+                sums |= sums << len(group.node_ids)
+            self._sums = sums
+        return (sums >> need) & 1 == 1
+
     def joinable_groups(self, profile: ResourceProfile) -> list[ResidentGroup]:
         """Groups whose resident is compatible with *profile*, best
-        predicted pair throughput first (stable on resident id)."""
+        predicted pair throughput first (stable on resident id).
+
+        Memoised per profile until the groups change; callers must
+        not mutate the returned list.
+        """
+        candidates = self._joinable.get(profile)
+        if candidates is not None:
+            return candidates
         pairing = self._ctx.pairing
         candidates = [
             group
@@ -97,6 +122,7 @@ class AvailabilityView:
         candidates.sort(
             key=lambda g: (-pairing.score(profile, g.profile), g.job.job_id)
         )
+        self._joinable[profile] = candidates
         return candidates
 
     # ------------------------------------------------------------------
@@ -141,6 +167,7 @@ class AvailabilityView:
                 f"group of job {group.job.job_id} is not available"
             )
         del self.groups[group.job.job_id]
+        self._groups_changed()
 
     def open_shared(
         self, node_ids: list[int], job: Job, profile: ResourceProfile
@@ -150,6 +177,11 @@ class AvailabilityView:
         if job.job_id in self.groups:
             raise SchedulingError(f"job {job.job_id} already owns a group")
         self._add_group(job, profile, tuple(node_ids))
+        self._groups_changed()
+
+    def _groups_changed(self) -> None:
+        self._sums = None
+        self._joinable.clear()
 
     def _add_group(
         self, job: Job, profile: ResourceProfile, node_ids: tuple[int, ...]

@@ -87,6 +87,11 @@ class ScheduleContext:
     #: record per probe through it.  ``None`` when telemetry is off —
     #: purely observational either way.
     decisions: "DecisionTrace | None" = None
+    #: Node id -> walltime release bound of its occupants, kept by
+    #: the manager (read, never written); None means
+    #: :func:`~repro.core.easy_backfill.node_release_times` scans the
+    #: running jobs through ``predicted_end``.
+    release_bounds: dict[int, float] | None = None
     #: Mutable availability the strategy consumes while placing.
     view: "AvailabilityView" = field(default=None)  # type: ignore[assignment]
 
@@ -106,6 +111,16 @@ class ScheduleContext:
         pairs = [(self.predicted_end(job), job) for job in self.running.values()]
         pairs.sort(key=lambda p: (p[0], p[1].job_id))
         return pairs
+
+
+def raise_release_bounds(
+    bounds: dict[int, float], node_ids: tuple[int, ...], end: float
+) -> None:
+    """Raise each node's release bound in *bounds* to at least *end*:
+    a shared node frees only when the later of its occupants does."""
+    for node_id in node_ids:
+        prev = bounds.get(node_id)
+        bounds[node_id] = end if prev is None else max(prev, end)
 
 
 class Strategy(abc.ABC):

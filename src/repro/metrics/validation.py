@@ -18,8 +18,9 @@ Checked invariants
   (0, 1], and non-negative remaining work; a job's rate is 1.0
   exactly when it has no co-runner on any node;
 * queue sanity: queued jobs are PENDING and hold no allocation;
-* cluster indexes: every occupancy index the cluster maintains
-  incrementally equals a full scan (:meth:`Cluster.check_indexes`).
+* engine indexes: every occupancy index the cluster maintains
+  incrementally, and the manager's per-node release bounds, equal a
+  full scan (:meth:`WorkloadManager.check_indexes`).
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class ValidatingCollector(MetricsCollector):
         self.checks += 1
         cluster = self.cluster
         try:
-            cluster.check_indexes()
+            manager.check_indexes()
         except AllocationError as exc:
             self._fail(now, str(exc))
         busy = 0

@@ -22,12 +22,19 @@ from repro.cluster.allocation import Allocation, AllocationKind
 from repro.cluster.machine import Cluster
 from repro.cluster.partition import Partition
 from repro.core.pairing import PairingPolicy
-from repro.core.strategy import Placement, ScheduleContext, Strategy, make_strategy
+from repro.core.strategy import (
+    Placement,
+    ScheduleContext,
+    Strategy,
+    make_strategy,
+    raise_release_bounds,
+)
 from repro.diagnostics.crash import attach_crash_info
 from repro.diagnostics.recorder import FlightRecorder
 from repro.engine.events import Event, EventKind
 from repro.engine.simulator import Simulator
 from repro.errors import (
+    AllocationError,
     ConfigError,
     ReproError,
     SchedulingError,
@@ -175,6 +182,12 @@ class WorkloadManager:
         self.sim = Simulator(**sim_kwargs)
         self.scheduler_passes = 0
         self.placements_applied = 0
+        #: Node id -> latest walltime bound (start + effective limit)
+        #: of the real jobs on it; nodes without one have no entry.
+        #: Derived from the jobs and the cluster, like the cluster's
+        #: indexes: never pickled, rebuilt on restore, compared with a
+        #: scan by :meth:`check_indexes`.
+        self._release_bounds: dict[int, float] = {}
         self._terminal_jobs = 0
         self._pass_requested_at: float | None = None
         if partitions is None:
@@ -225,6 +238,67 @@ class WorkloadManager:
         self.sim.on(EventKind.CHECKPOINT, self._on_reservation_edge)
         self.sim.on(EventKind.NODE_FAIL, self._on_node_fail)
         self.sim.on(EventKind.NODE_REPAIR, self._on_node_repair)
+
+    # ------------------------------------------------------------------
+    # Release bounds
+    # ------------------------------------------------------------------
+    def _scan_release_bounds(self) -> dict[int, float]:
+        """The release bounds, computed from scratch by walking every
+        allocated real job (reservation phantoms hold no bound)."""
+        bounds: dict[int, float] = {}
+        for job_id in self.cluster.running_job_ids():
+            job = self.jobs.get(job_id)
+            if job is None:
+                continue
+            raise_release_bounds(
+                bounds, job.allocation.node_ids,
+                job.start_time + job.effective_limit,
+            )
+        return bounds
+
+    def check_indexes(self) -> None:
+        """Raise :class:`AllocationError` if the cluster's occupancy
+        indexes or the release bounds differ from a full scan."""
+        self.cluster.check_indexes()
+        expected = self._scan_release_bounds()
+        if self._release_bounds != expected:
+            raise AllocationError(
+                f"release bounds are stale: maintained "
+                f"{self._release_bounds!r}, scan gives {expected!r}"
+            )
+
+    def _pass_release_bounds(self) -> dict[int, float] | None:
+        """The node release bounds a pass reserves against, or None
+        (scan the running jobs) when the walltime predictor moves the
+        predicted ends with the clock."""
+        return self._release_bounds if self.predictor is None else None
+
+    def _release(self, job: Job) -> None:
+        """Free *job*'s nodes; a node it shared keeps its co-runner's
+        bound."""
+        allocation = self.cluster.release(job.job_id)
+        bounds = self._release_bounds
+        if not allocation.is_shared:
+            for node_id in allocation.node_ids:
+                del bounds[node_id]
+            return
+        nodes = self.cluster.nodes
+        for node_id in allocation.node_ids:
+            remaining = nodes[node_id].occupant_ids
+            if remaining:
+                other = self.jobs[remaining[0]]
+                bounds[node_id] = other.start_time + other.effective_limit
+            else:
+                del bounds[node_id]
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_release_bounds"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._release_bounds = self._scan_release_bounds()
 
     # ------------------------------------------------------------------
     # Loading work
@@ -528,7 +602,7 @@ class WorkloadManager:
         ok, reason = partition.admits(job.num_nodes, job.spec.walltime_req)
         if not ok:
             return ("partition_limit", reason)
-        smallest_node = min(node.memory_mb for node in self.cluster.nodes)
+        smallest_node = self.cluster.min_memory_mb
         if job.spec.memory_mb_per_node > smallest_node:
             return (
                 "node_memory",
@@ -801,7 +875,7 @@ class WorkloadManager:
         if job.timeout_event is not None:
             self.sim.cancel(job.timeout_event)
         affected = self.cluster.jobs_sharing_with(job.job_id)
-        self.cluster.release(job.job_id)
+        self._release(job)
         # Refresh surviving co-runners before any collector callback
         # samples the cluster: their shared lanes just emptied.
         for other_id in sorted(affected):
@@ -916,7 +990,7 @@ class WorkloadManager:
             self.sim.cancel(job.timeout_event)
             job.timeout_event = None
         affected = self.cluster.jobs_sharing_with(job.job_id)
-        self.cluster.release(job.job_id)
+        self._release(job)
         if final_state is JobState.COMPLETED:
             job.mark_completed(now)
         elif final_state is JobState.CANCELLED:
@@ -1000,6 +1074,7 @@ class WorkloadManager:
             ),
             avoid_nodes=avoid,
             decisions=self.decisions,
+            release_bounds=self._pass_release_bounds(),
         )
         profiler = self.hot_profiler
         if profiler is None:
@@ -1048,6 +1123,9 @@ class WorkloadManager:
             job.effective_limit = job.spec.walltime_req * self.config.walltime_grace
         else:
             job.effective_limit = job.spec.walltime_req
+        raise_release_bounds(
+            self._release_bounds, allocation.node_ids, now + job.effective_limit
+        )
         # Rate under the co-runners present right now.
         co_runners = self.cluster.jobs_sharing_with(job.job_id)
         job.sharing_now = bool(co_runners)

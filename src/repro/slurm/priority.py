@@ -95,24 +95,48 @@ class MultifactorPriority:
     # ------------------------------------------------------------------
     def priority(self, job: Job, now: float) -> float:
         """Priority of *job* at time *now* (higher runs first)."""
-        w = self.weights
-        wait = max(0.0, now - job.spec.submit_time)
-        age_factor = min(1.0, wait / w.age_saturation)
-        size_factor = min(1.0, job.num_nodes / self.num_nodes)
-        value = (
-            w.age * age_factor
-            + w.size * size_factor
-            + w.fairshare * self.fairshare_factor(job.spec.user)
-            + w.qos * self.qos_factor(job.spec.qos)
-        )
-        if self.requeue_backoff > 0.0 and job.requeues > 0:
-            value -= self.requeue_backoff * job.requeues
-        return value
+        return self._priorities([job], now)[0]
 
     def refresh(self, jobs: list[Job], now: float) -> None:
         """Recompute and store priorities on the given jobs."""
+        for job, value in zip(jobs, self._priorities(jobs, now)):
+            job.priority = value
+
+    def _priorities(self, jobs: list[Job], now: float) -> list[float]:
+        """Priorities of *jobs* at time *now*.
+
+        Reads the weights, and computes each user's weighted fairshare
+        term and each QoS class's weighted term, once per call rather
+        than once per job.
+        """
+        w = self.weights
+        age_w, size_w, age_saturation = w.age, w.size, w.age_saturation
+        num_nodes = self.num_nodes
+        backoff = self.requeue_backoff
+        fairshare: dict[str, float] = {}
+        qos: dict[str, float] = {}
+        values: list[float] = []
         for job in jobs:
-            job.priority = self.priority(job, now)
+            spec = job.spec
+            user_term = fairshare.get(spec.user)
+            if user_term is None:
+                user_term = fairshare[spec.user] = (
+                    w.fairshare * self.fairshare_factor(spec.user)
+                )
+            qos_term = qos.get(spec.qos)
+            if qos_term is None:
+                qos_term = qos[spec.qos] = w.qos * self.qos_factor(spec.qos)
+            wait = max(0.0, now - spec.submit_time)
+            value = (
+                age_w * min(1.0, wait / age_saturation)
+                + size_w * min(1.0, spec.num_nodes / num_nodes)
+                + user_term
+                + qos_term
+            )
+            if backoff > 0.0 and job.requeues > 0:
+                value -= backoff * job.requeues
+            values.append(value)
+        return values
 
     def order(self, jobs: list[Job], now: float) -> list[Job]:
         """Jobs sorted by descending priority, FIFO on ties."""

@@ -1,12 +1,15 @@
 """Scan-based reference engine: the oracle for the incremental indexes.
 
 The engine answers its occupancy queries from indexes the
-:class:`~repro.cluster.machine.Cluster` maintains incrementally, and
-memoises interference predictions per profile pair.  This module keeps
-the straightforward versions they replaced — every query answered by
-walking the nodes, every prediction recomputed — so differential tests
-can run both engines on the same workload and demand identical
-placements and metrics.
+:class:`~repro.cluster.machine.Cluster` maintains incrementally,
+reserves against per-node release bounds the manager maintains,
+rejects impossible joins by a subset-sum mask, and memoises
+interference predictions per profile pair and compatible groups per
+profile.  This module keeps the straightforward versions they
+replaced — every query answered by walking the nodes or the running
+jobs, every join fully probed, every prediction recomputed — so
+differential tests can run both engines on the same workload and
+demand identical placements and metrics.
 
 Nothing here is used outside the test suite.
 """
@@ -29,10 +32,13 @@ from repro.slurm.manager import WorkloadManager
 
 
 class ReferenceAvailabilityView(AvailabilityView):
-    """Availability built by scanning every node and running job."""
+    """Availability built by scanning every node and running job, with
+    no join filter and no compatible-group memo."""
 
     def __init__(self, ctx) -> None:
         self._ctx = ctx
+        self._sums = None
+        self._joinable = {}
         cluster = ctx.cluster
         self.idle = [n.node_id for n in cluster.nodes if n.is_idle]
         if ctx.avoid_nodes:
@@ -57,6 +63,21 @@ class ReferenceAvailabilityView(AvailabilityView):
                         for node_id in allocation.node_ids
                     ),
                 )
+
+    def may_cover(self, need) -> bool:
+        return True
+
+    def joinable_groups(self, profile):
+        pairing = self._ctx.pairing
+        candidates = [
+            group
+            for group in self.groups.values()
+            if pairing.compatible(profile, group.profile)
+        ]
+        candidates.sort(
+            key=lambda g: (-pairing.score(profile, g.profile), g.job.job_id)
+        )
+        return candidates
 
 
 class ReferenceCollector(MetricsCollector):
@@ -134,8 +155,9 @@ class ReferencePairing(PairingPolicy):
 
 class ReferenceManager(WorkloadManager):
     """A manager on the reference model and pairing policy, computing
-    rates node by node.  Pair it with :class:`ReferenceCollector` and
-    run it inside :func:`reference_views`."""
+    rates node by node and reserving against release times scanned
+    from the running jobs.  Pair it with :class:`ReferenceCollector`
+    and run it inside :func:`reference_views`."""
 
     def __init__(self, cluster, config=None, strategy=None, collector=None,
                  **kwargs) -> None:
@@ -150,6 +172,9 @@ class ReferenceManager(WorkloadManager):
             max_dilation=self.pairing.max_dilation,
             oblivious=self.pairing.oblivious,
         )
+
+    def _pass_release_bounds(self):
+        return None
 
     def _job_rate(self, job, co_runners) -> float:
         profile = self.profile_of(job)

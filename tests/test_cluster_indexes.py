@@ -1,32 +1,62 @@
-"""The cluster's incremental occupancy indexes and the prediction memos.
+"""The engine's incremental indexes and the prediction memos.
 
 :class:`~repro.cluster.machine.Cluster` keeps its running ids, idle
-ids, busy/shared counts and per-shared-job full-node counts up to date
-as jobs allocate and release and nodes change health;
-:meth:`Cluster.check_indexes` compares them with a full scan.  The
-indexes and the interference memos are derived state: snapshots leave
-them out and restore rebuilds them.
+ids, busy/shared counts, per-shared-job full-node counts and smallest
+node memory up to date as jobs allocate and release and nodes change
+health; :meth:`Cluster.check_indexes` compares them with a full scan.
+The manager keeps each node's walltime release bound the same way
+(:meth:`WorkloadManager.check_indexes`), and a scheduler pass's
+availability view keeps a subset-sum mask of its resident groups.
+The indexes and the interference memos are derived state: snapshots
+leave them out and restore rebuilds them.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from repro.cluster.allocation import AllocationKind
 from repro.cluster.machine import Cluster
+from repro.cluster.node import Node
+from repro.core.easy_backfill import compute_reservation, node_release_times
 from repro.core.pairing import PairingPolicy
+from repro.core.placement import place_best
+from repro.core.selector import AvailabilityView
 from repro.errors import AllocationError
 from repro.interference.model import InterferenceModel
 from repro.interference.profile import ResourceProfile
 from repro.resilience import ResilienceConfig
 from repro.slurm.config import SchedulerConfig
-from repro.slurm.manager import build_manager
-from repro.snapshot.state import snapshot_bytes
+from repro.slurm.manager import WorkloadManager, build_manager
+from repro.slurm.reservations import Reservation
+from repro.snapshot.state import PICKLE_PROTOCOL, snapshot_bytes
 from repro.workload.trinity import TrinityWorkloadGenerator
+from tests.conftest import make_job
+from tests.reference_engine import ReferenceAvailabilityView
+from tests.test_core_pairing_selector import make_ctx, profile, start_shared
 
-INDEXES = ("_running_ids", "_idle_ids", "_busy", "_shared", "_full_nodes")
+INDEXES = (
+    "_running_ids", "_idle_ids", "_busy", "_shared", "_full_nodes",
+    "min_memory_mb",
+)
+
+
+def sharing_manager(resilience=None, seed=21, jobs=60, nodes=16, **options):
+    """A deep, mostly shareable shared_backfill run on *nodes* nodes."""
+    trace = TrinityWorkloadGenerator(
+        share_obeys_app=False, share_fraction=0.9, offered_load=1.5
+    ).generate(jobs, nodes, np.random.default_rng(seed))
+    config = SchedulerConfig(
+        strategy="shared_backfill", resilience=resilience, **options
+    )
+    return build_manager(
+        trace, num_nodes=nodes, strategy="shared_backfill", config=config
+    )
 
 
 class TestIndexMaintenance:
@@ -114,6 +144,16 @@ class TestIndexesAcrossSnapshots:
         assert legacy.idle_node_ids() == [0, 1, 2]
         legacy.check_indexes()
 
+    def test_min_memory_tracks_the_smallest_node(self):
+        cluster = Cluster(
+            Node(node_id=i, memory_mb=mb)
+            for i, mb in enumerate((96_000, 64_000, 128_000))
+        )
+        assert cluster.min_memory_mb == 64_000
+        restored = pickle.loads(pickle.dumps(cluster))
+        assert restored.min_memory_mb == 64_000
+        restored.check_indexes()
+
     def test_mid_run_snapshot_restores_indexes_and_run(self):
         resilience = ResilienceConfig(
             node_mtbf_hours=30.0, repair_hours=2.0, max_requeues=None,
@@ -143,10 +183,12 @@ class TestIndexesAcrossSnapshots:
             assert getattr(restored.cluster, name) == getattr(
                 manager.cluster, name
             ), name
-        restored.cluster.check_indexes()
+        assert restored._release_bounds == manager._release_bounds
+        assert restored._release_bounds, "bounds must be non-trivial"
+        restored.check_indexes()
 
         result = restored.run()
-        restored.cluster.check_indexes()
+        restored.check_indexes()
         assert restored.failures_injected > 0
         assert list(result.accounting) == list(baseline.accounting)
         for name in ("times", "busy_nodes", "shared_nodes",
@@ -154,6 +196,162 @@ class TestIndexesAcrossSnapshots:
             assert getattr(restored.collector, name) == getattr(
                 baseline_manager.collector, name
             ), name
+
+
+    def test_snapshot_bytes_hold_no_derived_state(self, monkeypatch):
+        # A mid-run snapshot pickles exactly the state a manager
+        # without release bounds (and without a __getstate__) would.
+        manager = sharing_manager()
+        manager.sim.run(until=8000.0)
+        assert manager._release_bounds, "snapshot point must be mid-run"
+        blob = snapshot_bytes(manager)
+        assert b"_release_bounds" not in blob
+        assert b"min_memory_mb" not in blob
+        del manager.__dict__["_release_bounds"]
+        monkeypatch.delattr(WorkloadManager, "__getstate__")
+        assert pickle.dumps(manager, protocol=PICKLE_PROTOCOL) == blob
+
+
+class TestReleaseBounds:
+    def test_bounds_match_the_scan_after_every_event(self):
+        # Failures evict running jobs (some from shared nodes); the
+        # reservation seizes idle nodes under a phantom id that holds
+        # no bound; joins put two bounds on one node.
+        manager = sharing_manager(resilience=ResilienceConfig(
+            node_mtbf_hours=30.0, repair_hours=2.0, max_requeues=None,
+            seed=4,
+        ))
+        manager.add_reservation(
+            Reservation("maintenance", start=1.0, end=9000.0, num_nodes=2)
+        )
+        cluster = manager.cluster
+        joined = phantom = 0
+        while manager.sim.heap:
+            manager.sim.step()
+            manager.check_indexes()
+            joined += cluster.num_shared() > 0
+            phantom += any(job_id < 0 for job_id in cluster.running_job_ids())
+        assert joined and phantom
+        assert manager.jobs_requeued > 0
+        assert manager._release_bounds == {}
+
+    def test_stale_bound_is_detected(self):
+        manager = sharing_manager()
+        manager.sim.run(until=8000.0)
+        node_id = next(iter(manager._release_bounds))
+        manager._release_bounds[node_id] += 1.0
+        with pytest.raises(AllocationError, match="release bounds"):
+            manager.check_indexes()
+
+    def test_predicted_ends_reserve_by_scan(self):
+        # The walltime predictor moves predicted ends with the clock,
+        # so its passes scan the running jobs; the bounds are kept.
+        assert sharing_manager()._pass_release_bounds() is not None
+        manager = sharing_manager(use_walltime_prediction=True)
+        manager.sim.run(until=8000.0)
+        assert manager._pass_release_bounds() is None
+        assert manager._release_bounds
+        manager.check_indexes()
+
+    def test_reservation_from_bounds_matches_scan_after_greedy_placements(self):
+        # At every pass, replay the greedy phase once reserving against
+        # the maintained bounds and once scanning the running jobs: the
+        # release times and the head's reservation must agree, also
+        # when the greedy phase has already joined and opened groups.
+        manager = sharing_manager()
+        schedule = manager.strategy.schedule
+        joined = opened = compared = 0
+
+        def checking_schedule(ctx):
+            nonlocal joined, opened, compared
+            assert ctx.release_bounds is manager._release_bounds
+            answers = []
+            for bounds in (ctx.release_bounds, None):
+                probe = dataclasses.replace(ctx, release_bounds=bounds)
+                view = probe.view = AvailabilityView(probe)
+                placements, kinds, head = [], [], None
+                for job in ctx.pending:
+                    idle_before = view.idle_count
+                    placement = place_best(job, probe, view)
+                    if placement is None:
+                        head = job
+                        break
+                    placements.append(placement)
+                    if placement.kind is AllocationKind.SHARED:
+                        kinds.append(
+                            "join" if view.idle_count == idle_before else "open"
+                        )
+                if head is None:
+                    return schedule(ctx)
+                answers.append((
+                    node_release_times(probe, placements),
+                    compute_reservation(probe, view, head, placements),
+                    kinds,
+                ))
+            assert answers[0] == answers[1]
+            compared += 1
+            joined += "join" in answers[0][2]
+            opened += "open" in answers[0][2]
+            return schedule(ctx)
+
+        manager.strategy.schedule = checking_schedule
+        manager.run()
+        assert compared and joined and opened
+
+
+class TestJoinMask:
+    SIZES = (1, 2, 2, 3)
+
+    def view_with_groups(self, cluster):
+        running, node = {}, 0
+        for job_id, size in enumerate(self.SIZES, start=1):
+            job = make_job(job_id=job_id, nodes=size, app="GTC",
+                           shareable=True)
+            running[job_id] = start_shared(
+                cluster, job, list(range(node, node + size))
+            )
+            node += size
+        ctx = make_ctx(cluster, running=running)
+        return AvailabilityView(ctx)
+
+    @staticmethod
+    def assert_mask_exact(view):
+        sizes = [group.size for group in view.groups.values()]
+        sums = {
+            sum(chosen)
+            for count in range(len(sizes) + 1)
+            for chosen in combinations(sizes, count)
+        }
+        for need in range(sum(sizes) + 3):
+            assert view.may_cover(need) == (need in sums), need
+        for app in ("GTC", "SNAP", "AMG"):
+            assert view.joinable_groups(profile(app)) == (
+                ReferenceAvailabilityView.joinable_groups(view, profile(app))
+            ), app
+
+    def test_mask_stays_exact_as_groups_change(self):
+        cluster = Cluster.homogeneous(16)
+        view = self.view_with_groups(cluster)
+        self.assert_mask_exact(view)
+        assert not view.may_cover(9)
+        view.take_group(view.groups[2])
+        self.assert_mask_exact(view)
+        assert not view.may_cover(8)
+        joiner = make_job(job_id=9, nodes=5, app="SNAP", shareable=True)
+        view.open_shared(view.take_idle(5), joiner, profile("SNAP"))
+        self.assert_mask_exact(view)
+        assert view.may_cover(11)
+        view.take_group(view.groups[1])
+        view.take_group(view.groups[9])
+        self.assert_mask_exact(view)
+
+    def test_memo_returns_one_list_until_groups_change(self):
+        cluster = Cluster.homogeneous(16)
+        view = self.view_with_groups(cluster)
+        first = view.joinable_groups(profile("SNAP"))
+        assert view.joinable_groups(profile("SNAP")) is first
+        view.take_group(view.groups[3])
+        assert view.joinable_groups(profile("SNAP")) is not first
 
 
 class TestPredictionMemos:

@@ -14,6 +14,7 @@ from repro.core.fcfs import FcfsStrategy
 from repro.core.first_fit import FirstFitStrategy
 from repro.core.selector import AvailabilityView
 from repro.core.shared_backfill import SharedBackfillStrategy
+from repro.core.shared_conservative import SharedConservativeStrategy
 from repro.core.shared_first_fit import SharedFirstFitStrategy
 from repro.core.strategy import Placement, Strategy, all_strategy_names, make_strategy
 from repro.errors import ConfigError, SchedulingError
@@ -209,6 +210,28 @@ class TestConservative:
     def test_bad_cap_rejected(self):
         with pytest.raises(SchedulingError):
             ConservativeBackfillStrategy(max_reservations=0)
+
+    def test_overdue_release_frees_after_the_start(self):
+        profile = AvailabilityProfile(start=100.0, free_now=2)
+        profile.add_release(100.0, 6)
+        profile.add_release(40.0, 1)
+        assert profile.free[0] == 2
+        assert profile.earliest_start(duration=10.0, count=8) > 100.0
+
+    @pytest.mark.parametrize(
+        "strategy", [ConservativeBackfillStrategy(), SharedConservativeStrategy()]
+    )
+    def test_overdue_predicted_end_does_not_admit_now(self, cluster, strategy):
+        # The walltime predictor clamps an overdue job's end to the
+        # present; its nodes are still held, so the head must wait.
+        running = start_exclusive(
+            cluster, make_job(job_id=1, nodes=6, runtime=80.0, walltime=100.0),
+            list(range(6)),
+        )
+        head = make_job(job_id=2, nodes=8, walltime=500.0)
+        ctx = make_ctx(cluster, now=50.0, running={1: running},
+                       pending=[head], predicted_end=lambda job: 50.0)
+        assert strategy.schedule(ctx) == []
 
 
 class TestSharedFirstFit:

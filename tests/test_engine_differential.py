@@ -1,14 +1,17 @@
 """Differential test: the indexed engine against the scan-based reference.
 
 Both engines run the same random workload; the reference answers every
-occupancy query by walking the nodes and recomputes every interference
-prediction (:mod:`tests.reference_engine`).  At every scheduler pass
-the two must return the identical placement list, and at the end the
-identical accounting records and metrics series.  The scenarios arm
-everything that moves the cluster's indexes: node and rack failures
-with flaky-node blacklisting (the placement's ``avoid_nodes``),
+occupancy query by walking the nodes, reserves against release times
+scanned from the running jobs, probes every join in full and
+recomputes every interference prediction
+(:mod:`tests.reference_engine`).  At every scheduler pass the two must
+return the identical placement list, and at the end the identical
+accounting records and metrics series.  The scenarios arm everything
+that moves the engine's indexes: node and rack failures with
+flaky-node blacklisting (the placement's ``avoid_nodes``),
 topology-aware selection, memory-constrained joins on nodes of mixed
-memory, and time-sliced sharing.
+memory, time-sliced sharing, and walltime prediction (whose passes
+scan in both engines).
 """
 
 from dataclasses import dataclass
@@ -47,6 +50,7 @@ class Scenario:
     topology_aware: bool = False
     memory_constrained: bool = False
     time_sliced: bool = False
+    predicted: bool = False
 
 
 def _cluster(scenario: Scenario) -> Cluster:
@@ -68,11 +72,14 @@ def _config(scenario: Scenario) -> SchedulerConfig:
         config.sharing_mode = "time_sliced"
         config.share_threshold = 0.9
         config.walltime_grace = 2.5
+    if scenario.predicted:
+        config.use_walltime_prediction = True
     return config
 
 
 def run_engine(scenario: Scenario, reference: bool):
-    """Run *scenario*; returns (manager, result, per-pass placements)."""
+    """Run *scenario*; returns (manager, result, per-pass placements,
+    whether each pass reserved against release bounds)."""
     trace = TrinityWorkloadGenerator(
         share_obeys_app=False,
         share_fraction=scenario.share_fraction,
@@ -100,9 +107,11 @@ def run_engine(scenario: Scenario, reference: bool):
             seed=scenario.seed,
         ))
     passes: list[list[tuple]] = []
+    indexed: list[bool] = []
     schedule = manager.strategy.schedule
 
     def recording_schedule(ctx):
+        indexed.append(ctx.release_bounds is not None)
         placements = schedule(ctx)
         passes.append([
             (p.job.job_id, p.node_ids, p.kind) for p in placements
@@ -115,12 +124,18 @@ def run_engine(scenario: Scenario, reference: bool):
             result = manager.run()
     else:
         result = manager.run()
-    return manager, result, passes
+    return manager, result, passes, indexed
 
 
 def assert_engines_agree(scenario: Scenario):
-    ref_manager, ref, ref_passes = run_engine(scenario, reference=True)
-    manager, result, passes = run_engine(scenario, reference=False)
+    ref_manager, ref, ref_passes, ref_indexed = run_engine(
+        scenario, reference=True
+    )
+    manager, result, passes, indexed = run_engine(scenario, reference=False)
+    # The reference always scans; the indexed engine scans exactly
+    # when the walltime predictor moves the predicted ends.
+    assert not any(ref_indexed)
+    assert indexed == [not scenario.predicted] * len(indexed)
     for index, (expected, actual) in enumerate(zip(ref_passes, passes)):
         assert actual == expected, f"pass {index} placed differently"
     assert len(passes) == len(ref_passes)
@@ -129,7 +144,7 @@ def assert_engines_agree(scenario: Scenario):
         assert getattr(manager.collector, name) == getattr(
             ref_manager.collector, name
         ), name
-    manager.cluster.check_indexes()
+    manager.check_indexes()
     return manager
 
 
@@ -144,16 +159,17 @@ def assert_engines_agree(scenario: Scenario):
     topology_aware=st.booleans(),
     memory_constrained=st.booleans(),
     time_sliced=st.booleans(),
+    predicted=st.booleans(),
 )
 def test_indexed_engine_matches_reference(seed, strategy, num_jobs,
                                           share_fraction, failures,
                                           topology_aware, memory_constrained,
-                                          time_sliced):
+                                          time_sliced, predicted):
     assert_engines_agree(Scenario(
         seed=seed, strategy=strategy, num_jobs=num_jobs,
         share_fraction=share_fraction, failures=failures,
         topology_aware=topology_aware, memory_constrained=memory_constrained,
-        time_sliced=time_sliced,
+        time_sliced=time_sliced, predicted=predicted,
     ))
 
 
@@ -175,3 +191,11 @@ def test_failure_injection_matches_reference(strategy):
     assert manager.failures_injected > 0
     assert manager.rack_failures_injected > 0
     assert manager.jobs_requeued > 0
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_walltime_prediction_matches_reference(strategy):
+    assert_engines_agree(Scenario(
+        seed=5, strategy=strategy, num_jobs=40, share_fraction=0.9,
+        failures=True, memory_constrained=True, predicted=True,
+    ))

@@ -75,6 +75,43 @@ class TestMultifactorPriority:
         priority.refresh([job], now=500.0)
         assert job.priority > 0.0
 
+    def test_order_stores_the_formula_bit_for_bit(self):
+        # The batch path shares the per-user and per-QoS terms across
+        # jobs; every stored float must still equal the textbook sum
+        # evaluated left to right.
+        weights = PriorityWeights(qos=30.0, age_saturation=5000.0)
+        priority = MultifactorPriority(weights, num_nodes=7)
+        priority.requeue_backoff = 12.5
+        priority.charge("hog", 123_456.7)
+        priority.charge("light", 987.6)
+        jobs = [
+            make_job(job_id=i, submit=37.3 * i, nodes=1 + i % 7,
+                     user=("hog", "light", "fresh")[i % 3])
+            for i in range(1, 13)
+        ]
+        for job in jobs[::4]:
+            job.requeues = 2
+        now = 3141.5
+        ordered = priority.order(jobs, now)
+        for job in jobs:
+            w = weights
+            expected = (
+                w.age * min(1.0, max(0.0, now - job.spec.submit_time)
+                            / w.age_saturation)
+                + w.size * min(1.0, job.num_nodes / 7)
+                + w.fairshare * 2.0 ** (
+                    -priority.usage.get(job.spec.user, 0.0)
+                    / priority.share_norm)
+                + w.qos * priority.qos_factor(job.spec.qos)
+            )
+            if job.requeues:
+                expected -= 12.5 * job.requeues
+            assert job.priority == expected, job.job_id
+            assert priority.priority(job, now) == expected
+        assert [-j.priority for j in ordered] == sorted(
+            -j.priority for j in jobs
+        )
+
 
 class TestPendingQueue:
     def _queue(self):
