@@ -5,10 +5,12 @@ Allocation` records and answers the occupancy queries strategies need
 (free nodes, joinable shared lanes, a job's node set).  It deliberately
 knows nothing about jobs beyond their integer ids.
 
-Occupancy queries run every scheduler pass and every metrics sample,
-so the cluster keeps them as indexes updated by :meth:`Cluster.allocate`,
-:meth:`Cluster.release` and the health transitions (``mark_*``) instead
-of rescanning the nodes.  Node state must therefore change through the
+Occupancy queries run every scheduler pass, every metrics sample and
+every job start and end, so the cluster keeps them as indexes updated
+by :meth:`Cluster.allocate`, :meth:`Cluster.release` and the health
+transitions (``mark_*``) instead of rescanning the nodes.  Allocate
+and release each make one walk over the job's nodes, changing node
+and indexes together.  Node state must therefore change through the
 cluster, never through a member :class:`Node` directly;
 :meth:`Cluster.check_indexes` compares the indexes with a full scan.
 The indexes are derived state: they are left out of pickles and
@@ -18,10 +20,11 @@ rebuilt on restore.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from itertools import repeat
 from typing import Callable, Iterable, Iterator
 
 from repro.cluster.allocation import Allocation, AllocationKind
-from repro.cluster.node import SMT_LANES, Node
+from repro.cluster.node import SMT_LANES, Node, NodeMode
 from repro.cluster.topology import Topology
 from repro.errors import AllocationError
 
@@ -56,7 +59,7 @@ class Cluster:
     #: Attributes derived from ``nodes`` and ``_allocations``; never
     #: pickled, rebuilt by :meth:`_build_indexes`.
     _INDEXES = (
-        "_running_ids", "_idle_ids", "_busy", "_shared", "_full_nodes",
+        "_running_ids", "_idle_ids", "_busy", "_shared", "_co_runners",
         "min_memory_mb",
     )
 
@@ -71,18 +74,27 @@ class Cluster:
             # Nodes with at least one occupant / with every lane taken.
             "_busy": sum(1 for n in nodes if n.occupancy),
             "_shared": sum(1 for n in nodes if n.occupancy >= SMT_LANES),
-            # Shared job id -> how many of its nodes have no free lane;
-            # a job is joinable exactly when its count is 0.
-            "_full_nodes": {
-                job_id: sum(
-                    1 for i in alloc.node_ids if not nodes[i].has_free_lane
-                )
+            # Shared job id -> {co-runner job id: nodes they share}.  A
+            # node has no free lane exactly when it hosts a co-runner,
+            # so a job is joinable exactly when its map is empty.
+            "_co_runners": {
+                job_id: self._scan_co_runners(alloc)
                 for job_id, alloc in self._allocations.items()
                 if alloc.is_shared
             },
             # Smallest installed memory of any node (admission control).
             "min_memory_mb": min((n.memory_mb for n in nodes), default=0),
         }
+
+    def _scan_co_runners(self, allocation: Allocation) -> dict[int, int]:
+        """A shared job's co-runner map, keyed in the order a walk of
+        its nodes first meets each co-runner."""
+        shared: dict[int, int] = {}
+        for node_id in allocation.node_ids:
+            other = self.nodes[node_id].co_runner_of(allocation.job_id)
+            if other is not None:
+                shared[other] = shared.get(other, 0) + 1
+        return shared
 
     def _build_indexes(self) -> None:
         self.__dict__.update(self._scan_indexes())
@@ -92,7 +104,10 @@ class Cluster:
         differs from a full scan of the nodes and allocations."""
         for name, expected in self._scan_indexes().items():
             actual = getattr(self, name)
-            if actual != expected:
+            # Compared by repr, which also holds the key order: a job's
+            # co-runner set is built in its map's order, and a set's
+            # iteration order reaches the pickled Job.corun_job_ids.
+            if repr(actual) != repr(expected):
                 raise AllocationError(
                     f"cluster index {name} is stale: maintained {actual!r}, "
                     f"scan gives {expected!r}"
@@ -172,7 +187,7 @@ class Cluster:
     def joinable_job_ids(self) -> list[int]:
         """Shared jobs with a free SMT lane on every node, ascending."""
         return sorted(
-            job_id for job_id, full in self._full_nodes.items() if not full
+            job_id for job_id, shared in self._co_runners.items() if not shared
         )
 
     def joinable_nodes(self) -> list[Node]:
@@ -195,22 +210,18 @@ class Cluster:
     def nodes_of(self, job_id: int) -> list[Node]:
         return [self.nodes[i] for i in self.allocation_of(job_id).node_ids]
 
-    def co_runners_of(self, job_id: int) -> dict[int, int | None]:
-        """Map ``node_id -> co-runner job id (or None)`` for a job."""
-        return {
-            node.node_id: node.co_runner_of(job_id)
-            for node in self.nodes_of(job_id)
-        }
-
     def jobs_sharing_with(self, job_id: int) -> set[int]:
-        """Distinct co-runner job ids across all of a job's nodes."""
-        if not self.allocation_of(job_id).is_shared:
+        """Distinct co-runner job ids across all of a job's nodes.
+
+        The set is filled in the order a walk of the job's nodes first
+        meets each co-runner, so its layout matches a set built by that
+        walk.
+        """
+        shared = self._co_runners.get(job_id)
+        if shared is None:
+            self.allocation_of(job_id)  # raises for an unallocated job
             return set()  # exclusive nodes never host a co-runner
-        return {
-            other
-            for other in self.co_runners_of(job_id).values()
-            if other is not None
-        }
+        return {other for other in shared}
 
     def utilization_cores(self) -> float:
         """Fraction of physical cores currently claimed by any job.
@@ -222,7 +233,8 @@ class Cluster:
         exclusive node.
         """
         total = sum(n.cores for n in self.nodes)
-        busy = sum(n.cores for n in self.nodes if not n.is_idle)
+        # Occupied, not merely non-idle: a down node hosts no job.
+        busy = sum(n.cores for n in self.nodes if n.occupancy)
         return busy / total if total else 0.0
 
     # ------------------------------------------------------------------
@@ -231,60 +243,117 @@ class Cluster:
     def allocate(self, allocation: Allocation) -> Allocation:
         """Apply *allocation*, enforcing occupancy invariants.
 
-        For shared allocations the recorded ``lanes`` are assigned by
-        the nodes, so callers build the record with
-        :meth:`build_shared` / :meth:`build_exclusive` instead of
-        hand-rolling lane indices.
+        One walk over the nodes grants each one and updates the indexes
+        beside it.  A shared job takes the lowest free lane of each
+        node, and the returned record holds those ``lanes``, so callers
+        build the request with :meth:`build_shared` /
+        :meth:`build_exclusive` instead of hand-rolling lane indices.
+        A failure on any node undoes the grants made before it, so a
+        failed allocation leaves nodes and indexes untouched.
         """
-        if allocation.job_id in self._allocations:
-            raise AllocationError(f"job {allocation.job_id} is already allocated")
-        granted: list[int] = []
-        try:
-            if allocation.kind is AllocationKind.EXCLUSIVE:
-                for node_id in allocation.node_ids:
-                    self.nodes[node_id].allocate_exclusive(allocation.job_id)
-                    granted.append(node_id)
-                final = allocation
-            else:
-                lanes: list[int] = []
-                for node_id in allocation.node_ids:
-                    lanes.append(self.nodes[node_id].allocate_shared(allocation.job_id))
-                    granted.append(node_id)
-                final = Allocation(
-                    job_id=allocation.job_id,
-                    node_ids=allocation.node_ids,
-                    kind=AllocationKind.SHARED,
-                    lanes=tuple(lanes),
-                )
-        except AllocationError:
-            # Roll back partial grants so a failed allocation leaves the
-            # cluster untouched.
-            for node_id in granted:
-                self.nodes[node_id].release(allocation.job_id)
-            raise
-        self._allocations[final.job_id] = final
-        self._index_allocate(final)
-        return final
-
-    def _index_allocate(self, allocation: Allocation) -> None:
         job_id = allocation.job_id
+        if job_id in self._allocations:
+            raise AllocationError(f"job {job_id} is already allocated")
+        node_ids = allocation.node_ids
+        shared = allocation.is_shared
+        lanes: list[int] = []
+        # Registered before the walk, so that a failure part-way rolls
+        # its grants back through release().
+        self._allocations[job_id] = allocation
         insort(self._running_ids, job_id)
+        try:
+            if shared:
+                self._grant_shared(job_id, node_ids, lanes)
+            else:
+                self._grant_exclusive(job_id, node_ids, lanes)
+        except AllocationError:
+            self._allocations[job_id] = Allocation(
+                job_id=job_id,
+                node_ids=node_ids[:len(lanes)],
+                kind=allocation.kind,
+                lanes=tuple(lanes) if shared else (),
+            )
+            self.release(job_id)
+            raise
+        if shared:
+            allocation = Allocation(
+                job_id=job_id,
+                node_ids=node_ids,
+                kind=AllocationKind.SHARED,
+                lanes=tuple(lanes),
+            )
+            self._allocations[job_id] = allocation
+        return allocation
+
+    def _grant_exclusive(
+        self, job_id: int, node_ids: tuple[int, ...], lanes: list[int]
+    ) -> None:
+        """Take each node whole for *job_id*, appending lane 0 per
+        granted node to *lanes*."""
         idle = self._idle_ids
-        full_nodes = self._full_nodes
-        full = 0
-        for node_id in allocation.node_ids:
-            node = self.nodes[node_id]
-            if node.occupancy == 1:
-                # The node was idle: exclusive, or opened shared.
+        for node_id in node_ids:
+            self.nodes[node_id].allocate_exclusive(job_id)
+            lanes.append(0)
+            self._busy += 1
+            del idle[bisect_left(idle, node_id)]
+
+    def _grant_shared(
+        self, job_id: int, node_ids: tuple[int, ...], lanes: list[int]
+    ) -> None:
+        """Open or join each node for shared *job_id*, appending each
+        granted lane to *lanes*; the checks and their messages are
+        :meth:`Node.allocate_shared`'s."""
+        nodes = self.nodes
+        idle = self._idle_ids
+        co_runners = self._co_runners
+        mine: dict[int, int] = {}
+        co_runners[job_id] = mine
+        reorder: list[int] = []
+        for node_id in node_ids:
+            node = nodes[node_id]
+            if node.down:
+                raise AllocationError(f"node {node_id} is down")
+            occupants = node._occupants
+            if node.mode is NodeMode.IDLE:
+                occupants[0] = job_id
+                node.mode = NodeMode.SHARED
+                lanes.append(0)
                 self._busy += 1
                 del idle[bisect_left(idle, node_id)]
+                continue
+            if node.mode is NodeMode.EXCLUSIVE:
+                raise AllocationError(
+                    f"node {node_id} is exclusively allocated; cannot share"
+                )
+            if job_id in occupants.values():
+                raise AllocationError(
+                    f"job {job_id} already occupies node {node_id}"
+                )
+            if len(occupants) >= SMT_LANES:
+                raise AllocationError(f"node {node_id} shared lanes are full")
+            # Join the resident: its last free lane is now taken.
+            resident = next(iter(occupants.values()))
+            lane = 0
+            while lane in occupants:
+                lane += 1
+            occupants[lane] = job_id
+            lanes.append(lane)
+            self._shared += 1
+            mine[resident] = mine.get(resident, 0) + 1
+            theirs = co_runners[resident]
+            count = theirs.get(job_id)
+            if count is None:
+                if theirs:
+                    reorder.append(resident)
+                theirs[job_id] = 1
             else:
-                # Joined a resident: the node's last lane is now taken.
-                self._shared += 1
-                full += 1
-                full_nodes[node.co_runner_of(job_id)] += 1
-        if allocation.is_shared:
-            full_nodes[job_id] = full
+                theirs[job_id] = count + 1
+        # A resident that gained a second co-runner keys its map in
+        # node order, which the join order need not follow.
+        for resident in reorder:
+            co_runners[resident] = self._scan_co_runners(
+                self._allocations[resident]
+            )
 
     def build_exclusive(self, job_id: int, node_ids: Iterable[int]) -> Allocation:
         return Allocation(
@@ -301,25 +370,44 @@ class Cluster:
             lanes=tuple(0 for _ in ids),
         )
 
-    def release(self, job_id: int) -> Allocation:
-        """Free every node held by *job_id*; returns the old record."""
+    def release(self, job_id: int) -> list[int | None]:
+        """Free every node held by *job_id* in one walk over them.
+
+        Returns the job left on each node (None where the node is now
+        empty), parallel to the allocation's ``node_ids``.
+        """
         allocation = self.allocation_of(job_id)
+        nodes = self.nodes
         idle = self._idle_ids
-        full_nodes = self._full_nodes
-        for node_id in allocation.node_ids:
-            remaining = self.nodes[node_id].release(job_id)
-            if remaining is None:
+        co_runners = self._co_runners
+        # An exclusive job holds lane 0 of each node.
+        lanes = allocation.lanes if allocation.is_shared else repeat(0)
+        left: list[int | None] = []
+        for node_id, lane in zip(allocation.node_ids, lanes):
+            node = nodes[node_id]
+            occupants = node._occupants
+            del occupants[lane]
+            if occupants:
+                # A shared lane freed beside the remaining resident.
+                resident = next(iter(occupants.values()))
+                self._shared -= 1
+                theirs = co_runners[resident]
+                if theirs[job_id] == 1:
+                    del theirs[job_id]
+                else:
+                    theirs[job_id] -= 1
+                left.append(resident)
+            else:
                 # Occupied nodes are healthy, so an emptied one is idle.
+                node.mode = NodeMode.IDLE
                 self._busy -= 1
                 insort(idle, node_id)
-            else:
-                # A shared lane freed beside the remaining resident.
-                self._shared -= 1
-                full_nodes[remaining] -= 1
+                left.append(None)
+        if allocation.is_shared:
+            del co_runners[job_id]
         del self._allocations[job_id]
-        full_nodes.pop(job_id, None)
         del self._running_ids[bisect_left(self._running_ids, job_id)]
-        return allocation
+        return left
 
     # ------------------------------------------------------------------
     # Health transitions (see NodeHealth for the lifecycle)

@@ -276,20 +276,15 @@ class WorkloadManager:
     def _release(self, job: Job) -> None:
         """Free *job*'s nodes; a node it shared keeps its co-runner's
         bound."""
-        allocation = self.cluster.release(job.job_id)
+        node_ids = job.allocation.node_ids
+        left = self.cluster.release(job.job_id)
         bounds = self._release_bounds
-        if not allocation.is_shared:
-            for node_id in allocation.node_ids:
+        for node_id, other_id in zip(node_ids, left):
+            if other_id is None:
                 del bounds[node_id]
-            return
-        nodes = self.cluster.nodes
-        for node_id in allocation.node_ids:
-            remaining = nodes[node_id].occupant_ids
-            if remaining:
-                other = self.jobs[remaining[0]]
-                bounds[node_id] = other.start_time + other.effective_limit
             else:
-                del bounds[node_id]
+                other = self.jobs[other_id]
+                bounds[node_id] = other.start_time + other.effective_limit
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()

@@ -1,7 +1,7 @@
 """Scan-based reference engine: the oracle for the incremental indexes.
 
-The engine answers its occupancy queries from indexes the
-:class:`~repro.cluster.machine.Cluster` maintains incrementally,
+The engine answers its occupancy and co-runner queries from indexes
+the :class:`~repro.cluster.machine.Cluster` maintains incrementally,
 reserves against per-node release bounds the manager maintains,
 rejects impossible joins by a subset-sum mask, and memoises
 interference predictions per profile pair and compatible groups per
@@ -20,6 +20,7 @@ import contextlib
 import sys
 from typing import Iterator
 
+from repro.cluster.machine import Cluster
 from repro.cluster.node import SMT_LANES
 from repro.core.pairing import PairingPolicy
 from repro.core.selector import AvailabilityView, ResidentGroup
@@ -29,6 +30,19 @@ from repro.interference.model import InterferenceModel
 from repro.interference.smt import smt_core_factor
 from repro.metrics.collector import MetricsCollector
 from repro.slurm.manager import WorkloadManager
+
+
+class ReferenceCluster(Cluster):
+    """A cluster that answers co-runner queries by walking the job's
+    nodes instead of reading its co-runner index."""
+
+    def jobs_sharing_with(self, job_id: int) -> set[int]:
+        found: set[int] = set()
+        for node in self.nodes_of(job_id):
+            other = node.co_runner_of(job_id)
+            if other is not None:
+                found.add(other)
+        return found
 
 
 class ReferenceAvailabilityView(AvailabilityView):
@@ -156,11 +170,15 @@ class ReferencePairing(PairingPolicy):
 class ReferenceManager(WorkloadManager):
     """A manager on the reference model and pairing policy, computing
     rates node by node and reserving against release times scanned
-    from the running jobs.  Pair it with :class:`ReferenceCollector`
-    and run it inside :func:`reference_views`."""
+    from the running jobs.  It runs on a :class:`ReferenceCluster`, so
+    the co-runners that set ``sharing_now``, ``corun_job_ids`` and the
+    jobs refreshed on a start or an end are found by a node walk too.
+    Pair it with :class:`ReferenceCollector` and run it inside
+    :func:`reference_views`."""
 
     def __init__(self, cluster, config=None, strategy=None, collector=None,
                  **kwargs) -> None:
+        assert isinstance(cluster, ReferenceCluster), type(cluster)
         super().__init__(cluster, config=config, strategy=strategy,
                          collector=collector, **kwargs)
         if type(self.model) is InterferenceModel:

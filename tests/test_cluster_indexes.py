@@ -1,7 +1,7 @@
 """The engine's incremental indexes and the prediction memos.
 
 :class:`~repro.cluster.machine.Cluster` keeps its running ids, idle
-ids, busy/shared counts, per-shared-job full-node counts and smallest
+ids, busy/shared counts, per-shared-job co-runner counts and smallest
 node memory up to date as jobs allocate and release and nodes change
 health; :meth:`Cluster.check_indexes` compares them with a full scan.
 The manager keeps each node's walltime release bound the same way
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
+import re
 from itertools import combinations
 
 import numpy as np
@@ -41,9 +42,28 @@ from tests.reference_engine import ReferenceAvailabilityView
 from tests.test_core_pairing_selector import make_ctx, profile, start_shared
 
 INDEXES = (
-    "_running_ids", "_idle_ids", "_busy", "_shared", "_full_nodes",
+    "_running_ids", "_idle_ids", "_busy", "_shared", "_co_runners",
     "min_memory_mb",
 )
+
+
+def scanned_co_runners(cluster, job_id):
+    """A job's co-runner set, built by walking its nodes."""
+    return {
+        other
+        for node in cluster.nodes_of(job_id)
+        if (other := node.co_runner_of(job_id)) is not None
+    }
+
+
+def cluster_state(cluster):
+    """Everything allocate may touch: node occupancy, allocation
+    records (with their lanes) and every index, key order included."""
+    return (
+        [(node.mode, dict(node._occupants)) for node in cluster.nodes],
+        repr(cluster._allocations),
+        {name: repr(getattr(cluster, name)) for name in INDEXES},
+    )
 
 
 def sharing_manager(resilience=None, seed=21, jobs=60, nodes=16, **options):
@@ -124,6 +144,138 @@ class TestIndexMaintenance:
         cluster.check_indexes()
 
 
+class TestCoRunnerIndex:
+    def test_index_matches_the_scan_after_every_event(self):
+        # Joins, evictions of shared jobs under node and rack failures,
+        # and a reservation phantom: after every event the index, the
+        # sets read from it and their iteration order must equal a
+        # walk of each job's nodes.
+        manager = sharing_manager(resilience=ResilienceConfig(
+            node_mtbf_hours=30.0, rack_mtbf_hours=60.0, repair_hours=2.0,
+            max_requeues=None, seed=4,
+        ))
+        manager.add_reservation(
+            Reservation("maintenance", start=1.0, end=9000.0, num_nodes=2)
+        )
+        cluster = manager.cluster
+        pairs = phantom = 0
+        while manager.sim.heap:
+            manager.sim.step()
+            cluster.check_indexes()
+            for job_id in cluster.running_job_ids():
+                shared = cluster.jobs_sharing_with(job_id)
+                assert list(shared) == list(scanned_co_runners(cluster, job_id))
+                pairs += bool(shared)
+            phantom += any(job_id < 0 for job_id in cluster.running_job_ids())
+        assert pairs and phantom
+        assert manager.jobs_requeued > 0
+        assert any(
+            set(record.evicted_job_ids) & {
+                r.job_id for r in manager.accounting if r.was_shared
+            }
+            for record in manager.failure_log
+        ), "some evicted job must have shared"
+        assert cluster._co_runners == {}
+
+    def test_join_and_release_count_shared_nodes(self):
+        cluster = Cluster.homogeneous(6)
+        cluster.allocate(cluster.build_shared(1, [0, 1]))
+        cluster.allocate(cluster.build_shared(2, [2, 3]))
+        cluster.allocate(cluster.build_shared(3, [0, 1, 2]))
+        assert cluster._co_runners == {1: {3: 2}, 2: {3: 1}, 3: {1: 2, 2: 1}}
+        assert cluster.jobs_sharing_with(3) == {1, 2}
+        cluster.release(1)
+        assert cluster._co_runners == {2: {3: 1}, 3: {2: 1}}
+        cluster.check_indexes()
+        cluster.release(2)
+        assert cluster._co_runners == {3: {}}
+        assert cluster.joinable_job_ids() == [3]
+        cluster.check_indexes()
+
+    def test_release_reports_the_job_left_on_each_node(self):
+        cluster = Cluster.homogeneous(4)
+        cluster.allocate(cluster.build_shared(1, [0, 1]))
+        cluster.allocate(cluster.build_shared(2, [1, 2]))
+        assert cluster.release(2) == [1, None]
+        assert cluster.release(1) == [None, None]
+        cluster.allocate(cluster.build_exclusive(3, [3, 0]))
+        assert cluster.release(3) == [None, None]
+        cluster.check_indexes()
+
+    def test_second_co_runner_is_keyed_in_node_order(self):
+        # Job 11 joins node 1 before job 3 joins node 0; a walk of job
+        # 1's nodes meets 3 first.  11 and 3 share a hash bucket of a
+        # small set, so the order they are added decides its layout.
+        cluster = Cluster.homogeneous(4)
+        cluster.allocate(cluster.build_shared(1, [0, 1]))
+        cluster.allocate(cluster.build_shared(11, [1]))
+        cluster.allocate(cluster.build_shared(3, [0]))
+        assert list(cluster._co_runners[1]) == [3, 11]
+        walked = scanned_co_runners(cluster, 1)
+        joined = {other for other in (11, 3)}
+        assert list(walked) != list(joined)
+        assert list(cluster.jobs_sharing_with(1)) == list(walked)
+        cluster.check_indexes()
+        cluster.release(3)
+        assert list(cluster.jobs_sharing_with(1)) == [11]
+        cluster.check_indexes()
+
+    def test_stale_co_runner_count_is_detected(self):
+        cluster = Cluster.homogeneous(4)
+        cluster.allocate(cluster.build_shared(1, [0, 1]))
+        cluster.allocate(cluster.build_shared(2, [0, 1]))
+        cluster._co_runners[1][2] = 1
+        with pytest.raises(AllocationError, match="_co_runners is stale"):
+            cluster.check_indexes()
+
+
+def _fail_down(cluster):
+    cluster.mark_down(2)
+
+
+def _fail_exclusive(cluster):
+    cluster.allocate(cluster.build_exclusive(3, [2]))
+
+
+def _fail_no_lane(cluster):
+    cluster.allocate(cluster.build_shared(3, [2]))
+    cluster.allocate(cluster.build_shared(4, [2]))
+
+
+def _fail_already_there(cluster):
+    # Only a node changed behind the cluster's back can already hold
+    # the job: the cluster refuses a second allocation of a job, and
+    # an allocation record refuses a repeated node.
+    cluster.nodes[2].allocate_shared(5)
+
+
+class TestSharedAllocationRollback:
+    @pytest.mark.parametrize("arrange, message", [
+        (_fail_down, "node 2 is down"),
+        (_fail_exclusive, "node 2 is exclusively allocated; cannot share"),
+        (_fail_no_lane, "node 2 shared lanes are full"),
+        (_fail_already_there, "job 5 already occupies node 2"),
+    ])
+    def test_failure_on_a_middle_node_leaves_everything_untouched(
+            self, arrange, message):
+        # Job 5 would join job 1 on node 0 and open node 1 before
+        # failing on node 2.
+        cluster = Cluster.homogeneous(6)
+        cluster.allocate(cluster.build_shared(1, [0]))
+        arrange(cluster)
+        before = cluster_state(cluster)
+        with pytest.raises(AllocationError, match=f"^{re.escape(message)}$"):
+            cluster.allocate(cluster.build_shared(5, [0, 1, 2, 3]))
+        assert cluster_state(cluster) == before
+        assert not cluster.has_allocation(5)
+        if arrange is not _fail_already_there:
+            cluster.check_indexes()
+            # The same request succeeds once node 2 is out of it.
+            cluster.allocate(cluster.build_shared(5, [0, 1, 3]))
+            assert cluster.jobs_sharing_with(5) == {1}
+            cluster.check_indexes()
+
+
 class TestIndexesAcrossSnapshots:
     def test_indexes_are_not_pickled(self):
         cluster = Cluster.homogeneous(4)
@@ -200,15 +352,20 @@ class TestIndexesAcrossSnapshots:
 
     def test_snapshot_bytes_hold_no_derived_state(self, monkeypatch):
         # A mid-run snapshot pickles exactly the state a manager
-        # without release bounds (and without a __getstate__) would.
+        # without release bounds, a cluster without indexes (and
+        # neither with a __getstate__) would.
         manager = sharing_manager()
-        manager.sim.run(until=8000.0)
+        while not manager.cluster.num_shared():
+            manager.sim.step()
         assert manager._release_bounds, "snapshot point must be mid-run"
         blob = snapshot_bytes(manager)
-        assert b"_release_bounds" not in blob
-        assert b"min_memory_mb" not in blob
+        for name in (b"_release_bounds", b"_co_runners", b"min_memory_mb"):
+            assert name not in blob, name
         del manager.__dict__["_release_bounds"]
+        for name in INDEXES:
+            del manager.cluster.__dict__[name]
         monkeypatch.delattr(WorkloadManager, "__getstate__")
+        monkeypatch.delattr(Cluster, "__getstate__")
         assert pickle.dumps(manager, protocol=PICKLE_PROTOCOL) == blob
 
 

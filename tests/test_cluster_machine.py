@@ -75,13 +75,19 @@ class TestQueries:
     def test_co_runners_of(self, cluster):
         cluster.allocate(cluster.build_shared(1, [0, 1]))
         cluster.allocate(cluster.build_shared(2, [0, 1]))
-        assert cluster.co_runners_of(1) == {0: 2, 1: 2}
+        # Each job shares both nodes with the other.
+        assert cluster._co_runners == {1: {2: 2}, 2: {1: 2}}
         assert cluster.jobs_sharing_with(1) == {2}
+        assert cluster.jobs_sharing_with(2) == {1}
 
     def test_co_runners_none_when_alone(self, cluster):
         cluster.allocate(cluster.build_shared(1, [0, 1]))
-        assert cluster.co_runners_of(1) == {0: None, 1: None}
+        cluster.allocate(cluster.build_exclusive(3, [2]))
+        assert cluster._co_runners == {1: {}}
         assert cluster.jobs_sharing_with(1) == set()
+        assert cluster.jobs_sharing_with(3) == set()
+        with pytest.raises(AllocationError):
+            cluster.jobs_sharing_with(9)
 
     def test_utilization_counts_physical_occupancy(self, cluster):
         assert cluster.utilization_cores() == 0.0
@@ -92,6 +98,17 @@ class TestQueries:
         cluster.allocate(cluster.build_shared(2, [0, 1]))
         cluster.allocate(cluster.build_shared(3, [0, 1]))
         assert cluster.utilization_cores() == pytest.approx(2 / 8)
+
+    def test_utilization_ignores_down_nodes(self):
+        # A failed, repairing or drained node hosts no job, so it
+        # claims no cores.
+        cluster = Cluster.homogeneous(4, cores=2)
+        cluster.mark_down(3)
+        assert cluster.utilization_cores() == 0.0
+        cluster.mark_repairing(3)
+        cluster.mark_drained(3)
+        cluster.allocate(cluster.build_exclusive(1, [0]))
+        assert cluster.utilization_cores() == pytest.approx(1 / 4)
 
     def test_running_job_ids_sorted(self, cluster):
         cluster.allocate(cluster.build_exclusive(5, [0]))

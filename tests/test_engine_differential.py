@@ -1,12 +1,14 @@
 """Differential test: the indexed engine against the scan-based reference.
 
 Both engines run the same random workload; the reference answers every
-occupancy query by walking the nodes, reserves against release times
+occupancy and co-runner query by walking the nodes, reserves against
+release times
 scanned from the running jobs, probes every join in full and
 recomputes every interference prediction
 (:mod:`tests.reference_engine`).  At every scheduler pass the two must
 return the identical placement list, and at the end the identical
-accounting records and metrics series.  The scenarios arm everything
+accounting records, metrics series and co-runner sets (in iteration
+order, which a snapshot pickles).  The scenarios arm everything
 that moves the engine's indexes: node and rack failures with
 flaky-node blacklisting (the placement's ``avoid_nodes``),
 topology-aware selection, memory-constrained joins on nodes of mixed
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.archive.columnar import job_records_to_array
 from repro.cluster.machine import Cluster
 from repro.cluster.node import Node
 from repro.core.strategy import all_strategy_names, make_strategy
@@ -30,6 +33,7 @@ from repro.slurm.config import SchedulerConfig
 from repro.slurm.manager import WorkloadManager
 from repro.workload.trinity import TrinityWorkloadGenerator
 from tests.reference_engine import (
+    ReferenceCluster,
     ReferenceCollector,
     ReferenceManager,
     reference_views,
@@ -53,10 +57,10 @@ class Scenario:
     predicted: bool = False
 
 
-def _cluster(scenario: Scenario) -> Cluster:
+def _cluster(scenario: Scenario, cls: type[Cluster] = Cluster) -> Cluster:
     rng = np.random.default_rng(scenario.seed + 7)
     sizes = (128_000, 96_000, 64_000) if scenario.memory_constrained else (128_000,)
-    return Cluster(
+    return cls(
         Node(node_id=i, memory_mb=int(rng.choice(sizes)), rack=i // 4)
         for i in range(scenario.nodes)
     )
@@ -86,7 +90,7 @@ def run_engine(scenario: Scenario, reference: bool):
         offered_load=1.5,
     ).generate(scenario.num_jobs, scenario.nodes,
                np.random.default_rng(scenario.seed))
-    cluster = _cluster(scenario)
+    cluster = _cluster(scenario, ReferenceCluster if reference else Cluster)
     manager_cls = ReferenceManager if reference else WorkloadManager
     collector_cls = ReferenceCollector if reference else ValidatingCollector
     manager = manager_cls(
@@ -144,6 +148,9 @@ def assert_engines_agree(scenario: Scenario):
         assert getattr(manager.collector, name) == getattr(
             ref_manager.collector, name
         ), name
+    assert [list(job.corun_job_ids) for job in manager.jobs.values()] == [
+        list(job.corun_job_ids) for job in ref_manager.jobs.values()
+    ]
     manager.check_indexes()
     return manager
 
@@ -199,3 +206,44 @@ def test_walltime_prediction_matches_reference(strategy):
         seed=5, strategy=strategy, num_jobs=40, share_fraction=0.9,
         failures=True, memory_constrained=True, predicted=True,
     ))
+
+
+#: Each sharing strategy and the exclusive strategy it extends.
+EXCLUSIVE_TWINS = (
+    ("shared_first_fit", "first_fit"),
+    ("shared_backfill", "easy_backfill"),
+    ("shared_conservative", "conservative"),
+)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 10_000),
+    twins=st.sampled_from(EXCLUSIVE_TWINS),
+    num_jobs=st.integers(5, 40),
+    failures=st.booleans(),
+    topology_aware=st.booleans(),
+    memory_constrained=st.booleans(),
+    time_sliced=st.booleans(),
+    predicted=st.booleans(),
+)
+def test_nothing_shareable_schedules_like_the_exclusive_twin(
+        seed, twins, num_jobs, failures, topology_aware, memory_constrained,
+        time_sliced, predicted):
+    # Metamorphic relation: with share fraction 0 no job may share a
+    # node, so a sharing strategy must place, run and account every
+    # job exactly as the exclusive strategy it extends.
+    runs = []
+    for strategy in twins:
+        _, result, _, _ = run_engine(Scenario(
+            seed=seed, strategy=strategy, num_jobs=num_jobs,
+            share_fraction=0.0, failures=failures,
+            topology_aware=topology_aware,
+            memory_constrained=memory_constrained,
+            time_sliced=time_sliced, predicted=predicted,
+        ), reference=False)
+        records = list(result.accounting)
+        assert not any(record.was_shared for record in records)
+        runs.append((records, job_records_to_array(records).tobytes()))
+    assert runs[0] == runs[1]
