@@ -43,17 +43,16 @@ from __future__ import annotations
 
 import contextlib
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.faultinject import failpoint, failpoint_write, with_io_retries
+from repro.faultinject import with_io_retries
 from repro.slurm.accounting import JobRecord
 from repro.slurm.job import JobState
+from repro.storage.durable import append_durable, write_atomic
 from repro.workload.spec import JobSpec
 
 #: Format marker in the manifest of every columnar store.
@@ -172,32 +171,16 @@ class ColumnarStore:
         return manifest
 
     def _write_manifest(self) -> None:
-        path = self.root / MANIFEST_NAME
         # Compact on purpose: ``indent`` forces the pure-Python
         # encoder, about 3x slower on a many-mark manifest.
         data = json.dumps(
             self._manifest, sort_keys=True, separators=(",", ":")
         ).encode("utf-8")
-
-        def _attempt() -> None:
-            fd, tmp_name = tempfile.mkstemp(
-                prefix=".manifest-", suffix=".tmp", dir=self.root
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    failpoint_write("columnar.manifest.write", handle, data)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                failpoint("columnar.manifest.rename")
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-
-        with_io_retries(_attempt)
+        write_atomic(
+            self.root / MANIFEST_NAME, data,
+            write_fp="columnar.manifest.write",
+            rename_fp="columnar.manifest.rename",
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -322,9 +305,7 @@ class ColumnarStore:
             with open(path, "a+b") as handle:
                 handle.seek(start * expected.itemsize)
                 handle.truncate()
-                failpoint_write("columnar.append.write", handle, data)
-                handle.flush()
-                os.fsync(handle.fileno())
+                append_durable(handle, data, "columnar.append.write")
 
         with_io_retries(_attempt)
         entry["rows"] = start + len(records)

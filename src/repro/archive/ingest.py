@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, TextIO
@@ -38,7 +36,7 @@ from repro.archive.stream import DEFAULT_CHUNK_JOBS, iter_swf_chunks
 from repro.archive.windows import DEFAULT_WINDOW_JOBS, WindowPlanner
 from repro.diagnostics.ingest import AnomalyReport
 from repro.errors import ConfigError, TraceFormatError
-from repro.faultinject import failpoint, failpoint_write
+from repro.storage.durable import write_atomic
 from repro.workload.swf import read_swf_header_apps
 from repro.workload.trace import WorkloadTrace
 
@@ -51,32 +49,6 @@ ARCHIVE_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 QUARANTINE_NAME = "quarantine.json"
 WINDOWS_DIR = "windows"
-
-
-def _atomic_write_bytes(
-    path: Path, data: bytes, write_fp: str, rename_fp: str | None = None
-) -> None:
-    """Write *data* to *path* through a fsynced temp file and
-    :func:`os.replace`, tripping failpoint *write_fp* on the temp-file
-    write and *rename_fp* (when given) just before the rename."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=f".{path.stem}-", suffix=".tmp", dir=path.parent
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            failpoint_write(write_fp, handle, data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        if rename_fp is not None:
-            failpoint(rename_fp)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 @dataclass(frozen=True)
@@ -149,9 +121,9 @@ def ingest_swf(
         data = array.tobytes()
         hasher.update(data)
         file_name = f"window-{window.index:05d}.col"
-        _atomic_write_bytes(
+        write_atomic(
             windows_dir / file_name, data,
-            "archive.window.write", "archive.window.rename",
+            write_fp="archive.window.write", rename_fp="archive.window.rename",
         )
         windows_meta.append({
             "index": window.index,
@@ -200,15 +172,15 @@ def ingest_swf(
         "quarantined": anomalies.quarantined,
         "windows": windows_meta,
     }
-    _atomic_write_bytes(
+    write_atomic(
         out / MANIFEST_NAME,
         json.dumps(manifest, sort_keys=True, indent=1).encode("utf-8"),
-        "archive.manifest.write", "archive.manifest.rename",
+        write_fp="archive.manifest.write", rename_fp="archive.manifest.rename",
     )
-    _atomic_write_bytes(
+    write_atomic(
         out / QUARANTINE_NAME,
         json.dumps(anomalies.as_dict(), indent=1).encode("utf-8"),
-        "archive.manifest.write", "archive.manifest.rename",
+        write_fp="archive.manifest.write", rename_fp="archive.manifest.rename",
     )
     return IngestResult(
         out_dir=out,

@@ -63,7 +63,7 @@ from repro.archive.columnar import (
     job_records_to_array,
 )
 from repro.archive.ingest import MANIFEST_NAME as ARCHIVE_MANIFEST_NAME
-from repro.archive.ingest import Archive, _atomic_write_bytes, load_archive
+from repro.archive.ingest import Archive, load_archive
 from repro.campaign.progress import (
     CACHED,
     COMPLETED,
@@ -81,6 +81,7 @@ from repro.slurm.job import JobState
 from repro.snapshot import state as snapshot_state
 from repro.snapshot import suspend as _suspend
 from repro.snapshot.guards import ResourceGuards
+from repro.storage.durable import write_atomic
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.slurm.manager import WorkloadManager
@@ -423,7 +424,7 @@ def replay_archive(
             stitched["strategy"] = strategy
             stitched["num_nodes"] = num_nodes
             document = json.dumps(stitched, sort_keys=True, indent=1) + "\n"
-            _atomic_write_bytes(
+            write_atomic(
                 store_dir / STITCHED_NAME, document.encode("utf-8"),
                 write_fp="stitched.write",
             )

@@ -41,7 +41,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
-from repro.faultinject import failpoint, failpoint_write
+from repro.faultinject import failpoint
+from repro.storage.durable import append_durable, write_atomic
 
 #: Heartbeat period: how often a holder refreshes its lease mtime.
 DEFAULT_HEARTBEAT_S = 0.5
@@ -151,13 +152,11 @@ class LeaseDir:
             return False
         try:
             with os.fdopen(fd, "wb") as handle:
-                failpoint_write(
-                    "queue.lease.create",
+                append_durable(
                     handle,
                     self._encode(run_id, token, pid=pid, host=host),
+                    "queue.lease.create",
                 )
-                handle.flush()
-                os.fsync(handle.fileno())
         except OSError:
             # Claim is ours but the content write failed; release the
             # slot rather than squatting on an unreadable lease.
@@ -175,14 +174,11 @@ class LeaseDir:
         heartbeat rewrite) because the lease is seconds old — far
         inside the TTL — so no supervisor can have reclaimed it.
         """
-        path = self.path_for(run_id)
-        tmp = path.with_name(path.name + ".tmp")
-        data = self._encode(run_id, token, pid=pid, host=host)
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        write_atomic(
+            self.path_for(run_id),
+            self._encode(run_id, token, pid=pid, host=host),
+            write_fp=None,
+        )
 
     def _encode(self, run_id: str, token: int, *, pid: int | None,
                 host: str | None) -> bytes:

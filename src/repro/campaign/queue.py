@@ -60,7 +60,6 @@ import logging
 import os
 import subprocess
 import sys
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -77,9 +76,10 @@ from repro.campaign.lease import (
 from repro.campaign.spec import RunSpec
 from repro.campaign.store import ResultStore, StoreLock
 from repro.errors import CampaignError, ConfigError, SuspendRequested
-from repro.faultinject import backoff_delay, failpoint_write, with_io_retries
+from repro.faultinject import backoff_delay
 from repro.snapshot import suspend as _suspend
 from repro.snapshot.guards import disk_free_mb, rss_mb_of
+from repro.storage.durable import write_atomic
 
 log = logging.getLogger("repro.campaign.queue")
 
@@ -209,7 +209,7 @@ class WorkQueue:
         data = json.dumps(dict(config), sort_keys=True, indent=1).encode(
             "utf-8"
         )
-        self._atomic_write(path, data, name=None)
+        write_atomic(path, data, write_fp=None)
         return path
 
     def read_config(self) -> dict[str, object]:
@@ -243,34 +243,9 @@ class WorkQueue:
         data = json.dumps(item.to_dict(), sort_keys=True, indent=1).encode(
             "utf-8"
         )
-        self._atomic_write(
-            self._item_path(item.run_id), data, name="queue.item.write"
+        write_atomic(
+            self._item_path(item.run_id), data, write_fp="queue.item.write"
         )
-
-    def _atomic_write(
-        self, path: Path, data: bytes, *, name: str | None
-    ) -> None:
-        def _attempt() -> None:
-            fd, tmp_name = tempfile.mkstemp(
-                prefix=f".{path.stem}-", suffix=".tmp", dir=path.parent
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    if name is not None:
-                        failpoint_write(name, handle, data)
-                    else:
-                        handle.write(data)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-
-        with_io_retries(_attempt)
 
     def _remove_item(self, run_id: str) -> None:
         self._item_path(run_id).unlink(missing_ok=True)
@@ -482,7 +457,7 @@ class WorkQueue:
         self, item: QueueItem, target: Path, payload: dict[str, object]
     ) -> None:
         data = json.dumps(payload, sort_keys=True, indent=1).encode("utf-8")
-        self._atomic_write(target / f"{item.run_id}.json", data, name=None)
+        write_atomic(target / f"{item.run_id}.json", data, write_fp=None)
         self._remove_item(item.run_id)
 
     def fail_item(self, item: QueueItem, token: int, error: str) -> bool:

@@ -1,9 +1,10 @@
 """On-disk artifact store for campaign results.
 
-One JSON document per run id, written via temp-file +
-:func:`os.replace` so a result file either exists complete or not at
-all — a crashed or killed campaign never leaves a partial JSON behind.
-That single invariant buys the two headline features for free:
+One JSON document per run id, written through
+:func:`~repro.storage.durable.write_atomic` so a result file either
+exists complete or not at all — a crashed or killed campaign never
+leaves a partial JSON behind.  That single invariant buys the two
+headline features for free:
 
 * **caching** — a completed run is skipped by every later campaign
   that contains the same run id;
@@ -27,13 +28,12 @@ from __future__ import annotations
 import json
 import logging
 import os
-import tempfile
 import time
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from repro.errors import ConfigError
-from repro.faultinject import failpoint, failpoint_write, with_io_retries
+from repro.storage.durable import write_atomic
 
 try:  # pragma: no cover - import guard exercised only off-POSIX
     import fcntl
@@ -306,41 +306,17 @@ class ResultStore:
         return self.path_for(run_id).exists()
 
     def save(self, run_id: str, record: Mapping[str, object]) -> Path:
-        """Atomically persist *record* as the result of *run_id*.
-
-        The document is first written to a temp file in the same
-        directory (same filesystem, so the final rename is atomic),
-        fsynced, then moved into place.  A crash at any point leaves
-        either the old state or the complete new file — never a
-        truncated one.  Transient I/O errors (spurious EIO, ENOSPC
-        racing a cleanup) are retried with bounded backoff; each
-        attempt starts from a fresh temp file.
-        """
+        """Atomically persist *record* as the result of *run_id*
+        (:func:`~repro.storage.durable.write_atomic`: a crash leaves
+        the old state or the complete new file, never a torn one)."""
         final = self.path_for(run_id)
         payload = dict(record)
         payload.setdefault("store_version", STORE_VERSION)
         data = json.dumps(payload, sort_keys=True, indent=1).encode("utf-8")
-
-        def _attempt() -> Path:
-            fd, tmp_name = tempfile.mkstemp(
-                prefix=f".{run_id}-", suffix=".tmp", dir=self.root
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    failpoint_write("store.result.write", handle, data)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                failpoint("store.result.rename")
-                os.replace(tmp_name, final)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-            return final
-
-        return with_io_retries(_attempt)
+        return write_atomic(
+            final, data,
+            write_fp="store.result.write", rename_fp="store.result.rename",
+        )
 
     def load(self, run_id: str) -> dict[str, object]:
         path = self.path_for(run_id)
@@ -370,26 +346,10 @@ class ResultStore:
             "utf-8"
         )
 
-        def _attempt() -> Path:
-            fd, tmp_name = tempfile.mkstemp(
-                prefix=".manifest-", suffix=".tmp", dir=self.root
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    failpoint_write("store.manifest.write", handle, data)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                failpoint("store.manifest.rename")
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-            return path
-
-        return with_io_retries(_attempt)
+        return write_atomic(
+            path, data,
+            write_fp="store.manifest.write", rename_fp="store.manifest.rename",
+        )
 
     def read_manifest(self) -> dict[str, object]:
         """Load the campaign manifest; raises
@@ -442,7 +402,8 @@ class ResultStore:
     def export_jsonl(
         self, path: str | Path, run_ids: Sequence[str] | None = None
     ) -> int:
-        """Write one result record per line to *path* (atomic).
+        """Write one result record per line to *path* (atomic and
+        fsynced, like every store write).
 
         With *run_ids* given, exports exactly those runs in that order
         (missing ones are skipped); otherwise every stored record in
@@ -457,19 +418,7 @@ class ResultStore:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         data = ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=".results-", suffix=".tmp", dir=path.parent
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                failpoint_write("store.jsonl.write", handle, data)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        write_atomic(path, data, write_fp="store.jsonl.write")
         return len(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

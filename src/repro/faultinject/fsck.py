@@ -24,8 +24,9 @@ verifies every invariant the crash-recovery design promises:
   warnings (the queue supervisor recovers all of them); ``--repair``
   reaps the provably-safe subset.
 
-Leftover ``.*.tmp`` files (a crash between ``mkstemp`` and
-``os.replace``) are warnings: harmless garbage, never visible data.
+Leftover ``.*.tmp`` files (a crash inside
+:func:`~repro.storage.durable.write_atomic` or ``create_exclusive``)
+are warnings: harmless garbage, never visible data.
 
 Exit codes (via the CLI): 0 all invariants hold, 1 violations found,
 2 the path is not a store/archive at all.
@@ -326,12 +327,7 @@ def _check_queue(
     queue_root = root / ".queue"
     if not queue_root.is_dir():
         return
-    from repro.campaign.lease import (
-        LEASE_SUFFIX,
-        LeaseDir,
-        local_host,
-        pid_alive,
-    )
+    from repro.campaign.lease import LeaseDir, local_host, pid_alive
 
     items_dir = queue_root / "items"
     leases = LeaseDir(queue_root / "leases")
@@ -386,12 +382,7 @@ def _check_queue(
     for pattern in ("*.fired", "*.tmp", ".*.tmp"):
         residue.extend(queue_root.rglob(pattern))
     for stray in sorted(set(residue)):
-        if stray.suffix == ".tmp" and stray.name.endswith(LEASE_SUFFIX + ".tmp"):
-            kind = "lease rewrite"
-        elif stray.suffix == ".fired":
-            kind = "failpoint stamp"
-        else:
-            kind = "atomic write"
+        kind = "failpoint stamp" if stray.suffix == ".fired" else "atomic write"
         if repair:
             stray.unlink(missing_ok=True)
             report.add(

@@ -2,11 +2,12 @@
 
 A single spurious ``EIO`` from a flaky NFS server, or a transient
 ``ENOSPC`` while a neighbouring job's scratch files are being
-reaped, should not fail a multi-hour campaign: the store and
-columnar write paths wrap their atomic-write attempts in
-:func:`with_io_retries`, which retries *transient* errno classes a
-bounded number of times with exponential backoff, and re-raises
-*permanent* ones (``EACCES``, ``EROFS``, ``ENOENT``…) immediately.
+reaped, should not fail a multi-hour campaign: every
+:mod:`repro.storage.durable` temp-file write, the columnar append
+and the event-sidecar append run under :func:`with_io_retries`,
+which retries *transient* errno classes a bounded number of times
+with exponential backoff, and re-raises *permanent* ones
+(``EACCES``, ``EROFS``, ``ENOENT``…) immediately.
 
 The backoff jitter is deterministic — a CRC over (pid, attempt) —
 rather than drawn from :mod:`random`: fault-injected runs must stay
@@ -93,11 +94,15 @@ def with_io_retries(
 ) -> T:
     """Run *op*, retrying transient :class:`OSError` failures.
 
-    *op* must be safe to re-run from scratch (the atomic-write helpers
-    qualify: each attempt creates a fresh temp file or re-seeks to the
-    manifest row count).  Permanent errors and exhausted budgets
-    re-raise the original exception unchanged.  *sleep* is injectable
-    so tests never wait on the wall clock.
+    *op* must be safe to re-run from scratch.  Every caller
+    qualifies: each :func:`~repro.storage.durable.write_atomic` and
+    ``create_exclusive`` attempt writes a fresh temp file (removed on
+    failure), a columnar append re-seeks to the manifest row count,
+    and an event-sidecar append reopens its handle.  So every store
+    file, the ``results.jsonl`` export and the lease rewrite included,
+    survives a transient error.  Permanent errors and exhausted
+    budgets re-raise the original exception unchanged.  *sleep* is
+    injectable so tests never wait on the wall clock.
     """
     if attempts < 1:
         raise ValueError(f"attempts must be >= 1, got {attempts}")

@@ -38,8 +38,9 @@ import time
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
-from repro.faultinject import failpoint_write, with_io_retries
+from repro.faultinject import with_io_retries
 from repro.observability.histogram import Histogram
+from repro.storage.durable import append_durable
 
 #: Directory under ``<store>/.queue/`` holding the event sidecars.
 METRICS_DIR_NAME = "metrics"
@@ -243,9 +244,7 @@ class EventLog:
                     self.dir.mkdir(parents=True, exist_ok=True)
                     self._handle = open(self.path, "ab")
                 try:
-                    failpoint_write(self.FAILPOINT, self._handle, data)
-                    self._handle.flush()
-                    os.fsync(self._handle.fileno())
+                    append_durable(self._handle, data, self.FAILPOINT)
                 except OSError:
                     # Drop the handle so the retry reopens cleanly.
                     try:

@@ -16,10 +16,11 @@ is idempotent, which is what makes the commit protocol crash-safe:
 
 1. store manifest + queue config + queue items (all idempotent),
 2. the submission record ``submissions/<id>.json``
-   (atomic, guarded by the ``service.submit.write`` failpoint),
-3. the idempotency-key record — written to a tempfile, fsynced, then
-   ``os.link``-ed into place (the commit point, guarded by the
-   ``service.key.write`` failpoint).
+   (:func:`~repro.storage.durable.create_exclusive`, guarded by the
+   ``service.submit.write`` failpoint),
+3. the idempotency-key record, also through ``create_exclusive``
+   (the commit point, guarded by the ``service.key.write``
+   failpoint).
 
 A crash between any two steps leaves a prefix that the client's retry
 simply re-executes; because the key record becomes visible only via
@@ -35,8 +36,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Mapping
 
@@ -44,7 +43,7 @@ from repro.campaign.queue import WorkQueue, has_queue, queue_config_from_setting
 from repro.campaign.spec import CampaignSpec, run_id_of
 from repro.campaign.store import ResultStore
 from repro.errors import ConfigError
-from repro.faultinject import failpoint, failpoint_write, with_io_retries
+from repro.storage.durable import create_exclusive, write_atomic
 
 #: Name of the service's own manifest at the service root.
 SERVICE_MANIFEST = "service.json"
@@ -95,26 +94,7 @@ def write_service_manifest(
     root.mkdir(parents=True, exist_ok=True)
     path = root / SERVICE_MANIFEST
     data = json.dumps(dict(doc), sort_keys=True, indent=1).encode("utf-8")
-
-    def _attempt() -> Path:
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=".service-", suffix=".tmp", dir=root
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                failpoint_write("service.manifest.write", handle, data)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return path
-
-    return with_io_retries(_attempt)
+    return write_atomic(path, data, write_fp="service.manifest.write")
 
 
 def read_service_manifest(root: str | Path) -> dict[str, object] | None:
@@ -264,53 +244,33 @@ class SubmissionRegistry:
         return str(doc.get("submission", "")) or None
 
     def _bind_key(self, key: str, sub_id: str) -> None:
-        """Commit point: the binding becomes visible only via an
-        atomic ``link`` of a fully written, fsynced tempfile — a
-        crash can never expose a half-written record, and ``EEXIST``
-        on the link is the deterministic loser of a race (the record
-        a loser then reads is always complete)."""
+        """Commit point: ``create_exclusive`` makes the binding visible
+        only complete, and the loser of a race (the record it then
+        reads is always complete) gets False."""
         path = self._key_path(key)
         data = json.dumps(
             {"key": key, "submission": sub_id}, sort_keys=True
         ).encode("utf-8")
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=".key-", suffix=".tmp", dir=self.idempotency
+        for _ in range(8):
+            if create_exclusive(path, data, write_fp="service.key.write"):
+                return
+            bound = self._read_key(key)
+            if bound == sub_id:
+                return
+            if bound is not None:
+                raise IdempotencyConflict(
+                    f"idempotency key {key!r} was bound to "
+                    f"submission {bound} by a concurrent request"
+                )
+            # A record exists but reads as absent: a torn leftover
+            # from a pre-atomic-commit crash.  Clear it and retry the
+            # create; racing healers converge because every created
+            # record is complete.
+            path.unlink(missing_ok=True)
+        raise ConfigError(
+            f"idempotency key {key!r} could not be bound: its "
+            f"record keeps reappearing unreadable"
         )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                failpoint_write("service.key.write", handle, data)
-                handle.flush()
-                os.fsync(handle.fileno())
-            for _ in range(8):
-                try:
-                    os.link(tmp_name, path)
-                    return
-                except FileExistsError:
-                    bound = self._read_key(key)
-                    if bound == sub_id:
-                        return
-                    if bound is not None:
-                        raise IdempotencyConflict(
-                            f"idempotency key {key!r} was bound to "
-                            f"submission {bound} by a concurrent request"
-                        ) from None
-                    # A record exists but reads as absent: a torn
-                    # leftover from a pre-atomic-commit crash.  Clear
-                    # it and retry the link; racing healers converge
-                    # because every linked record is complete.
-                    try:
-                        os.unlink(path)
-                    except FileNotFoundError:
-                        pass
-            raise ConfigError(
-                f"idempotency key {key!r} could not be bound: its "
-                f"record keeps reappearing unreadable"
-            )
-        finally:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
 
     # -- records -------------------------------------------------------
     def _record_path(self, sub_id: str) -> Path:
@@ -323,30 +283,17 @@ class SubmissionRegistry:
         one spec cannot both report 201."""
         data = json.dumps(record, sort_keys=True, indent=1).encode("utf-8")
         path = self._record_path(sub_id)
-
-        def _attempt() -> bool:
-            fd, tmp_name = tempfile.mkstemp(
-                prefix=".submit-", suffix=".tmp", dir=self.submissions
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    failpoint_write("service.submit.write", handle, data)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                try:
-                    os.link(tmp_name, path)
-                    return True
-                except FileExistsError:
-                    # Same sub_id -> same bytes; refresh in place.
-                    os.replace(tmp_name, path)
-                    return False
-            finally:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-
-        return with_io_retries(_attempt)
+        if create_exclusive(path, data, write_fp="service.submit.write"):
+            return True
+        # Same sub_id -> same bytes, so the refresh is needed only
+        # when the record on disk was damaged or tampered with.
+        try:
+            current = path.read_bytes()
+        except OSError:
+            current = None
+        if current != data:
+            write_atomic(path, data, write_fp="service.submit.write")
+        return False
 
     def get(self, sub_id: str) -> dict[str, object] | None:
         try:

@@ -40,15 +40,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pickle
-import tempfile
 import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.errors import SnapshotError
-from repro.faultinject import failpoint, failpoint_write
+from repro.storage.durable import write_atomic
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.slurm.manager import WorkloadManager
@@ -94,9 +92,9 @@ def write_snapshot(
 ) -> Path:
     """Atomically persist *manager*'s state to *path*.
 
-    Written via temp file + :func:`os.replace` in the target
-    directory, so a crash mid-write leaves either the previous
-    snapshot or the complete new one — never a truncated file.
+    Written through :func:`~repro.storage.durable.write_atomic`, so a
+    crash mid-write leaves either the previous snapshot or the
+    complete new one — never a truncated file.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -116,23 +114,9 @@ def write_snapshot(
     data = (
         json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload
     )
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=f".{path.stem}-", suffix=".tmp", dir=path.parent
+    return write_atomic(
+        path, data, write_fp="snapshot.write", rename_fp="snapshot.rename"
     )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            failpoint_write("snapshot.write", handle, data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        failpoint("snapshot.rename")
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return path
 
 
 def read_snapshot_header(path: str | Path) -> dict:

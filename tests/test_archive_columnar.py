@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-import repro.archive.columnar as columnar
+import repro.storage.durable as durable
 from repro.archive.columnar import (
     JOB_STATE_CODES,
     JOBS_DTYPE,
@@ -168,8 +168,8 @@ class TestBatch:
     ):
         # One attempt, so the injected EIO is not retried away.
         monkeypatch.setattr(
-            columnar, "with_io_retries",
-            functools.partial(columnar.with_io_retries, attempts=1),
+            durable, "with_io_retries",
+            functools.partial(durable.with_io_retries, attempts=1),
         )
         store = ColumnarStore(tmp_path / "crash")
         self.window_batch(store, 0)

@@ -16,9 +16,9 @@ import os
 import numpy as np
 import pytest
 
-import repro.archive.columnar as columnar_module
 import repro.archive.replay as replay
 import repro.snapshot.state as snapshot_state
+import repro.storage.durable as durable
 from repro.archive import (
     chain_id_of,
     ingest_swf,
@@ -316,7 +316,7 @@ class TestResumeIdempotence:
         snapshot 2 once and its columnar appends overwrite the
         uncommitted tail instead of adding to it."""
         store = tmp_path / "store"
-        original = columnar_module.failpoint
+        original = durable.failpoint
         commits = []
 
         def fail_third_commit(name):
@@ -326,14 +326,14 @@ class TestResumeIdempotence:
                     raise RuntimeError("injected failure before the rename")
             original(name)
 
-        monkeypatch.setattr(columnar_module, "failpoint", fail_third_commit)
+        monkeypatch.setattr(durable, "failpoint", fail_third_commit)
         first = replay_archive(
             gap_archive, store, strategy="easy_backfill", num_nodes=64
         )
         assert not first.ok
         assert [f.label for f in first.campaign.failures] == ["window 2"]
         assert ColumnarStore(first.columnar).rows("windows") == 2
-        monkeypatch.setattr(columnar_module, "failpoint", original)
+        monkeypatch.setattr(durable, "failpoint", original)
 
         restores = count_restores(monkeypatch)
         second = replay_archive(

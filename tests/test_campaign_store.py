@@ -7,6 +7,8 @@ import pytest
 
 from repro.campaign.store import STORE_VERSION, ResultStore
 from repro.errors import ConfigError
+from repro.faultinject import FaultPlan, armed, parse_plan
+from repro.storage.durable import fsyncs
 
 RECORD = {
     "run_id": "a" * 16,
@@ -145,3 +147,22 @@ class TestJsonlExport:
         out = tmp_path / "empty.jsonl"
         assert store.export_jsonl(out) == 0
         assert out.read_text() == ""
+
+    def test_export_is_fsynced_once(self, tmp_path):
+        store = ResultStore(tmp_path / "runs")
+        store.save(RECORD["run_id"], RECORD)
+        before = fsyncs()
+        store.export_jsonl(tmp_path / "results.jsonl")
+        assert fsyncs() - before == 1
+
+    def test_export_survives_transient_eio(self, tmp_path):
+        store = ResultStore(tmp_path / "runs")
+        store.save(RECORD["run_id"], RECORD)
+        out = tmp_path / "results.jsonl"
+        with armed(FaultPlan(parse_plan("store.jsonl.write=eio"))) as plan:
+            assert store.export_jsonl(out) == 1
+        assert "store.jsonl.write" in plan.hits
+        assert json.loads(out.read_text())["run_id"] == RECORD["run_id"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "results.jsonl", "runs",
+        ]

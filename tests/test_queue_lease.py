@@ -115,6 +115,23 @@ class TestLeaseDir:
         leases.rewrite("run-a", 5)
         assert leases.read("run-a").token == 5
 
+    def test_failed_rewrite_keeps_old_lease_and_leaves_no_temp(
+        self, tmp_path, monkeypatch
+    ):
+        leases = LeaseDir(tmp_path)
+        leases.claim("run-a", 1)
+        before = leases.path_for("run-a").read_bytes()
+
+        def failing_fsync(fd):
+            raise OSError("simulated fsync failure")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="simulated fsync"):
+            leases.rewrite("run-a", 5)
+        monkeypatch.undo()
+        assert leases.path_for("run-a").read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["run-a.lease"]
+
     def test_list_is_sorted(self, tmp_path):
         leases = LeaseDir(tmp_path)
         for run_id in ("zz", "aa", "mm"):

@@ -209,21 +209,42 @@ class TestSubmissionRegistry:
         _, created2, replayed2 = registry.submit(SPEC_A, "k")
         assert replayed2 and not created2
 
-    def test_key_commit_crash_window_leaves_no_torn_record(self, tmp_path):
+    def test_key_commit_crash_window_leaves_no_torn_record(
+        self, tmp_path, monkeypatch
+    ):
+        import errno
+        import os
+
         from repro.faultinject import FailpointSpec, FaultPlan, armed
 
         registry = SubmissionRegistry(tmp_path)
+        idempotency = tmp_path / "idempotency"
+        # A transient error on the key write is retried in place.
         plan = FaultPlan([FailpointSpec(
             name="service.key.write", action="eio", nth=1,
         )])
         with armed(plan):
-            with pytest.raises(OSError):
-                registry.submit(SPEC_A, "k")
+            record, _, _ = registry.submit(SPEC_A, "k")
+        assert registry._read_key("k") == record["submission"]
+        assert sorted(p.name for p in idempotency.iterdir()) == [
+            registry._key_path("k").name
+        ]
+        # A permanent error at the commit point (the link) propagates.
+        def refuse_link(src, dst):
+            raise OSError(errno.EACCES, "link refused")
+
+        monkeypatch.setattr(os, "link", refuse_link)
+        with pytest.raises(OSError, match="link refused"):
+            registry.submit(SPEC_A, "k2")
+        monkeypatch.undo()
         # The failed commit is invisible: no torn record binds the
-        # key, and the retry binds it cleanly.
-        assert list((tmp_path / "idempotency").glob("*.json")) == []
-        record, _, _ = registry.submit(SPEC_A, "k")
-        bound = json.loads(registry._key_path("k").read_text())
+        # key, no temp file is left, and the retry binds it cleanly.
+        assert sorted(p.name for p in idempotency.iterdir()) == [
+            registry._key_path("k").name
+        ]
+        again, _, _ = registry.submit(SPEC_A, "k2")
+        assert again == record
+        bound = json.loads(registry._key_path("k2").read_text())
         assert bound["submission"] == record["submission"]
 
     def test_concurrent_duplicates_report_exactly_one_created(self, tmp_path):
