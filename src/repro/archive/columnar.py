@@ -216,6 +216,11 @@ class ColumnarStore:
         """Every idempotence mark key, sorted."""
         return sorted(self._manifest["marks"])
 
+    def mark_row(self, key: str) -> int | None:
+        """First row of the append tagged *key*; None when unmarked."""
+        row = self._manifest["marks"].get(key)
+        return None if row is None else int(row)
+
     def path_for(self, family: str) -> Path:
         if not family or "/" in family or family.startswith("."):
             raise ConfigError(f"invalid family name {family!r}")

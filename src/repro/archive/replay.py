@@ -12,21 +12,30 @@ One archive replay is a *chain* of windows, which
   WorkloadManager.extend` (which deliberately does *not* re-kick the
   periodic backfill chain — its phase must survive the boundary), and
   runs to the next boundary.  Only the first window of a resumed call
-  has no predecessor in memory; it restores the boundary snapshot
-  window ``k-1`` wrote;
+  has no predecessor in memory; it restores a boundary snapshot;
 * after each segment the manager's terminal jobs are compacted out
   (:meth:`~repro.slurm.manager.WorkloadManager.compact_terminated`),
-  the boundary snapshot for window ``k+1`` is written, and only then
-  are the window's ``jobs`` and ``windows`` rows committed to the
-  columnar store in one :meth:`~repro.archive.columnar.ColumnarStore.
-  batch` — one manifest write carrying both idempotence marks.
+  the boundary snapshot for window ``k+1`` is written when ``k+1`` is
+  a multiple of :data:`SNAPSHOT_EVERY`, and only then are the
+  window's ``jobs`` and ``windows`` rows committed to the columnar
+  store in one :meth:`~repro.archive.columnar.ColumnarStore.batch` —
+  one manifest write carrying both idempotence marks.
 
 The columnar ``{chain}:windows:{k}`` mark is the only record of
-progress: a call starts at the first window without one.  Because the
-snapshot is written before the commit, a committed mark implies that
-its successor's snapshot exists; a crash between the two re-runs
-window ``k`` from snapshot ``k``, and :meth:`~repro.archive.columnar.
-ColumnarStore.append_once` keeps a re-run from double-counting.
+progress: a call continues at the first window without one.  A
+graceful stop — a suspend request or a guard trip between windows —
+also writes the snapshot of the live manager for the next window, so
+its resume re-derives nothing.  After a crash the resume starts from
+the newest snapshot at or before the first uncommitted window (or
+from a fresh window 0) and re-runs the committed windows after it,
+checking that each re-derived ``jobs`` and ``windows`` row equals the
+committed row byte for byte: every crash recovery is a determinism
+check, and a divergence fails the chain without appending anything.
+Because a window writes its snapshot before its commit, a resume
+re-derives at most ``SNAPSHOT_EVERY - 1`` windows (more only when a
+snapshot was deleted), and :meth:`~repro.archive.columnar.
+ColumnarStore.append_once` keeps a re-run of an uncommitted window
+from double-counting.
 
 While later windows remain, ``manager.expect_more_work`` keeps the
 periodic backfill chain and failure processes armed across idle gaps
@@ -75,7 +84,7 @@ from repro.campaign.progress import (
 from repro.campaign.runner import CampaignResult, RunFailure
 from repro.campaign.spec import run_id_of
 from repro.campaign.store import StoreLock
-from repro.errors import ConfigError, SnapshotError
+from repro.errors import ConfigError, SimulationError, SnapshotError
 from repro.slurm.config import SchedulerConfig
 from repro.slurm.job import JobState
 from repro.snapshot import state as snapshot_state
@@ -94,6 +103,10 @@ BOUNDARY_DIR_NAME = "boundaries"
 
 #: Stitched whole-trace summary written after a successful replay.
 STITCHED_NAME = "stitched.json"
+
+#: A window writes the boundary snapshot of its successor only when
+#: the successor's index is a multiple of this.
+SNAPSHOT_EVERY = 8
 
 #: The last archive opened by :func:`_open_archive`, keyed on its
 #: resolved root and the manifest's ``(st_ino, st_size, st_mtime_ns)``.
@@ -174,15 +187,24 @@ def execute_replay_window(
     boundary_dir: str | Path,
     telemetry_dir: str | Path | None = None,
     manager: "WorkloadManager | None" = None,
+    *,
+    store: ColumnarStore | None = None,
+    verify: bool = False,
 ) -> "WorkloadManager":
     """Execute one window of a replay chain; returns the live manager.
 
     *manager* is what the previous window returned.  Without it,
-    window 0 builds a fresh manager and a later window restores the
-    boundary snapshot its predecessor wrote.  The window writes the
-    next boundary snapshot, then commits its ``jobs`` and ``windows``
-    rows in one columnar batch.  Everything nondeterministic (wall
-    clock) goes to the telemetry sidecar.
+    window 0 builds a fresh manager and a later window restores its
+    boundary snapshot.  The window writes the next boundary snapshot
+    when that window's index is a multiple of :data:`SNAPSHOT_EVERY`,
+    then commits its ``jobs`` and ``windows`` rows in one batch of
+    *store* (opened on *columnar_dir* when None).  Everything
+    nondeterministic (wall clock) goes to the telemetry sidecar.
+
+    With *verify* the window is already committed: it writes no
+    snapshot, no rows and no sidecar, and raises
+    :class:`~repro.errors.SimulationError` unless the rows it
+    re-derives equal the committed ones byte for byte.
     """
     started = _wallclock.perf_counter()
     archive = _open_archive(archive_dir)
@@ -222,10 +244,8 @@ def execute_replay_window(
             if not snap_path.is_file():
                 raise SnapshotError(
                     f"boundary snapshot {snap_path} is missing, so window "
-                    f"{window} cannot start.  If window {window - 1} is "
-                    f"committed, an older version was killed between "
-                    f"that commit and this snapshot; replay into a "
-                    f"fresh --store",
+                    f"{window} cannot start from it; replay_archive "
+                    f"resumes from the newest snapshot before it",
                     reason="unreadable",
                 )
             manager = WorkloadManager.restore(
@@ -251,18 +271,22 @@ def execute_replay_window(
         )],
         dtype=WINDOWS_DTYPE,
     )
-    if boundary is not None:
+    jobs_rows = job_records_to_array(flushed) if flushed else None
+    if store is None:
+        store = ColumnarStore(columnar_dir)
+    if verify:
+        _check_committed(store, chain, window, "windows", window_row)
+        _check_committed(store, chain, window, "jobs", jobs_rows)
+        return manager
+    if boundary is not None and (window + 1) % SNAPSHOT_EVERY == 0:
         snapshot_state.write_snapshot(
             manager,
             boundary_snapshot_path(boundary_dir, chain, window + 1),
             spec_hash=f"{chain}:{window + 1}",
         )
-    store = ColumnarStore(columnar_dir)
     with store.batch():
-        if flushed:
-            store.append_once(
-                "jobs", f"{chain}:jobs:{window}", job_records_to_array(flushed)
-            )
+        if jobs_rows is not None:
+            store.append_once("jobs", f"{chain}:jobs:{window}", jobs_rows)
         store.append_once("windows", f"{chain}:windows:{window}", window_row)
 
     if telemetry_dir is not None:
@@ -282,6 +306,55 @@ def execute_replay_window(
             },
         )
     return manager
+
+
+def _check_committed(
+    store: ColumnarStore,
+    chain: str,
+    window: int,
+    family: str,
+    rows: np.ndarray | None,
+) -> None:
+    """Raise unless *rows* (None: no rows) are exactly what *window*
+    committed to *family*."""
+    start = store.mark_row(f"{chain}:{family}:{window}")
+    if rows is None or start is None:
+        same = rows is None and start is None
+    else:
+        same = store.read(family, start, len(rows)).tobytes() == rows.tobytes()
+    if not same:
+        raise SimulationError(
+            f"window {window} re-derived {family} rows that differ from "
+            f"its committed {family} rows; the simulator or the store "
+            f"changed since they were written, so nothing is appended"
+        )
+
+
+def _resume_window(boundary_dir: Path, chain: str, first: int) -> int:
+    """Where a call resuming at window *first* starts: the newest
+    boundary snapshot at or before it, else window 0."""
+    for k in range(first, 0, -1):
+        if boundary_snapshot_path(boundary_dir, chain, k).is_file():
+            return k
+    return 0
+
+
+def _stop_snapshot(
+    manager: "WorkloadManager | None",
+    boundary_dir: Path,
+    chain: str,
+    window: int,
+) -> None:
+    """On a graceful stop before *window*, snapshot the live manager
+    for it unless that snapshot exists, so the resume re-derives
+    nothing."""
+    if manager is None:
+        return
+    path = boundary_snapshot_path(boundary_dir, chain, window)
+    if not path.is_file():
+        snapshot_state.write_snapshot(
+            manager, path, spec_hash=f"{chain}:{window}"
+        )
 
 
 @dataclass
@@ -315,14 +388,18 @@ def replay_archive(
     to the next (window ``k+1`` continues where window ``k`` stopped —
     there is no window parallelism to exploit *within* one chain; run
     different strategies as separate chains for that).  The call holds
-    the store lock, starts at the first window without a ``windows``
-    mark and counts the marked ones as cached, so an interrupted
-    replay re-run picks up where it stopped.  It stops early at the
-    first failing window (later windows cannot run without it), at a
-    suspend request (checked between windows), or when *guards* trip
-    on this process after a committed window.  On full success the
-    boundary snapshots are deleted and a stitched whole-trace summary
-    is written to ``<store>/stitched.json``.
+    the store lock and opens the columnar store once.  It continues at
+    the first window without a ``windows`` mark: from the newest
+    boundary snapshot at or before it (or a fresh window 0) it re-runs
+    the committed windows in between, checking their rows against the
+    committed ones, and counts every committed window as cached, so an
+    interrupted replay re-run picks up where it stopped.  It stops
+    early at the first failing window (later windows cannot run
+    without it), at a suspend request (checked between windows), or
+    when *guards* trip on this process after a committed window; the
+    two graceful stops snapshot the live manager for the next window.
+    On full success the boundary snapshots are deleted and a stitched
+    whole-trace summary is written to ``<store>/stitched.json``.
     """
     started = _wallclock.monotonic()
     archive = _open_archive(archive_dir)
@@ -346,11 +423,8 @@ def replay_archive(
     tracker = ProgressTracker(total=len(window_params), sink=progress)
     stitched: dict[str, object] | None = None
     with StoreLock(store_dir):
-        marks = (
-            set(ColumnarStore(columnar_dir).marks())
-            if ColumnarStore.is_store(columnar_dir)
-            else set()
-        )
+        store = ColumnarStore(columnar_dir)
+        marks = set(store.marks())
         others = {key.split(":", 1)[0] for key in marks} - {chain}
         if others:
             raise ConfigError(
@@ -365,7 +439,12 @@ def replay_archive(
              if f"{chain}:windows:{k}" not in marks),
             len(window_params),
         )
-        for k in range(first):
+        resume = (
+            _resume_window(boundary_dir, chain, first)
+            if first < len(window_params)
+            else first
+        )
+        for k in range(resume):
             tracker.emit(CACHED, run_ids[k], f"window {k}")
         previous_handlers = (
             _suspend.install_signal_handlers()
@@ -374,17 +453,21 @@ def replay_archive(
         )
         try:
             manager = None
-            for k in range(first, len(window_params)):
-                if _suspend.suspend_requested():
+            for k in range(resume, len(window_params)):
+                verify = k < first
+                if not verify and _suspend.suspend_requested():
                     _suspend.reset()
                     campaign.interrupted = True
+                    _stop_snapshot(manager, boundary_dir, chain, k)
                     break
                 label = f"window {k}"
-                tracker.emit(STARTED, run_ids[k], label)
+                if not verify:
+                    tracker.emit(STARTED, run_ids[k], label)
                 try:
                     manager = execute_replay_window(
                         window_params[k], archive_dir, columnar_dir,
                         boundary_dir, telemetry_dir, manager=manager,
+                        store=store, verify=verify,
                     )
                 except Exception as exc:  # noqa: BLE001 - ends the chain
                     error = f"{type(exc).__name__}: {exc}"
@@ -393,8 +476,12 @@ def replay_archive(
                         RunFailure(run_ids[k], label, 1, error)
                     )
                     break
-                tracker.emit(COMPLETED, run_ids[k], label)
-                if guards is not None and k + 1 < len(window_params):
+                tracker.emit(CACHED if verify else COMPLETED, run_ids[k], label)
+                if (
+                    not verify
+                    and guards is not None
+                    and k + 1 < len(window_params)
+                ):
                     trips = guards.check((os.getpid(),))
                     for trip in trips or ():
                         tracker.emit(
@@ -403,12 +490,13 @@ def replay_archive(
                         )
                     if trips:
                         campaign.interrupted = True
+                        _stop_snapshot(manager, boundary_dir, chain, k + 1)
                         break
         finally:
             _suspend.restore_signal_handlers(previous_handlers)
-        if ColumnarStore.is_store(columnar_dir):
-            # Results are read back from the marks' rows, cached or not.
-            for row in ColumnarStore(columnar_dir).read("windows"):
+        # Results are read back from the marks' rows, cached or not.
+        if store.rows("windows"):
+            for row in store.read("windows"):
                 k = int(row["window"])
                 campaign.results[run_ids[k]] = {
                     "run_id": run_ids[k],

@@ -104,10 +104,13 @@ Commands
     content-hashed manifest with boundary and carried-job metadata.
 ``replay-trace``
     Replay an ingested archive window by window: each window hands
-    its live manager to the next, writes a boundary snapshot and
-    commits its per-job results to a columnar store, whose marks let
-    a re-run resume at the first uncommitted window.  Byte-identical
-    to a monolithic simulation of the same trace.
+    its live manager to the next and commits its per-job results to
+    a columnar store, whose marks let a re-run resume at the first
+    uncommitted window.  A boundary snapshot is written every 8th
+    window and on a graceful stop; a resume re-runs the committed
+    windows after the newest snapshot and checks their rows against
+    the committed ones.  Byte-identical to a monolithic simulation of
+    the same trace.
     ``--strategies a b c`` fans the independent per-strategy window
     chains out as queue items drained by ``--workers`` processes.
 ``fsck``

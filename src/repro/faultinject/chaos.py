@@ -151,7 +151,12 @@ class _CampaignPipeline:
 
 
 class _ReplayPipeline:
-    """Windowed synthetic replay: 240 jobs over 3 windows, 32 nodes."""
+    """Windowed synthetic replay: 240 jobs over 12 windows, 32 nodes.
+
+    Twelve windows put the boundary snapshot before window 8 mid-chain,
+    so the snapshot failpoints fire and a crash after it re-derives
+    committed windows on resume.
+    """
 
     name = "replay"
 
@@ -180,7 +185,7 @@ class _ReplayPipeline:
             [
                 self.python, "-m", "repro.cli", "ingest",
                 str(self.trace), str(root / "archive"),
-                "--window-jobs", "80",
+                "--window-jobs", "20",
             ],
             [
                 self.python, "-m", "repro.cli", "replay-trace",

@@ -23,13 +23,14 @@ is idempotent, which is what makes the commit protocol crash-safe:
    failpoint).
 
 A crash between any two steps leaves a prefix that the client's retry
-simply re-executes; because the key record becomes visible only via
-the atomic link of fully durable bytes, it can only ever bind a key
-to a fully recorded submission — a crash mid-key-write leaves at
-worst an invisible tempfile, never a torn record.  Two different
-specs racing one key lose deterministically: whoever lands the link
-wins (``EEXIST`` is the loser), the other gets
-:class:`IdempotencyConflict` (HTTP 409).
+simply re-executes.  Once the record exists, a duplicate of the spec
+(no key, or a new one) skips step 1 and only binds its key.  Because
+the key record becomes visible only via the atomic link of fully
+durable bytes, it can only ever bind a key to a fully recorded
+submission — a crash mid-key-write leaves at worst an invisible
+tempfile, never a torn record.  Two different specs racing one key
+lose deterministically: whoever lands the link wins (``EEXIST`` is
+the loser), the other gets :class:`IdempotencyConflict` (HTTP 409).
 """
 
 from __future__ import annotations
@@ -162,13 +163,30 @@ class SubmissionRegistry:
                 # stitcher renders it as an instant joining the
                 # original submission span (same content-derived
                 # trace id), evidence the dedup fired.
-                self._emit_submit(sub_id, int(record.get("runs", 0)))
+                self._emit_submit(
+                    sub_id, int(record.get("runs", 0)), replayed=True
+                )
                 return record, False, True
             # Key landed but the record is gone (manual tampering or a
             # pre-commit-order store): fall through and rebuild — every
             # step below is idempotent.
 
         runs = spec.expand()
+        record = {
+            "submission": sub_id,
+            "name": spec.name,
+            "spec": spec_dict,
+            "store": f"stores/{sub_id}",
+            "runs": len(runs),
+        }
+        if self.get(sub_id) == record:
+            # A duplicate without this key: the record is written
+            # last, so the store behind it is complete.
+            self._emit_submit(sub_id, len(runs))
+            if idempotency_key is not None:
+                self._bind_key(idempotency_key, sub_id)
+            return record, False, False
+
         settings = default_submission_settings()
         store_dir = self.stores / sub_id
         store = ResultStore(store_dir)
@@ -191,21 +209,16 @@ class SubmissionRegistry:
         queue.events.emit(
             "submit", trace=sub_id, runs=len(runs), source="service"
         )
-
-        record = {
-            "submission": sub_id,
-            "name": spec.name,
-            "spec": spec_dict,
-            "store": f"stores/{sub_id}",
-            "runs": len(runs),
-        }
         created = self._write_record(sub_id, record)
         if idempotency_key is not None:
             self._bind_key(idempotency_key, sub_id)
         return record, created, False
 
-    def _emit_submit(self, sub_id: str, runs: int) -> None:
-        """Record a submission event on an already-built store."""
+    def _emit_submit(
+        self, sub_id: str, runs: int, replayed: bool = False
+    ) -> None:
+        """Record a submission event on an already-built store; an
+        idempotent replay is flagged as one."""
         store_dir = self.stores / sub_id
         if not store_dir.is_dir():
             return
@@ -213,7 +226,7 @@ class SubmissionRegistry:
         queue.arm_events()
         queue.events.emit(
             "submit", trace=sub_id, runs=runs, source="service",
-            replayed=True,
+            replayed=replayed or None,
         )
 
     # -- idempotency keys ----------------------------------------------

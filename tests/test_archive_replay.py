@@ -107,6 +107,50 @@ def replay_until_ok(gap_archive, store, limit=10, **kwargs):
     return outcomes
 
 
+def record_windows(monkeypatch):
+    """Record ``(window, verify)`` for every replay window started."""
+    calls = []
+    original = replay.execute_replay_window
+
+    def recording(params, *args, **kwargs):
+        calls.append((params["window"], kwargs.get("verify", False)))
+        return original(params, *args, **kwargs)
+
+    monkeypatch.setattr(replay, "execute_replay_window", recording)
+    return calls
+
+
+def fail_commit(monkeypatch, nth):
+    """Fail the *nth* columnar manifest rename of the chain, as a crash
+    between a window's column bytes and its commit would; returns the
+    undo."""
+    original = durable.failpoint
+    commits = []
+
+    def failing(name):
+        if name == "columnar.manifest.rename":
+            commits.append(name)
+            if len(commits) == nth:
+                raise RuntimeError("injected failure before the rename")
+        original(name)
+
+    monkeypatch.setattr(durable, "failpoint", failing)
+    return lambda: monkeypatch.setattr(durable, "failpoint", original)
+
+
+def assert_matches_reference(gap_archive, store, strategy="easy_backfill"):
+    """The store's jobs equal the monolithic run's, and fsck is clean."""
+    jobs = np.asarray(ColumnarStore(store / COLUMNAR_DIR_NAME).read("jobs"))
+    reference = monolithic_jobs_array(load_archive(gap_archive), strategy, 64)
+    assert jobs.tobytes() == reference.tobytes()
+    assert_fsck_clean(store)
+
+
+def assert_fsck_clean(store):
+    report = fsck_store(store)
+    assert report.ok, [f.render() for f in report.findings]
+
+
 def count_restores(monkeypatch):
     """Count snapshot restores."""
     calls = []
@@ -190,35 +234,38 @@ class TestHandoff:
         for sidecar in telemetry.glob("*.telemetry.json"):
             assert json.loads(sidecar.read_text())["exec"]["resume_count"] == 0
 
-    def test_deleted_snapshot_still_rejected(
+    def test_deleted_snapshot_resumes_from_the_previous_one(
         self, gap_archive, tmp_path, monkeypatch
     ):
-        """Older versions wrote a boundary snapshot after the commit of
-        the window before it; a kill between the two left a committed
-        window with no successor snapshot.  Such a store is refused,
-        naming the cause."""
+        """A suspend after window 2 leaves snapshot 3; with it deleted
+        the resume falls back to snapshot 2, re-derives window 2 and
+        still matches the monolithic reference."""
+        monkeypatch.setattr(replay, "SNAPSHOT_EVERY", 2)
         store = tmp_path / "store"
-        wrap_windows(monkeypatch, after=suspend_after(window=1))
+        original = replay.execute_replay_window
+        wrap_windows(monkeypatch, after=suspend_after(window=2))
         try:
             first = replay_archive(
-                gap_archive, store, strategy="fcfs", num_nodes=64
+                gap_archive, store, strategy="easy_backfill", num_nodes=64
             )
         finally:
             suspend.reset()
         assert first.campaign.interrupted
-        assert first.campaign.completed == 2
-        snap = store / BOUNDARY_DIR_NAME / f"{first.chain}-w00002.snap"
+        assert first.campaign.completed == 3
+        boundaries = store / BOUNDARY_DIR_NAME
+        snap = boundaries / f"{first.chain}-w00003.snap"
         snap.unlink()
+        monkeypatch.setattr(replay, "execute_replay_window", original)
+        windows = record_windows(monkeypatch)
+        restores = count_restores(monkeypatch)
         second = replay_archive(
-            gap_archive, store, strategy="fcfs", num_nodes=64
+            gap_archive, store, strategy="easy_backfill", num_nodes=64
         )
-        assert not second.ok
-        assert second.campaign.cached == 2
-        (failure,) = second.campaign.failures
-        assert failure.label == "window 2"
-        assert failure.error.startswith("SnapshotError")
-        assert "killed between" in failure.error
-        assert "fresh --store" in failure.error
+        assert second.ok
+        assert (second.campaign.cached, second.campaign.completed) == (3, 2)
+        assert [p.name for p in restores] == [f"{second.chain}-w00002.snap"]
+        assert windows == [(2, True), (3, False), (4, False)]
+        assert_matches_reference(gap_archive, store)
 
     def test_failed_window_stops_the_chain(
         self, gap_archive, tmp_path, monkeypatch
@@ -311,29 +358,20 @@ class TestResumeIdempotence:
     def test_rerun_does_not_double_count(
         self, gap_archive, tmp_path, monkeypatch
     ):
-        """Window 2 fails after its snapshot and column bytes are
-        written but before its manifest commit: the re-run restores
-        snapshot 2 once and its columnar appends overwrite the
-        uncommitted tail instead of adding to it."""
+        """Window 2 fails after its column bytes are written but
+        before its manifest commit: the re-run restores snapshot 2
+        once and its columnar appends overwrite the uncommitted tail
+        instead of adding to it."""
+        monkeypatch.setattr(replay, "SNAPSHOT_EVERY", 2)
         store = tmp_path / "store"
-        original = durable.failpoint
-        commits = []
-
-        def fail_third_commit(name):
-            if name == "columnar.manifest.rename":
-                commits.append(name)
-                if len(commits) == 3:
-                    raise RuntimeError("injected failure before the rename")
-            original(name)
-
-        monkeypatch.setattr(durable, "failpoint", fail_third_commit)
+        undo = fail_commit(monkeypatch, 3)
         first = replay_archive(
             gap_archive, store, strategy="easy_backfill", num_nodes=64
         )
         assert not first.ok
         assert [f.label for f in first.campaign.failures] == ["window 2"]
         assert ColumnarStore(first.columnar).rows("windows") == 2
-        monkeypatch.setattr(durable, "failpoint", original)
+        undo()
 
         restores = count_restores(monkeypatch)
         second = replay_archive(
@@ -342,36 +380,35 @@ class TestResumeIdempotence:
         assert second.ok
         assert (second.campaign.cached, second.campaign.completed) == (2, 3)
         assert [p.name for p in restores] == [f"{second.chain}-w00002.snap"]
-        after = np.asarray(ColumnarStore(second.columnar).read("jobs"))
-        reference = monolithic_jobs_array(
-            load_archive(gap_archive), "easy_backfill", 64
-        )
-        assert after.tobytes() == reference.tobytes()
         assert ColumnarStore(second.columnar).rows("windows") == 5
-        report = fsck_store(store)
-        assert report.ok, [f.render() for f in report.findings]
+        assert_matches_reference(gap_archive, store)
 
     def test_failed_snapshot_leaves_its_window_uncommitted(
         self, gap_archive, tmp_path, monkeypatch
     ):
-        """Window 2 writes snapshot 3 before its commit, so a failed
-        write leaves window 2 unmarked, to be re-run from snapshot 2."""
+        """Window 3 writes snapshot 4 before its commit, so a failed
+        write leaves window 3 unmarked; the re-run restores snapshot 2
+        and re-derives window 2 on its way back to window 3."""
+        monkeypatch.setattr(replay, "SNAPSHOT_EVERY", 2)
         store = tmp_path / "store"
         original = snapshot_state.write_snapshot
         writes = []
 
-        def fail_third_write(manager, path, spec_hash=None):
+        def fail_second_write(manager, path, spec_hash=None):
             writes.append(path)
-            if len(writes) == 3:
+            if len(writes) == 2:
                 raise OSError("injected snapshot write failure")
             return original(manager, path, spec_hash=spec_hash)
 
-        monkeypatch.setattr(snapshot_state, "write_snapshot", fail_third_write)
+        monkeypatch.setattr(snapshot_state, "write_snapshot", fail_second_write)
         first = replay_archive(
             gap_archive, store, strategy="easy_backfill", num_nodes=64
         )
-        assert [f.label for f in first.campaign.failures] == ["window 2"]
-        assert ColumnarStore(first.columnar).rows("windows") == 2
+        assert [f.label for f in first.campaign.failures] == ["window 3"]
+        assert [p.name for p in writes] == [
+            f"{first.chain}-w00002.snap", f"{first.chain}-w00004.snap",
+        ]
+        assert ColumnarStore(first.columnar).rows("windows") == 3
         monkeypatch.setattr(snapshot_state, "write_snapshot", original)
 
         restores = count_restores(monkeypatch)
@@ -380,11 +417,7 @@ class TestResumeIdempotence:
         )
         assert second.ok
         assert [p.name for p in restores] == [f"{second.chain}-w00002.snap"]
-        after = np.asarray(ColumnarStore(second.columnar).read("jobs"))
-        reference = monolithic_jobs_array(
-            load_archive(gap_archive), "easy_backfill", 64
-        )
-        assert after.tobytes() == reference.tobytes()
+        assert_matches_reference(gap_archive, store)
 
     def test_finished_chain_rerun_is_a_no_op(self, gap_archive, tmp_path):
         store = tmp_path / "store"
@@ -405,6 +438,165 @@ class TestResumeIdempotence:
         assert (second.campaign.completed, second.campaign.cached) == (0, 5)
         assert second.campaign.results == first.campaign.results
         assert store_fingerprint(store) == before
+
+
+class TestVerifiedResume:
+    """A resume starts from the newest boundary snapshot at or before
+    the first uncommitted window and re-derives the committed windows
+    after it, checking their rows against the committed ones."""
+
+    def crash_in_window_3(self, gap_archive, store, monkeypatch):
+        """Fail window 3's commit at ``SNAPSHOT_EVERY = 2``: windows
+        0-2 are committed, snapshots 2 and 4 exist."""
+        monkeypatch.setattr(replay, "SNAPSHOT_EVERY", 2)
+        undo = fail_commit(monkeypatch, 4)
+        first = replay_archive(
+            gap_archive, store, strategy="easy_backfill", num_nodes=64
+        )
+        undo()
+        assert [f.label for f in first.campaign.failures] == ["window 3"]
+        assert ColumnarStore(first.columnar).rows("windows") == 3
+        snaps = sorted(p.name for p in (store / BOUNDARY_DIR_NAME).iterdir())
+        assert snaps == [
+            f"{first.chain}-w00002.snap", f"{first.chain}-w00004.snap",
+        ]
+        return first.chain
+
+    def test_crash_rederives_only_the_windows_after_the_snapshot(
+        self, gap_archive, tmp_path, monkeypatch
+    ):
+        store = tmp_path / "store"
+        chain = self.crash_in_window_3(gap_archive, store, monkeypatch)
+        windows = record_windows(monkeypatch)
+        restores = count_restores(monkeypatch)
+        events = []
+        second = replay_archive(
+            gap_archive, store, strategy="easy_backfill", num_nodes=64,
+            progress=events.append, telemetry_dir=tmp_path / "telemetry",
+        )
+        assert second.ok
+        assert [p.name for p in restores] == [f"{chain}-w00002.snap"]
+        assert windows == [(2, True), (3, False), (4, False)]
+        # A re-derived window counts as cached and leaves no sidecar.
+        assert (second.campaign.cached, second.campaign.completed) == (3, 2)
+        assert [e.label for e in events if e.kind == "started"] == [
+            "window 3", "window 4",
+        ]
+        assert len(list((tmp_path / "telemetry").iterdir())) == 2
+        assert_matches_reference(gap_archive, store)
+
+    def test_divergent_committed_row_fails_the_resume(
+        self, gap_archive, tmp_path, monkeypatch
+    ):
+        store = tmp_path / "store"
+        chain = self.crash_in_window_3(gap_archive, store, monkeypatch)
+        columnar = ColumnarStore(store / COLUMNAR_DIR_NAME)
+        row = columnar.mark_row(f"{chain}:jobs:2")
+        dtype = columnar.dtype("jobs")
+        offset = row * dtype.itemsize + dtype.fields["work_done"][1]
+        with open(columnar.path_for("jobs"), "r+b") as handle:
+            handle.seek(offset)
+            byte = handle.read(1)
+            handle.seek(offset)
+            handle.write(bytes([byte[0] ^ 1]))
+        before = store_fingerprint(store)
+        second = replay_archive(
+            gap_archive, store, strategy="easy_backfill", num_nodes=64
+        )
+        assert not second.ok
+        (failure,) = second.campaign.failures
+        assert failure.label == "window 2"
+        assert failure.error.startswith("SimulationError")
+        assert "window 2 re-derived jobs rows" in failure.error
+        assert second.campaign.completed == 0
+        assert second.stitched is None
+        assert store_fingerprint(store) == before
+        assert ColumnarStore(store / COLUMNAR_DIR_NAME).rows("windows") == 3
+        assert_fsck_clean(store)
+
+    def test_store_with_every_snapshot_resumes_without_rederiving(
+        self, gap_archive, tmp_path, monkeypatch
+    ):
+        """Older versions wrote a snapshot at every boundary; such a
+        store resumes from the snapshot of its first uncommitted
+        window."""
+        monkeypatch.setattr(replay, "SNAPSHOT_EVERY", 1)
+        store = tmp_path / "store"
+        undo = fail_commit(monkeypatch, 4)
+        first = replay_archive(
+            gap_archive, store, strategy="easy_backfill", num_nodes=64
+        )
+        undo()
+        assert [f.label for f in first.campaign.failures] == ["window 3"]
+        monkeypatch.setattr(replay, "SNAPSHOT_EVERY", 8)
+        windows = record_windows(monkeypatch)
+        restores = count_restores(monkeypatch)
+        second = replay_archive(
+            gap_archive, store, strategy="easy_backfill", num_nodes=64
+        )
+        assert second.ok
+        assert [p.name for p in restores] == [f"{second.chain}-w00003.snap"]
+        assert windows == [(3, False), (4, False)]
+        assert_matches_reference(gap_archive, store)
+
+    def test_suspend_snapshots_the_next_window(
+        self, gap_archive, tmp_path, monkeypatch
+    ):
+        store = tmp_path / "store"
+        original = replay.execute_replay_window
+        wrap_windows(monkeypatch, after=suspend_after(window=2))
+        try:
+            first = replay_archive(
+                gap_archive, store, strategy="easy_backfill", num_nodes=64
+            )
+        finally:
+            suspend.reset()
+        assert first.campaign.interrupted
+        assert sorted(p.name for p in (store / BOUNDARY_DIR_NAME).iterdir()) \
+            == [f"{first.chain}-w00003.snap"]
+        assert_fsck_clean(store)
+        monkeypatch.setattr(replay, "execute_replay_window", original)
+        windows = record_windows(monkeypatch)
+        restores = count_restores(monkeypatch)
+        second = replay_archive(
+            gap_archive, store, strategy="easy_backfill", num_nodes=64
+        )
+        assert second.ok
+        assert [p.name for p in restores] == [f"{second.chain}-w00003.snap"]
+        assert windows == [(3, False), (4, False)]
+        assert_matches_reference(gap_archive, store)
+
+    def test_guard_trip_snapshots_the_next_window(
+        self, gap_archive, tmp_path, monkeypatch
+    ):
+        checks = []
+
+        def over_budget_once(pid):
+            checks.append(pid)
+            return 1000.0 if len(checks) == 2 else 0.0
+
+        guards = ResourceGuards(
+            rss_budget_mb=1, poll_interval_s=0, rss_probe=over_budget_once
+        )
+        store = tmp_path / "store"
+        first = replay_archive(
+            gap_archive, store, strategy="easy_backfill", num_nodes=64,
+            guards=guards,
+        )
+        assert first.campaign.interrupted
+        assert first.campaign.completed == 2
+        assert sorted(p.name for p in (store / BOUNDARY_DIR_NAME).iterdir()) \
+            == [f"{first.chain}-w00002.snap"]
+        assert_fsck_clean(store)
+        windows = record_windows(monkeypatch)
+        restores = count_restores(monkeypatch)
+        second = replay_archive(
+            gap_archive, store, strategy="easy_backfill", num_nodes=64
+        )
+        assert second.ok
+        assert [p.name for p in restores] == [f"{second.chain}-w00002.snap"]
+        assert windows == [(2, False), (3, False), (4, False)]
+        assert_matches_reference(gap_archive, store)
 
 
 class TestGuards:

@@ -1,10 +1,10 @@
 """Chaos harness: fingerprinting, and real crash-recovery trials.
 
-The tier-1 subset runs one campaign kill trial and one replay
-torn-write trial end to end (subprocesses, hard kills, recovery,
-fsck, byte-identity).  The full catalog sweep over both workloads is
-CI's ``chaos-smoke`` job — set ``REPRO_CHAOS_SMOKE=1`` to run it
-here.
+The tier-1 subset runs one campaign kill trial, one replay
+torn-write trial and one replay snapshot kill trial end to end
+(subprocesses, hard kills, recovery, fsck, byte-identity).  The full
+catalog sweep over both workloads is CI's ``chaos-smoke`` job — set
+``REPRO_CHAOS_SMOKE=1`` to run it here.
 """
 
 from __future__ import annotations
@@ -114,6 +114,15 @@ class TestTrials:
             assert trial.status == "recovered", (
                 f"{trial.failpoint}={trial.action}: {trial.detail}"
             )
+        assert report.ok
+
+    def test_replay_snapshot_kill_trial_recovers(self, tmp_path):
+        report = run_chaos(
+            tmp_path, workload="replay", failpoints=["snapshot.write"],
+        )
+        kill = next(t for t in report.trials if t.action == "kill")
+        assert kill.status == "recovered", kill.detail
+        assert kill.fired and kill.fsck_ok and kill.identical
         assert report.ok
 
 

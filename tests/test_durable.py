@@ -156,8 +156,9 @@ class TestFsyncBudgets:
         store.save("ab", {"run_id": "ab", "params": {}, "result": {}})
         assert fsyncs() - before == 1
 
-    def test_four_per_replay_window(self, tmp_path, monkeypatch):
+    def test_three_or_four_per_replay_window(self, tmp_path, monkeypatch):
         ingest_gap(tmp_path)
+        monkeypatch.setattr(replay, "SNAPSHOT_EVERY", 2)
         per_window: list[int] = []
         original = replay.execute_replay_window
 
@@ -175,10 +176,10 @@ class TestFsyncBudgets:
         )
         total = fsyncs() - before
         assert outcome.campaign.ok
-        # Snapshot, two column appends and the manifest; the last
-        # window writes no successor snapshot.  stitched.json is one
+        # Two column appends and the manifest; windows 1 and 3 also
+        # write the snapshot of windows 2 and 4.  stitched.json is one
         # more per chain.
-        assert per_window == [4] * (len(per_window) - 1) + [3]
+        assert per_window == [3, 4, 3, 4, 3]
         assert total == sum(per_window) + 1
 
     def test_seven_per_queue_run(self, tmp_path):
@@ -202,6 +203,25 @@ class TestFsyncBudgets:
         before = fsyncs()
         registry.submit(spec, "key")
         assert fsyncs() - before == 1
+
+    def test_duplicate_submission_skips_the_store_rebuild(self, tmp_path):
+        registry = SubmissionRegistry(tmp_path)
+        spec = {
+            "name": "one", "strategies": ["fcfs"], "cluster_sizes": [16],
+            "seeds": [1], "jobs": 10,
+        }
+        registry.submit(spec, "key")
+        # Without a key: only the submit event.
+        before = fsyncs()
+        _, created, replayed = registry.submit(spec)
+        assert not created and not replayed
+        assert fsyncs() - before == 1
+        # With a new key: the event and the key binding.
+        before = fsyncs()
+        _, created, replayed = registry.submit(spec, "other")
+        assert not created and not replayed
+        assert fsyncs() - before == 2
+        assert registry._read_key("other") == registry.list_ids()[0]
 
 
 #: ``module:call`` names that spell out a piece of the write protocol.
