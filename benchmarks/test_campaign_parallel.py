@@ -93,7 +93,7 @@ def test_queue_lease_overhead(benchmark, record_artifact, record_bench, tmp_path
     import time
 
     from repro.campaign.queue import WorkQueue, lease_cycle_once
-    from repro.campaign.runner import _default_entry
+    from repro.slurm.entry import _default_entry
     from repro.campaign.spec import RunSpec
 
     # Reference run: the e8 share-fraction sweep, the same workload the

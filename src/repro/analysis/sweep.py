@@ -90,10 +90,3 @@ def run_params_many(
         for run in runs
     ]
 
-
-def sweep_summaries(
-    params_list: Sequence[Mapping[str, object]], workers: int = 1
-) -> list[dict[str, object]]:
-    """Summary dict per simulation params (convenience for sweeps)."""
-    payloads = run_params_many(params_list, workers=workers)
-    return [p["summary"] for p in payloads]  # type: ignore[index]

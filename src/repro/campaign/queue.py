@@ -58,8 +58,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import subprocess
-import sys
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -73,7 +71,7 @@ from repro.campaign.lease import (
     LeaseDir,
     LeaseLost,
 )
-from repro.campaign.spec import RunSpec
+from repro.campaign.spec import RunSpec, run_id_of
 from repro.campaign.store import ResultStore, StoreLock
 from repro.errors import CampaignError, ConfigError, SuspendRequested
 from repro.faultinject import backoff_delay
@@ -699,6 +697,53 @@ def queue_config_from_settings(
     }
 
 
+def build_queue_store(
+    store_dir: Path,
+    name: str,
+    spec: Mapping[str, object] | None,
+    settings: Mapping[str, object],
+    runs: Sequence[RunSpec],
+    *,
+    config: Mapping[str, object] | None = None,
+    extras: Mapping[str, Mapping[str, object]] | None = None,
+    source: str | None = None,
+) -> tuple[WorkQueue, int]:
+    """Build a queue store, or refresh one: its ``.campaign.json``
+    manifest, the queue ``config.json`` (*config*, else derived from
+    *settings*), one durable item per pending run, then the ``submit``
+    event.  Returns the queue and how many runs are pending.
+
+    Every step is idempotent, so ``campaign --join``, a served
+    submission of the same spec and a retry of either build the same
+    bytes.  With *source* (``cli`` or ``service``) the queue's event
+    sidecar is armed and every item carries the campaign's trace id:
+    the content hash of its spec document, which is also the service's
+    submission id, so a CLI join and a served submission of one spec
+    land in one distributed trace.  Without it (the replay fan-out,
+    whose items carry *extras* instead) no event is written.
+    """
+    ResultStore(store_dir).write_manifest({
+        "manifest_version": 1,
+        "name": name,
+        "spec": spec,
+        "settings": dict(settings),
+    })
+    queue = WorkQueue(store_dir)
+    queue.write_config(
+        config if config is not None
+        else queue_config_from_settings(settings, store_dir)
+    )
+    if source is None:
+        return queue, queue.enqueue(runs, extras=extras)
+    trace = run_id_of({"kind": "campaign", "spec": spec})
+    queue.arm_events()
+    pending = queue.enqueue(
+        runs, extras={run.run_id: {"trace": trace} for run in runs}
+    )
+    queue.events.emit("submit", trace=trace, runs=len(runs), source=source)
+    return queue, pending
+
+
 @dataclass
 class WorkerOutcome:
     """What one :meth:`QueueWorker.drain` call did."""
@@ -769,7 +814,7 @@ class QueueWorker:
         self._deadline_hit = False
 
     def _build_entry(self) -> Callable:
-        from repro.campaign.runner import _default_entry
+        from repro.slurm.entry import _default_entry
 
         cfg = self.config
         return _default_entry(
@@ -1116,72 +1161,27 @@ class JoinOutcome:
         return self.status == "drained"
 
 
-def worker_environment(
-    env: Mapping[str, str] | None = None,
-) -> dict[str, str]:
-    """The environment for a worker child process: *env*, or this
-    process's own, with ``PYTHONPATH`` adjusted.
-
-    The child's ``PYTHONPATH`` leads with the root of this ``repro``
-    package, so the worker runs the same code as its parent even when
-    the parent found the package some other way than the environment.
-    """
-    import repro
-
-    environment = dict(os.environ if env is None else env)
-    pkg_root = str(Path(repro.__file__).resolve().parent.parent)
-    environment["PYTHONPATH"] = os.pathsep.join([pkg_root] + [
-        part for part in environment.get("PYTHONPATH", "").split(os.pathsep)
-        if part and part != pkg_root
-    ])
-    return environment
-
-
-def spawn_worker(
-    store_root: Path,
-    log_name: str,
-    *,
-    python: str = sys.executable,
-    env: Mapping[str, str] | None = None,
-) -> subprocess.Popen:
-    """Start one ``repro queue work <store> --quiet`` drain worker with
-    its stdout and stderr appended to ``.queue/logs/<log_name>``."""
-    log_path = store_root / QUEUE_DIR_NAME / LOGS_DIR / log_name
-    log_path.parent.mkdir(parents=True, exist_ok=True)
-    with log_path.open("ab") as handle:
-        # Closing this copy once the child has started is safe: the
-        # child holds its own inherited descriptor.
-        return subprocess.Popen(
-            [
-                python, "-m", "repro.cli",
-                "queue", "work", str(store_root), "--quiet",
-            ],
-            stdout=handle,
-            stderr=subprocess.STDOUT,
-            env=worker_environment(env),
-        )
-
-
 def drain_with_workers(
     store_root: str | Path,
     workers: int,
     *,
-    python: str = sys.executable,
     suspend_grace: float = 10.0,
-    env: Mapping[str, str] | None = None,
     note: Callable[[str], None] | None = None,
     poll_s: float = 0.2,
 ) -> JoinOutcome:
-    """Spawn *workers* ``repro queue work`` processes and supervise
-    them until the store's queue is drained.
+    """Hand the store to up to *workers* warm drain workers
+    (:class:`~repro.campaign.warm.WarmFleet`) and supervise them until
+    its queue is drained, then close their stdin.
 
     The parent is the reclaim supervisor of last resort (a hard-killed
     worker's leases come back even if every sibling died too), and the
-    respawn authority: a worker that exits without draining the queue
-    (injected kill, RSS recycle, real crash) is replaced while the
-    respawn budget lasts.  On a suspend request the fleet is SIGTERMed,
-    given *suspend_grace* to park leases, then SIGKILLed.
+    respawn authority: a worker whose drain ends with the queue still
+    holding work (injected kill, RSS recycle, real crash) is replaced
+    while the respawn budget lasts.  On a suspend request the fleet is
+    SIGTERMed, given *suspend_grace* to park leases, then SIGKILLed.
     """
+    from repro.campaign.warm import WarmFleet
+
     store_root = Path(store_root)
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -1194,19 +1194,19 @@ def drain_with_workers(
     say = note or (lambda message: None)
     budget = RESPAWN_BUDGET_PER_WORKER * workers + 8
     outcome = JoinOutcome(status="drained", workers=workers)
-    fleet: dict[int, subprocess.Popen] = {}
-    spawned = 0
+    index: dict = {}  # worker -> spawn order, which names its log
+
+    def _report(proc, store, status: str) -> None:
+        if status == "exited" and proc.returncode not in (0, 4):
+            say(f"worker {index[proc]} exited {proc.returncode}")
+
+    fleet = WarmFleet(_report)
 
     def _launch() -> None:
-        nonlocal spawned
-        proc = spawn_worker(
-            store_root, f"worker-{spawned:03d}.log", python=python, env=env
-        )
-        fleet[spawned] = proc
-        spawned += 1
+        proc = fleet.spawn(queue.logs_dir / f"worker-{len(index):03d}.log")
+        index[proc] = len(index)
+        fleet.hand_off(proc, store_root, str(store_root))
 
-    for _ in range(workers):
-        _launch()
     say(f"joined store {store_root} with {workers} workers")
     try:
         while True:
@@ -1216,60 +1216,30 @@ def drain_with_workers(
                 say("suspend requested; draining the worker fleet")
                 return outcome
             queue.reclaim_stale()
-            for index, proc in list(fleet.items()):
-                code = proc.poll()
-                if code is None:
-                    continue
-                del fleet[index]
-                outcome.worker_exits[index] = code
-                if code not in (0, 4):
-                    say(f"worker {index} exited {code}")
-            if queue.drained() and not fleet:
+            if queue.drained():
+                # An idle worker exits 0 at stdin EOF, a busy one once
+                # it has seen the queue empty too.
+                fleet.stop(suspend_grace, terminate=False)
                 return outcome
-            if not queue.drained() and not fleet:
-                if outcome.respawns >= budget:
-                    outcome.status = "stalled"
-                    say(
-                        f"respawn budget ({budget}) exhausted with work "
-                        f"pending; giving up"
-                    )
-                    return outcome
-            # Keep the fleet at strength while claimable work remains.
-            while (
-                not queue.drained()
-                and len(fleet) < workers
-                and outcome.respawns < budget
-            ):
+            if not fleet.held and outcome.respawns >= budget:
+                outcome.status = "stalled"
+                say(
+                    f"respawn budget ({budget}) exhausted with work "
+                    f"pending; giving up"
+                )
+                return outcome
+            # Keep the fleet at strength while work remains; every
+            # worker after the first *workers* is a respawn.
+            while len(fleet.held) < workers and outcome.respawns < budget:
+                if len(index) >= workers:
+                    outcome.respawns += 1
                 _launch()
-                outcome.respawns += 1
-            time.sleep(poll_s)
+            fleet.wait(poll_s)
     finally:
-        _terminate_fleet(fleet, outcome, suspend_grace, say)
-
-
-def _terminate_fleet(
-    fleet: Mapping[int, subprocess.Popen],
-    outcome: JoinOutcome,
-    grace: float,
-    say: Callable[[str], None],
-) -> None:
-    if not fleet:
-        return
-    for proc in fleet.values():
-        if proc.poll() is None:
-            try:
-                proc.terminate()
-            except OSError:
-                pass
-    deadline = time.monotonic() + max(0.5, grace)
-    for index, proc in fleet.items():
-        budget = max(0.1, deadline - time.monotonic())
-        try:
-            outcome.worker_exits[index] = proc.wait(timeout=budget)
-        except subprocess.TimeoutExpired:
-            say(f"worker {index} ignored SIGTERM; killing")
-            proc.kill()
-            outcome.worker_exits[index] = proc.wait()
+        fleet.stop(suspend_grace)
+        outcome.worker_exits = {
+            number: proc.returncode for proc, number in index.items()
+        }
 
 
 #: Claim-cycle microbenchmark hook (claim → renew → release), shared

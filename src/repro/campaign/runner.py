@@ -51,7 +51,6 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -126,29 +125,6 @@ def _make_pool(workers: int) -> ProcessPoolExecutor:
         initializer=_worker_lifeline,
         initargs=(os.getpid(),),
     )
-
-
-def _default_entry(
-    bundle_dir: Path | None,
-    snapshot_dir: Path | None = None,
-    snapshot_every: str | None = None,
-    telemetry_dir: Path | None = None,
-) -> Entry:
-    from repro.slurm.entry import execute_run
-
-    kwargs: dict[str, str] = {}
-    if bundle_dir is not None:
-        kwargs["bundle_dir"] = str(bundle_dir)
-    if snapshot_dir is not None:
-        kwargs["snapshot_dir"] = str(snapshot_dir)
-        if snapshot_every is not None:
-            kwargs["snapshot_every"] = snapshot_every
-    if telemetry_dir is not None:
-        kwargs["telemetry_dir"] = str(telemetry_dir)
-    if not kwargs:
-        return execute_run
-    # partial of a module-level function stays picklable for the pool.
-    return partial(execute_run, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -337,6 +313,8 @@ class CampaignRunner:
         self.telemetry_dir = (
             Path(telemetry_dir) if telemetry_dir is not None else None
         )
+        from repro.slurm.entry import _default_entry
+
         self.entry = (
             entry
             if entry is not None

@@ -22,7 +22,7 @@ Commands
     artifact store plus a JSONL file.  Campaigns are preemption-safe:
     SIGTERM/SIGINT checkpoints in-flight runs and exits with status 4.
     With ``--join`` the runs become durable queue items under
-    ``<store>/.queue/`` drained by a cooperating worker fleet
+    ``<store>/.queue/`` drained by a fleet of warm workers
     (leases, heartbeats, fencing tokens; crashed workers' runs are
     reclaimed automatically) — additional ``repro queue work``
     processes may join the same store at any time.
@@ -906,22 +906,14 @@ def _execute_campaign_join(
 ) -> int:
     """Queue-backed campaign executor behind ``campaign --join`` and a
     queue-recorded ``resume``: enqueue the runs as durable items, then
-    supervise a cooperative worker fleet draining them."""
-    from repro.campaign import ResultStore
-    from repro.campaign.queue import (
-        WorkQueue,
-        drain_with_workers,
-        queue_config_from_settings,
-    )
-    from repro.snapshot import suspend as _suspend
+    drain them with a warm worker fleet."""
+    from repro.campaign.queue import build_queue_store
 
     try:
         runs = spec.expand()
     except ReproError as exc:
         print(f"campaign error: {exc}", file=sys.stderr)
         return 2
-    store = ResultStore(store_dir)
-    workers = max(1, int(workers))
     # The manifest drops the worker count: the fleet size is a property
     # of each invocation, not of the campaign, so joins with different
     # fleet sizes leave byte-identical stores.
@@ -933,28 +925,9 @@ def _execute_campaign_join(
         None if quiet else (lambda line: print(line, file=sys.stderr))
     )
     try:
-        store.write_manifest({
-            "manifest_version": 1,
-            "name": spec.name,
-            "spec": spec.to_dict(),
-            "settings": manifest_settings,
-        })
-        queue = WorkQueue(store_dir)
-        queue.write_config(queue_config_from_settings(settings, store_dir))
-        queue.arm_events()
-        # The trace id is the content hash of the campaign document —
-        # the exact value the HTTP service uses as its submission id,
-        # so a CLI join and a served submission of the same spec land
-        # in the same distributed trace.
-        from repro.campaign.spec import run_id_of
-
-        trace_id = run_id_of({"kind": "campaign", "spec": spec.to_dict()})
-        pending = queue.enqueue(
-            runs,
-            extras={run.run_id: {"trace": trace_id} for run in runs},
-        )
-        queue.events.emit(
-            "submit", trace=trace_id, runs=len(runs), source="cli"
+        queue, pending = build_queue_store(
+            store_dir, spec.name, spec.to_dict(), manifest_settings, runs,
+            source="cli",
         )
     except ReproError as exc:
         print(f"campaign error: {exc}", file=sys.stderr)
@@ -964,14 +937,88 @@ def _execute_campaign_join(
             f"queue: {pending} of {len(runs)} runs pending in "
             f"{store_dir / '.queue'}"
         )
+    store = queue.store
+
+    def render(outcome, done, failed, quarantined) -> None:
+        if not no_jsonl:
+            jsonl_path = Path(jsonl) if jsonl else store.root / "results.jsonl"
+            written = store.export_jsonl(
+                jsonl_path, run_ids=[r.run_id for r in runs]
+            )
+            print(
+                f"results: {written} records -> {jsonl_path}", file=sys.stderr
+            )
+        grid_rows = []
+        experiment_lines = []
+        for run_id in done:
+            record = store.load(run_id)
+            payload = record["result"]
+            params = record["params"]
+            if payload["kind"] == "simulate":
+                workload = params.get("workload", {})
+                config = params.get("config", {})
+                summary = payload["summary"]
+                grid_rows.append({
+                    "run": record["run_id"][:8],
+                    "strategy": payload["strategy"],
+                    "nodes": payload["num_nodes"],
+                    "seed": workload.get("seed", ""),
+                    "load": workload.get("offered_load", ""),
+                    "theta": config.get("share_threshold", ""),
+                    "makespan_h": summary["makespan_h"],
+                    "comp_eff": summary["comp_eff"],
+                    "mean_wait_h": summary["mean_wait_h"],
+                    "shared_nodes": summary["shared_nodes"],
+                })
+            elif payload["kind"] == "experiment":
+                experiment_lines.append(
+                    f"{payload['experiment']}: {len(payload['rows'])} rows "
+                    f"({record['run_id']}.json)"
+                )
+        if grid_rows:
+            print(format_table(grid_rows, title=f"campaign: {spec.name}"))
+        for line in experiment_lines:
+            print(line)
+        counts = f"{len(done)} stored, {len(failed)} failed"
+        if quarantined:
+            counts += f", {len(quarantined)} quarantined"
+        print(
+            f"{counts} of {len(runs)} runs (queue drain, "
+            f"workers={outcome.workers}, respawns={outcome.respawns}, "
+            f"store={store.root})"
+        )
+
+    return _drain_and_report(
+        queue, runs, max(1, int(workers)), note, render,
+        what="campaign", resume=f"`repro resume {store.root}` continues it",
+    )
+
+
+def _drain_and_report(
+    queue, runs, workers: int, note, render, *, what: str, resume: str
+) -> int:
+    """The tail of ``campaign --join`` and ``replay-trace --strategies``.
+
+    Drains *queue* with *workers* warm workers under the suspend signal
+    handlers, reaps whatever the fleet left leased, has
+    ``render(outcome, done, failed, quarantined)`` print the stored
+    results, lists the FAILED and QUARANTINED runs from their terminal
+    documents, and maps the queue's end state onto the documented exit
+    codes.  *resume* tells the user how to continue a drain cut short.
+    """
+    from repro.campaign.queue import drain_with_workers
+    from repro.snapshot import suspend as _suspend
+
+    store = queue.store
+    run_ids = [r.run_id for r in runs]
     previous = _suspend.install_signal_handlers()
     try:
-        outcome = drain_with_workers(store_dir, workers, note=note)
+        outcome = drain_with_workers(store.root, workers, note=note)
     except KeyboardInterrupt:
-        done = len(store.completed_ids() & {r.run_id for r in runs})
+        done = len(store.completed_ids() & set(run_ids))
         print(
             f"\ninterrupted: {done} of {len(runs)} runs stored in "
-            f"{store_dir}; `repro resume {store_dir}` continues",
+            f"{store.root}; {resume}",
             file=sys.stderr,
         )
         return EXIT_INTERRUPTED
@@ -980,66 +1027,10 @@ def _execute_campaign_join(
             _suspend.restore_signal_handlers(previous)
     # Final supervisor pass: reap anything the fleet left leased.
     queue.reclaim_stale()
-    return _report_join(
-        spec.name, store, queue, runs, outcome,
-        jsonl=jsonl, no_jsonl=no_jsonl,
-    )
-
-
-def _report_join(
-    name: str, store, queue, runs, outcome, *, jsonl: str, no_jsonl: bool
-) -> int:
-    """Render the post-drain report and map the queue's terminal state
-    onto the documented campaign exit codes."""
-    run_ids = [r.run_id for r in runs]
-    done = store.completed_ids() & set(run_ids)
-    if not no_jsonl:
-        jsonl_path = Path(jsonl) if jsonl else store.root / "results.jsonl"
-        written = store.export_jsonl(jsonl_path, run_ids=run_ids)
-        print(f"results: {written} records -> {jsonl_path}", file=sys.stderr)
-    grid_rows = []
-    experiment_lines = []
-    for run_id in run_ids:
-        if not store.has(run_id):
-            continue
-        record = store.load(run_id)
-        payload = record["result"]
-        params = record["params"]
-        if payload["kind"] == "simulate":
-            workload = params.get("workload", {})
-            config = params.get("config", {})
-            summary = payload["summary"]
-            grid_rows.append({
-                "run": record["run_id"][:8],
-                "strategy": payload["strategy"],
-                "nodes": payload["num_nodes"],
-                "seed": workload.get("seed", ""),
-                "load": workload.get("offered_load", ""),
-                "theta": config.get("share_threshold", ""),
-                "makespan_h": summary["makespan_h"],
-                "comp_eff": summary["comp_eff"],
-                "mean_wait_h": summary["mean_wait_h"],
-                "shared_nodes": summary["shared_nodes"],
-            })
-        elif payload["kind"] == "experiment":
-            experiment_lines.append(
-                f"{payload['experiment']}: {len(payload['rows'])} rows "
-                f"({record['run_id']}.json)"
-            )
-    if grid_rows:
-        print(format_table(grid_rows, title=f"campaign: {name}"))
-    for line in experiment_lines:
-        print(line)
+    done = [run_id for run_id in run_ids if store.has(run_id)]
     failed = queue.terminal_ids("failed")
     quarantined = queue.terminal_ids("quarantined")
-    counts = f"{len(done)} stored, {len(failed)} failed"
-    if quarantined:
-        counts += f", {len(quarantined)} quarantined"
-    print(
-        f"{counts} of {len(runs)} runs (queue drain, "
-        f"workers={outcome.workers}, respawns={outcome.respawns}, "
-        f"store={store.root})"
-    )
+    render(outcome, done, failed, quarantined)
     for run_id in failed:
         doc = queue.read_terminal("failed", run_id)
         print(
@@ -1056,10 +1047,9 @@ def _report_join(
             file=sys.stderr,
         )
     if outcome.status == "suspended":
-        remaining = len(runs) - len(done)
         print(
-            f"campaign suspended with {remaining} runs outstanding; "
-            f"`repro resume {store.root}` continues it",
+            f"{what} suspended with {len(runs) - len(done)} runs "
+            f"outstanding; {resume}",
             file=sys.stderr,
         )
         return EXIT_SUSPENDED
@@ -1398,11 +1388,9 @@ def _replay_trace_fanout(args: argparse.Namespace) -> int:
     serial — a correctness requirement — while the independent
     strategies drain in parallel across the worker fleet)."""
     from repro.archive import load_archive
-    from repro.campaign import ResultStore
-    from repro.campaign.queue import WorkQueue, drain_with_workers
+    from repro.campaign.queue import build_queue_store
     from repro.campaign.spec import RunSpec
     from repro.errors import ConfigError
-    from repro.snapshot import suspend as _suspend
 
     store_dir = Path(args.store)
     try:
@@ -1436,26 +1424,22 @@ def _replay_trace_fanout(args: argparse.Namespace) -> int:
             "archive_dir": str(Path(args.archive).resolve()),
             "store_dir": str((store_dir / strategy).resolve()),
         }
-    store = ResultStore(store_dir)
     note = (
         None if args.quiet else (lambda line: print(line, file=sys.stderr))
     )
     try:
-        store.write_manifest({
-            "manifest_version": 1,
-            "name": f"replay-fanout:{archive.name}",
-            "spec": None,
-            "settings": {"queue": True, "kind": "replay_fanout"},
-        })
-        queue = WorkQueue(store_dir)
-        queue.write_config({
-            "retries": 0,
-            "rss_budget_mb": float(args.rss_budget_mb or 0.0),
-            "telemetry_dir": (
-                str(store_dir / "telemetry") if args.telemetry else None
-            ),
-        })
-        pending = queue.enqueue(runs)
+        queue, pending = build_queue_store(
+            store_dir, f"replay-fanout:{archive.name}", None,
+            {"queue": True, "kind": "replay_fanout"}, runs,
+            config={
+                "retries": 0,
+                "rss_budget_mb": float(args.rss_budget_mb or 0.0),
+                "telemetry_dir": (
+                    str(store_dir / "telemetry") if args.telemetry else None
+                ),
+            },
+            extras=extras,
+        )
     except ConfigError as exc:
         print(f"replay-trace error: {exc}", file=sys.stderr)
         return 2
@@ -1468,73 +1452,42 @@ def _replay_trace_fanout(args: argparse.Namespace) -> int:
             f"fanout: {pending} strategy chains pending "
             f"({len(archive)} windows each), {workers} workers"
         )
-    previous = _suspend.install_signal_handlers()
-    try:
-        outcome = drain_with_workers(store_dir, workers, note=note)
-    finally:
-        if previous is not None:
-            _suspend.restore_signal_handlers(previous)
-    queue.reclaim_stale()
-    rows = []
-    for run in runs:
-        if not store.has(run.run_id):
-            continue
-        payload = store.load(run.run_id)["result"]
-        stitched = payload.get("stitched", {})
-        rows.append({
-            "strategy": payload["strategy"],
-            "windows": payload["windows"],
-            "jobs": stitched.get("jobs", ""),
-            "completed": stitched.get("completed", ""),
-            "makespan_h": round(
-                float(stitched.get("makespan_s", 0.0)) / 3600, 2
-            ),
-            "mean_wait_h": round(
-                float(stitched.get("mean_wait_s", 0.0)) / 3600, 3
-            ),
-            "store": str(store_dir / str(payload["strategy"])),
-        })
-    if args.json:
-        print(format_json({
-            "archive": archive.archive_id,
-            "strategies": strategies,
-            "status": outcome.status,
-            "chains": rows,
-        }))
-    elif rows:
-        print(format_table(rows, title=f"replay fanout: {archive.name}"))
-    failed = queue.terminal_ids("failed")
-    quarantined = queue.terminal_ids("quarantined")
-    for run_id in failed:
-        doc = queue.read_terminal("failed", run_id)
-        print(
-            f"FAILED {run_id} ({doc.get('label', '')}): "
-            f"{doc.get('error', '')}",
-            file=sys.stderr,
-        )
-    for run_id in quarantined:
-        doc = queue.read_terminal("quarantined", run_id)
-        print(
-            f"QUARANTINED {run_id}: {doc.get('reason', '')}",
-            file=sys.stderr,
-        )
-    if outcome.status == "suspended":
-        print(
-            "fanout suspended; re-run the same command to continue "
-            "(completed windows stay cached per strategy)",
-            file=sys.stderr,
-        )
-        return EXIT_SUSPENDED
-    if outcome.status == "stalled":
-        print(
-            f"fanout stalled (respawn budget exhausted); "
-            f"`repro queue status {store_dir}` for the census",
-            file=sys.stderr,
-        )
-        return 1
-    if failed or quarantined:
-        return EXIT_PARTIAL if rows else 1
-    return 0
+
+    def render(outcome, done, failed, quarantined) -> None:
+        rows = []
+        for run_id in done:
+            payload = queue.store.load(run_id)["result"]
+            stitched = payload.get("stitched", {})
+            rows.append({
+                "strategy": payload["strategy"],
+                "windows": payload["windows"],
+                "jobs": stitched.get("jobs", ""),
+                "completed": stitched.get("completed", ""),
+                "makespan_h": round(
+                    float(stitched.get("makespan_s", 0.0)) / 3600, 2
+                ),
+                "mean_wait_h": round(
+                    float(stitched.get("mean_wait_s", 0.0)) / 3600, 3
+                ),
+                "store": str(store_dir / str(payload["strategy"])),
+            })
+        if args.json:
+            print(format_json({
+                "archive": archive.archive_id,
+                "strategies": strategies,
+                "status": outcome.status,
+                "chains": rows,
+            }))
+        elif rows:
+            print(format_table(rows, title=f"replay fanout: {archive.name}"))
+
+    return _drain_and_report(
+        queue, runs, workers, note, render, what="fanout",
+        resume=(
+            "re-run the same command to continue it (completed windows "
+            "stay cached per strategy)"
+        ),
+    )
 
 
 def _cmd_replay_trace(args: argparse.Namespace) -> int:

@@ -301,8 +301,9 @@ class Cluster:
         self, job_id: int, node_ids: tuple[int, ...], lanes: list[int]
     ) -> None:
         """Open or join each node for shared *job_id*, appending each
-        granted lane to *lanes*; the checks and their messages are
-        :meth:`Node.allocate_shared`'s."""
+        granted lane to *lanes*.  A node refuses when it is down,
+        exclusively allocated, already hosts the job or has both lanes
+        taken, checked in that order."""
         nodes = self.nodes
         idle = self._idle_ids
         co_runners = self._co_runners

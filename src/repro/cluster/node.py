@@ -1,6 +1,8 @@
 """A single compute node with 2-way SMT occupancy semantics.
 
-Invariants enforced here (and property-tested in the suite):
+Invariants (enforced by :meth:`Cluster.allocate` and
+:meth:`Cluster.release`, which grant and free lanes inline, and
+property-tested in the suite):
 
 * An ``EXCLUSIVE`` node hosts exactly one job.
 * A ``SHARED`` node hosts one or two jobs, on distinct SMT lanes.
@@ -113,21 +115,6 @@ class Node:
         """True if a shared co-runner could be placed here."""
         return self.mode is NodeMode.SHARED and len(self._occupants) < SMT_LANES
 
-    def free_lane(self) -> int:
-        """The lowest unoccupied SMT lane index.
-
-        Raises
-        ------
-        AllocationError
-            If the node is not shared-with-a-free-lane.
-        """
-        if not self.has_free_lane:
-            raise AllocationError(f"node {self.node_id} has no free SMT lane")
-        for lane in range(SMT_LANES):
-            if lane not in self._occupants:
-                return lane
-        raise AllocationError(f"node {self.node_id} lanes inconsistent")
-
     def hosts(self, job_id: int) -> bool:
         return job_id in self._occupants.values()
 
@@ -188,43 +175,6 @@ class Node:
             )
         self._occupants[0] = job_id
         self.mode = NodeMode.EXCLUSIVE
-
-    def allocate_shared(self, job_id: int) -> int:
-        """Place *job_id* on a free SMT lane; returns the lane index.
-
-        Opening an idle node as shared and joining an existing shared
-        node are both valid; joining an exclusive node is not.
-        """
-        if self.down:
-            raise AllocationError(f"node {self.node_id} is down")
-        if self.mode is NodeMode.EXCLUSIVE:
-            raise AllocationError(
-                f"node {self.node_id} is exclusively allocated; cannot share"
-            )
-        if self.hosts(job_id):
-            raise AllocationError(
-                f"job {job_id} already occupies node {self.node_id}"
-            )
-        if self.mode is NodeMode.SHARED and len(self._occupants) >= SMT_LANES:
-            raise AllocationError(f"node {self.node_id} shared lanes are full")
-        lane = 0
-        while lane in self._occupants:
-            lane += 1
-        self._occupants[lane] = job_id
-        self.mode = NodeMode.SHARED
-        return lane
-
-    def release(self, job_id: int) -> int | None:
-        """Remove *job_id* from the node; returns the job left on it
-        (None when the node is now empty)."""
-        for lane, occupant in list(self._occupants.items()):
-            if occupant == job_id:
-                del self._occupants[lane]
-                if self._occupants:
-                    return next(iter(self._occupants.values()))
-                self.mode = NodeMode.IDLE
-                return None
-        raise AllocationError(f"job {job_id} is not on node {self.node_id}")
 
     def __str__(self) -> str:
         occ = ",".join(map(str, self.occupant_ids)) or "-"

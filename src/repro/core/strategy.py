@@ -106,12 +106,6 @@ class ScheduleContext:
             return base * self.walltime_grace
         return base
 
-    def running_end_bounds(self) -> list[tuple[float, Job]]:
-        """Running jobs with their end bounds, earliest first."""
-        pairs = [(self.predicted_end(job), job) for job in self.running.values()]
-        pairs.sort(key=lambda p: (p[0], p[1].job_id))
-        return pairs
-
 
 def raise_release_bounds(
     bounds: dict[int, float], node_ids: tuple[int, ...], end: float

@@ -37,13 +37,11 @@ import functools
 import json
 import os
 import signal
-import subprocess
 import sys
-import threading
-import time
 from pathlib import Path
 
-from repro.campaign.queue import WorkQueue, has_queue, worker_environment
+from repro.campaign.queue import WorkQueue, has_queue
+from repro.campaign.warm import WarmFleet
 from repro.errors import ConfigError, ReproError
 from repro.faultinject.registry import failpoint
 from repro.service import http as _http
@@ -95,9 +93,10 @@ class ReproService:
         #: submission, a worker's answer or exit, a drain request.
         self._wake = asyncio.Event()
         self._signals = 0
-        #: Live warm drain workers, each mapped to the submission whose
-        #: store it is draining (None while idle).
-        self._fleet: dict[subprocess.Popen, str | None] = {}
+        #: Warm drain workers; each member is held under the submission
+        #: whose store it is draining (None while idle).
+        self.fleet = WarmFleet(self._drain_ended, post=self._post)
+        self._loop: asyncio.AbstractEventLoop | None = None
         self._respawns: dict[str, int] = {}
         self._stalled: set[str] = set()
         self.metrics: dict[str, int] = {
@@ -118,6 +117,7 @@ class ReproService:
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> None:
         """Bind, record ``service.json``, begin accepting."""
+        self._loop = asyncio.get_running_loop()
         try:
             self._server = await asyncio.start_server(
                 self._client_connected, self.config.host, self.config.port
@@ -167,7 +167,7 @@ class ReproService:
             if not task.done():
                 task.cancel()
         await asyncio.gather(*list(self._tasks), return_exceptions=True)
-        self._stop_fleet()
+        self.fleet.stop(self.config.drain_grace_s)
         write_service_manifest(self.root, {
             "service_version": 1,
             "host": self.config.host,
@@ -435,7 +435,7 @@ class ReproService:
                 "configured": self.config.workers,
                 # Copied in one step: the loop thread mutates the fleet.
                 "live": sum(
-                    1 for proc in list(self._fleet) if proc.poll() is None
+                    1 for proc in list(self.fleet.held) if proc.poll() is None
                 ),
                 "stalled_stores": sorted(self._stalled),
             },
@@ -568,65 +568,19 @@ class ReproService:
             self._streams -= 1
 
     # -- worker fleet supervision --------------------------------------
-    def _spawn_worker(self) -> subprocess.Popen:
-        """Start one idle warm drain worker (:mod:`repro.campaign.warm`)
-        and the thread that reads its answers."""
-        with (self.root / WORKER_LOG).open("ab") as log:
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "repro.campaign.warm"],
-                bufsize=0,  # a hand-off is one write; close never flushes
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=log,
-                env=worker_environment(),
-            )
-        self._fleet[proc] = None
-        loop = asyncio.get_running_loop()
-
-        def _read_answers() -> None:
-            # Each answer frees the worker, and its exit frees its
-            # slot: both wake the supervisor, in the order they came.
-            def _call(*args) -> None:
-                try:
-                    loop.call_soon_threadsafe(*args)
-                except RuntimeError:  # the loop closed first
-                    pass
-
-            with proc.stdout:
-                for line in proc.stdout:
-                    _call(self._answered, proc, line)
-            proc.wait()
-            _call(self._exited, proc)
-
-        threading.Thread(
-            target=_read_answers, daemon=True, name=f"worker-{proc.pid}"
-        ).start()
-        return proc
-
-    def _hand_off(self, proc: subprocess.Popen, sub_id: str) -> None:
+    def _post(self, fn, *args) -> None:
+        """Run a fleet report on the event loop, in arrival order."""
         try:
-            proc.stdin.write(f"{self.registry.store_dir(sub_id)}\n".encode())
-        except OSError:  # it died idle; _exited charges nothing
-            del self._fleet[proc]
-            return
-        self._fleet[proc] = sub_id
+            self._loop.call_soon_threadsafe(fn, *args)
+        except RuntimeError:  # the loop closed first
+            pass
 
-    def _answered(self, proc: subprocess.Popen, line: bytes) -> None:
-        sub_id = self._fleet.get(proc)
-        if sub_id is None:
-            return
-        if json.loads(line)["status"] == "drained":
-            self._fleet[proc] = None
-        else:  # suspended or shed: the worker exits after this answer
-            del self._fleet[proc]
+    def _drain_ended(self, proc, sub_id: str | None, status: str) -> None:
+        """Fleet report: each answer frees a worker and each exit a
+        slot, so both wake the supervisor; a drain that ended without
+        draining is charged to its store."""
+        if sub_id is not None and status != "drained":
             self._charge(sub_id)
-        self._wake.set()
-
-    def _exited(self, proc: subprocess.Popen) -> None:
-        sub_id = self._fleet.pop(proc, None)
-        if sub_id is not None:  # died holding the store
-            self._charge(sub_id)
-        proc.stdin.close()
         self._wake.set()
 
     def _charge(self, sub_id: str) -> None:
@@ -651,23 +605,25 @@ class ReproService:
         requeue.
         """
         try:
+            members = self.fleet.held
             while not self._draining:
                 self._wake.clear()
                 for sub_id in self.registry.list_ids():
                     idle = next(
-                        (p for p, held in self._fleet.items() if held is None),
+                        (p for p, held in members.items() if held is None),
                         None,
                     )
-                    if idle is None and len(self._fleet) >= self.config.workers:
+                    if idle is None and len(members) >= self.config.workers:
                         break
-                    if sub_id in self._fleet.values() or sub_id in self._stalled:
+                    if sub_id in members.values() or sub_id in self._stalled:
                         continue
                     store_dir = self.registry.store_dir(sub_id)
                     if not has_queue(store_dir):
                         continue
                     if WorkQueue(store_dir).drained():
                         continue
-                    self._hand_off(idle or self._spawn_worker(), sub_id)
+                    worker = idle or self.fleet.spawn(self.root / WORKER_LOG)
+                    self.fleet.hand_off(worker, store_dir, sub_id)
                 try:
                     await asyncio.wait_for(
                         self._wake.wait(), SUPERVISE_POLL_S
@@ -676,33 +632,6 @@ class ReproService:
                     pass
         except asyncio.CancelledError:
             pass
-
-    def _stop_fleet(self) -> None:
-        """SIGTERM the fleet (busy workers requeue their leases, idle
-        ones leave at once; all exit 4), escalating to SIGKILL when one
-        absolute grace deadline — shared by the whole fleet, not
-        granted per worker — expires, so total shutdown stays bounded
-        by a single ``drain_grace_s`` however many workers are stuck."""
-        for proc in self._fleet:
-            if proc.poll() is None:
-                try:
-                    proc.send_signal(signal.SIGTERM)
-                except OSError:
-                    pass
-        deadline = time.monotonic() + max(0.1, self.config.drain_grace_s)
-        for proc in self._fleet:
-            remaining = deadline - time.monotonic()
-            if remaining > 0:
-                try:
-                    proc.wait(timeout=remaining)
-                    continue
-                except subprocess.TimeoutExpired:
-                    pass
-            proc.kill()
-            proc.wait()
-        for proc in self._fleet:
-            proc.stdin.close()
-        self._fleet.clear()
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,9 @@ CLI-produced one — the chaos harness holds the service to this), the
 queue ``config.json``, and one durable queue item per run.  All of it
 is idempotent, which is what makes the commit protocol crash-safe:
 
-1. store manifest + queue config + queue items (all idempotent),
+1. store manifest + queue config + queue items, through
+   :func:`~repro.campaign.queue.build_queue_store`, the function
+   ``campaign --join`` builds its store with (all idempotent),
 2. the submission record ``submissions/<id>.json``
    (:func:`~repro.storage.durable.create_exclusive`, guarded by the
    ``service.submit.write`` failpoint),
@@ -40,7 +42,7 @@ import json
 from pathlib import Path
 from typing import Mapping
 
-from repro.campaign.queue import WorkQueue, has_queue, queue_config_from_settings
+from repro.campaign.queue import WorkQueue, build_queue_store, has_queue
 from repro.campaign.spec import CampaignSpec, run_id_of
 from repro.campaign.store import ResultStore
 from repro.errors import ConfigError
@@ -187,27 +189,12 @@ class SubmissionRegistry:
                 self._bind_key(idempotency_key, sub_id)
             return record, False, False
 
-        settings = default_submission_settings()
-        store_dir = self.stores / sub_id
-        store = ResultStore(store_dir)
-        store.write_manifest({
-            "manifest_version": 1,
-            "name": spec.name,
-            "spec": spec_dict,
-            "settings": settings,
-        })
-        queue = WorkQueue(store_dir)
-        queue.write_config(queue_config_from_settings(settings, store_dir))
-        queue.arm_events()
         # The submission id *is* the trace id: both are the content
         # hash of the spec, so an idempotent replay — or the same
         # campaign joined from the CLI — lands in the same trace.
-        queue.enqueue(
-            runs,
-            extras={run.run_id: {"trace": sub_id} for run in runs},
-        )
-        queue.events.emit(
-            "submit", trace=sub_id, runs=len(runs), source="service"
+        build_queue_store(
+            self.stores / sub_id, spec.name, spec_dict,
+            default_submission_settings(), runs, source="service",
         )
         created = self._write_record(sub_id, record)
         if idempotency_key is not None:

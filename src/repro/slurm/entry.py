@@ -24,8 +24,9 @@ byte-identical to an uninterrupted one.
 from __future__ import annotations
 
 import math
+from functools import partial
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -317,3 +318,26 @@ def execute_run(
             else:
                 exc.bundle_path = str(path)  # type: ignore[attr-defined]
         raise
+
+
+def _default_entry(
+    bundle_dir: Path | None,
+    snapshot_dir: Path | None = None,
+    snapshot_every: str | None = None,
+    telemetry_dir: Path | None = None,
+) -> Callable[[Mapping[str, object]], dict[str, object]]:
+    """:func:`execute_run` with the given directories bound: the entry
+    point of the campaign runner and of every queue worker."""
+    kwargs: dict[str, str] = {}
+    if bundle_dir is not None:
+        kwargs["bundle_dir"] = str(bundle_dir)
+    if snapshot_dir is not None:
+        kwargs["snapshot_dir"] = str(snapshot_dir)
+        if snapshot_every is not None:
+            kwargs["snapshot_every"] = snapshot_every
+    if telemetry_dir is not None:
+        kwargs["telemetry_dir"] = str(telemetry_dir)
+    if not kwargs:
+        return execute_run
+    # partial of a module-level function stays picklable for the pool.
+    return partial(execute_run, **kwargs)

@@ -23,7 +23,7 @@ import pytest
 
 from repro.cluster.allocation import AllocationKind
 from repro.cluster.machine import Cluster
-from repro.cluster.node import Node
+from repro.cluster.node import Node, NodeMode
 from repro.core.easy_backfill import compute_reservation, node_release_times
 from repro.core.pairing import PairingPolicy
 from repro.core.placement import place_best
@@ -246,7 +246,9 @@ def _fail_already_there(cluster):
     # Only a node changed behind the cluster's back can already hold
     # the job: the cluster refuses a second allocation of a job, and
     # an allocation record refuses a repeated node.
-    cluster.nodes[2].allocate_shared(5)
+    node = cluster.nodes[2]
+    node._occupants[0] = 5
+    node.mode = NodeMode.SHARED
 
 
 class TestSharedAllocationRollback:

@@ -29,8 +29,10 @@ class TestNodeDownState:
         node.mark_down()
         with pytest.raises(AllocationError, match="down"):
             node.allocate_exclusive(1)
+        cluster = Cluster.homogeneous(1)
+        cluster.mark_down(0)
         with pytest.raises(AllocationError, match="down"):
-            node.allocate_shared(1)
+            cluster.allocate(cluster.build_shared(1, [0]))
 
     def test_cannot_down_occupied_node(self):
         node = Node(node_id=0)

@@ -1,10 +1,10 @@
 """Import-graph contracts that keep process start-up cheap.
 
-Every ``repro campaign --join`` worker is a fresh ``python -m
-repro.cli queue work`` process, and every warm drain worker of
-``repro serve`` a fresh ``python -m repro.campaign.warm`` one, so
-whatever they import at module load is paid once per worker (for a
-warm worker, on its first submission).  scipy alone used to cost more
+Every drain worker of ``repro campaign --join`` and ``repro serve``
+is a fresh ``python -m repro.campaign.warm`` process, and every
+``repro queue work`` a fresh ``python -m repro.cli`` one, so whatever
+they import at module load is paid once per worker (for a served
+worker, on its first submission).  scipy alone used to cost more
 than a second of that.  Each check runs in its
 own interpreter: the test process has long since imported everything.
 """

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign.queue import WorkQueue
+from repro.campaign.queue import RESPAWN_BUDGET_PER_WORKER, WorkQueue
 from repro.campaign.spec import CampaignSpec
 from repro.cli import build_parser, main
 from repro.faultinject.chaos import store_fingerprint
@@ -137,6 +137,30 @@ class TestCampaignJoin:
         assert join(tmp_path) == 0
         report = fsck_path(tmp_path / "store")
         assert report.ok
+
+    def test_join_stalls_when_every_fresh_worker_dies(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Without a stamp dir every worker process fires the kill at
+        # its own first claim, so no replacement ever completes a run.
+        # Twenty runs give each of the 2 + 16 workers an unleased item
+        # of its own: none waits out the lease TTL of a killed claim.
+        monkeypatch.setenv("REPRO_FAILPOINTS", "queue.lease.create=kill:1")
+        monkeypatch.delenv("REPRO_FAILPOINTS_STAMP", raising=False)
+        code = main([
+            "campaign", "--jobs", "10", "--sizes", "8",
+            "--seeds", *map(str, range(1, 11)),
+            "--strategies", "fcfs", "easy_backfill",
+            "--join", "--workers", "2", "--store", str(tmp_path / "store"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        budget = RESPAWN_BUDGET_PER_WORKER * 2 + 8
+        assert f"respawns={budget}," in captured.out
+        assert "0 stored, 0 failed of 20 runs" in captured.out
+        assert "stalled" in captured.err
+        assert captured.err.count("exited 86") == 2 + budget
+        assert not WorkQueue(tmp_path / "store").drained()
 
 
 def _spawn_worker(store: Path, env: dict[str, str]) -> subprocess.Popen:

@@ -22,6 +22,7 @@ import pytest
 
 from repro.campaign.queue import WorkQueue
 from repro.campaign.spec import CampaignSpec
+from repro.campaign.warm import WarmFleet
 from repro.cli import (
     _campaign_settings_from_args,
     build_parser,
@@ -843,7 +844,7 @@ class TestFleetSupervisor:
         store = handle.service.registry.store_dir(sub_id)
         assert _wait_for(lambda: WorkQueue(store).status()["leased"])
         (holder,) = [
-            proc for proc, held in handle.service._fleet.items()
+            proc for proc, held in handle.service.fleet.held.items()
             if held == sub_id
         ]
         os.kill(holder.pid, signal.SIGKILL)
@@ -853,7 +854,7 @@ class TestFleetSupervisor:
         # The killed worker shows in the sidecars only if it finished
         # a run first; one fresh worker finished the rest.
         fresh = _worker_pids(handle, sub_id) - {holder.pid}
-        assert fresh == {proc.pid for proc in handle.service._fleet}
+        assert fresh == {proc.pid for proc in handle.service.fleet.held}
         assert len(fresh) == 1
         assert handle.service._respawns == {sub_id: 1}
 
@@ -863,7 +864,7 @@ class TestFleetSupervisor:
         ))
         sub_id = _submit(handle.port, SPEC_A)
         assert _wait_for(lambda: _state(handle.port, sub_id) == "complete")
-        (worker,) = handle.service._fleet
+        (worker,) = handle.service.fleet.held
         started = time.monotonic()
         handle.stop()
         assert worker.wait(timeout=5) == 4
@@ -875,7 +876,7 @@ class TestWarmWorker:
         import subprocess
         import sys
 
-        from repro.campaign.queue import worker_environment
+        from repro.campaign.warm import worker_environment
 
         registry = SubmissionRegistry(tmp_path)
         record, _, _ = registry.submit(SPEC_A, None)
@@ -893,6 +894,32 @@ class TestWarmWorker:
             assert WorkQueue(store).drained()
             proc.stdin.close()
             assert proc.wait(timeout=30) == 0
+
+
+    def test_fleet_reports_the_answer_then_the_exit(self, tmp_path):
+        registry = SubmissionRegistry(tmp_path / "svc")
+        record, _, _ = registry.submit(SPEC_A, None)
+        store = registry.store_dir(record["submission"])
+        reports = []
+        fleet = WarmFleet(
+            lambda proc, tag, status: reports.append((proc, tag, status))
+        )
+        worker = fleet.spawn(tmp_path / "workers.log")
+        assert fleet.held == {worker: None}
+        fleet.hand_off(worker, store, "a")
+        assert fleet.held == {worker: "a"}
+        deadline = time.monotonic() + 30
+        while not reports and time.monotonic() < deadline:
+            fleet.wait(0.1)
+        assert reports == [(worker, "a", "drained")]
+        assert fleet.held == {worker: None}
+        assert WorkQueue(store).drained()
+        # Closing stdin retires an idle worker: it exits 0.
+        fleet.stop(10.0, terminate=False)
+        assert worker.returncode == 0
+        assert fleet.held == {} and fleet.live == {}
+        fleet.wait(5.0)
+        assert reports[1:] == [(worker, None, "exited")]
 
 
 def _submit(port: int, spec: dict) -> str:
@@ -916,7 +943,7 @@ def _worker_pids(handle: ServerHandle, sub_id: str) -> set[int]:
 
 
 class TestFleetShutdown:
-    def test_stop_fleet_shares_one_grace_deadline(self, tmp_path):
+    def test_stop_fleet_shares_one_grace_deadline(self):
         import subprocess
 
         class Stuck:
@@ -941,19 +968,18 @@ class TestFleetShutdown:
             def kill(self) -> None:
                 self.killed = True
 
-        service = ReproService(
-            tmp_path, ServiceConfig(port=0, drain_grace_s=0.4)
-        )
+        fleet = WarmFleet(lambda *report: None)
         workers = [Stuck() for _ in range(4)]
-        service._fleet = {w: f"s{i}" for i, w in enumerate(workers)}
+        fleet.held = {w: f"s{i}" for i, w in enumerate(workers)}
+        fleet.live = dict.fromkeys(workers)
         start = time.monotonic()
-        service._stop_fleet()
+        fleet.stop(0.4)
         elapsed = time.monotonic() - start
         # One absolute deadline across the fleet: four stuck workers
         # must not stretch the drain to four grace windows.
         assert elapsed < 1.2, elapsed
         assert all(w.killed and w.stdin.closed for w in workers)
-        assert service._fleet == {}
+        assert fleet.held == {} and fleet.live == {}
 
 
 # ----------------------------------------------------------------------
