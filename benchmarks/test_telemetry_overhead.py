@@ -2,7 +2,7 @@
 
 Runs the canonical evaluation workload (400 jobs on 128 nodes,
 ``shared_backfill``) up a ladder of arming levels: telemetry off,
-metrics hub only, hub + decision trace (what ``--telemetry`` arms),
+the decision trace with the hub it owns (what ``--telemetry`` arms),
 the trace plus the hot-loop profiler (``--telemetry --profile``), and
 everything plus JSONL decision output.  The contract under test:
 disarmed telemetry costs nothing (the scheduler holds ``None`` and
@@ -67,10 +67,9 @@ def _failpoint_disarmed_ns_per_call() -> float:
 
 VARIANTS = {
     "off": None,
-    "hub": TelemetryConfig(enabled=True, decisions=False),
-    "hub+trace": TelemetryConfig(enabled=True, decisions=True),
-    "full": TelemetryConfig(enabled=True, decisions=True, profile=True),
-    "full+jsonl": TelemetryConfig(enabled=True, decisions=True, profile=True),
+    "hub+trace": TelemetryConfig(enabled=True),
+    "full": TelemetryConfig(enabled=True, profile=True),
+    "full+jsonl": TelemetryConfig(enabled=True, profile=True),
 }
 
 

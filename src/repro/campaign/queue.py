@@ -49,8 +49,10 @@ simply retires the item.
 trip pauses claiming; an RSS trip sheds the leased run back to the
 queue (with its snapshot, no delivery penalty) and recycles the
 worker; a per-run deadline converts a runaway run into a quarantine
-item; SIGTERM requeues the in-flight run within ``suspend_grace`` and
-exits 4; a lost lease (fencing) discards the in-flight result.
+item; SIGTERM requeues the in-flight run and exits 4 (a join parent
+SIGKILLs a worker still alive :data:`SUSPEND_GRACE_S` after its
+SIGTERM, and the lease is reclaimed); a lost lease (fencing) discards
+the in-flight result.
 """
 
 from __future__ import annotations
@@ -97,6 +99,10 @@ DEFAULT_MAX_DELIVERIES = 5
 
 #: Worker-fleet respawn budget multiplier for join mode.
 RESPAWN_BUDGET_PER_WORKER = 4
+
+#: Seconds a join parent's fleet gets to exit once stopped (SIGTERM on
+#: suspend, stdin EOF once drained) before it is SIGKILLed.
+SUSPEND_GRACE_S = 10.0
 
 #: Backoff schedule for redelivery ``not_before`` stamps — the same
 #: deterministic jittered curve the I/O retry layer uses, scaled up
@@ -651,15 +657,10 @@ DEFAULT_WORKER_CONFIG: dict[str, object] = {
     "max_deliveries": DEFAULT_MAX_DELIVERIES,
     "rss_budget_mb": 0.0,       # 0 = unguarded
     "disk_min_free_mb": 0.0,
-    "suspend_grace": 10.0,
     "bundle_dir": None,
     "snapshot_dir": None,
     "snapshot_every": None,
     "telemetry_dir": None,
-    # Fleet event sidecars under .queue/metrics/ (the observability
-    # plane).  Always outside the store fingerprint, so leaving this
-    # on costs a few fsync'd appends per run and changes no result.
-    "metrics": True,
 }
 
 
@@ -691,9 +692,6 @@ def queue_config_from_settings(
         "snapshot_dir": str(snapshot_dir),
         "snapshot_every": str(settings.get("snapshot_every") or "") or None,
         "telemetry_dir": str(telemetry_dir) if telemetry_dir else None,
-        # Fleet event sidecars (observability plane); always on — they
-        # live under .queue/, outside the byte-identity surface.
-        "metrics": True,
     }
 
 
@@ -796,8 +794,10 @@ class QueueWorker:
             clock=clock,
         )
         self.store = self.queue.store
-        if merged.get("metrics"):
-            self.queue.arm_events()
+        # Fleet event sidecars under .queue/metrics/ (the observability
+        # plane): outside the store fingerprint, so they cost a few
+        # fsync'd appends per run and change no result.
+        self.queue.arm_events()
         self.install_signal_handlers = install_signal_handlers
         self._note = note or (lambda message: None)
         self._clock = clock
@@ -1042,8 +1042,8 @@ class QueueWorker:
                 f"worker"
             )
             return
-        # External SIGTERM/SIGINT: clean drain within suspend_grace —
-        # park the run (with its snapshot) and exit suspended.
+        # External SIGTERM/SIGINT: clean drain — park the run (with
+        # its snapshot) and exit suspended.
         self.queue.requeue(
             item, token, penalty=False, snapshot=snapshot, reason="sigterm"
         )
@@ -1154,7 +1154,6 @@ class JoinOutcome:
     status: str  # drained | suspended | stalled
     workers: int
     respawns: int = 0
-    worker_exits: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -1165,7 +1164,6 @@ def drain_with_workers(
     store_root: str | Path,
     workers: int,
     *,
-    suspend_grace: float = 10.0,
     note: Callable[[str], None] | None = None,
     poll_s: float = 0.2,
 ) -> JoinOutcome:
@@ -1178,7 +1176,8 @@ def drain_with_workers(
     respawn authority: a worker whose drain ends with the queue still
     holding work (injected kill, RSS recycle, real crash) is replaced
     while the respawn budget lasts.  On a suspend request the fleet is
-    SIGTERMed, given *suspend_grace* to park leases, then SIGKILLed.
+    SIGTERMed, given :data:`SUSPEND_GRACE_S` to park leases, then
+    SIGKILLed.
     """
     from repro.campaign.warm import WarmFleet
 
@@ -1186,11 +1185,10 @@ def drain_with_workers(
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     queue = WorkQueue(store_root)
-    if queue.read_config().get("metrics", True):
-        # The parent's reclaim pass is an observability actor too: its
-        # supersession events are what the trace stitcher marks zombie
-        # tenures with.
-        queue.arm_events()
+    # The parent's reclaim pass is an observability actor too: its
+    # supersession events are what the trace stitcher marks zombie
+    # tenures with.
+    queue.arm_events()
     say = note or (lambda message: None)
     budget = RESPAWN_BUDGET_PER_WORKER * workers + 8
     outcome = JoinOutcome(status="drained", workers=workers)
@@ -1219,7 +1217,7 @@ def drain_with_workers(
             if queue.drained():
                 # An idle worker exits 0 at stdin EOF, a busy one once
                 # it has seen the queue empty too.
-                fleet.stop(suspend_grace, terminate=False)
+                fleet.stop(SUSPEND_GRACE_S, terminate=False)
                 return outcome
             if not fleet.held and outcome.respawns >= budget:
                 outcome.status = "stalled"
@@ -1236,10 +1234,7 @@ def drain_with_workers(
                 _launch()
             fleet.wait(poll_s)
     finally:
-        fleet.stop(suspend_grace)
-        outcome.worker_exits = {
-            number: proc.returncode for proc, number in index.items()
-        }
+        fleet.stop(SUSPEND_GRACE_S)
 
 
 #: Claim-cycle microbenchmark hook (claim → renew → release), shared

@@ -252,9 +252,8 @@ class CampaignRunner:
     telemetry_dir:
         Directory for per-run telemetry sidecar files; arms the
         telemetry subsystem in the workers (result payloads stay
-        byte-identical).  After the campaign, the sidecars are merged
-        into ``<store>/telemetry.json`` when a store is attached.
-        Only applies to the default entry function.
+        byte-identical); ``repro stats`` merges them.  Only applies to
+        the default entry function.
     """
 
     def __init__(
@@ -385,12 +384,6 @@ class CampaignRunner:
         result.completed = tracker.completed
         result.cached = tracker.cached
         result.elapsed_s = self._clock() - started
-        if self.telemetry_dir is not None and self.store is not None:
-            # Runner-side merge: fold every per-worker sidecar into
-            # one campaign-level telemetry document.
-            from repro.observability.stats import write_campaign_telemetry
-
-            write_campaign_telemetry(self.store.root, self.telemetry_dir)
         return result
 
     # ------------------------------------------------------------------

@@ -334,7 +334,6 @@ def _telemetry_from_args(args: argparse.Namespace):
 
     return TelemetryConfig(
         enabled=True,
-        decisions=True,
         profile=args.profile,
         decisions_path=args.decisions_out or None,
     )
@@ -792,12 +791,6 @@ def _execute_campaign(
         jsonl_path = Path(jsonl) if jsonl else store_dir / "results.jsonl"
         written = store.export_jsonl(jsonl_path, run_ids=[r.run_id for r in runs])
         print(f"results: {written} records -> {jsonl_path}", file=sys.stderr)
-    if telemetry_dir is not None and (store_dir / "telemetry.json").is_file():
-        print(
-            f"telemetry: {store_dir / 'telemetry.json'} "
-            f"(`repro stats {store_dir}` aggregates)",
-            file=sys.stderr,
-        )
 
     grid_rows = []
     experiment_lines = []
@@ -1311,7 +1304,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             strategy=strategy, share_threshold=args.threshold
         )
         trace = _build_trace(args)
-    config.telemetry = TelemetryConfig(enabled=True, decisions=True)
+    config.telemetry = TelemetryConfig(enabled=True)
     manager = build_manager(
         trace, num_nodes=num_nodes, strategy=strategy, config=config
     )
@@ -1841,9 +1834,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "the store is below this (0 = off)")
     p_camp.add_argument("--telemetry", action="store_true",
                         help="write per-run telemetry sidecars under "
-                             "<store>/telemetry and merge them into "
-                             "<store>/telemetry.json (results stay "
-                             "byte-identical)")
+                             "<store>/telemetry for `repro stats` to "
+                             "merge (results stay byte-identical)")
     p_camp.add_argument("--join", action="store_true",
                         help="drain through the durable work queue under "
                              "<store>/.queue: --workers cooperating "

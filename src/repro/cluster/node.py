@@ -115,9 +115,6 @@ class Node:
         """True if a shared co-runner could be placed here."""
         return self.mode is NodeMode.SHARED and len(self._occupants) < SMT_LANES
 
-    def hosts(self, job_id: int) -> bool:
-        return job_id in self._occupants.values()
-
     def co_runner_of(self, job_id: int) -> int | None:
         """The other occupant sharing the node with *job_id*, if any."""
         occupants = self._occupants.values()

@@ -75,15 +75,6 @@ class DiagnosticsConfig:
     def to_dict(self) -> dict[str, object]:
         return asdict(self)
 
-    def non_default_dict(self) -> dict[str, object]:
-        """Only the keys that differ from the defaults (compact params)."""
-        defaults = DiagnosticsConfig()
-        return {
-            key: value
-            for key, value in asdict(self).items()
-            if value != getattr(defaults, key)
-        }
-
     @staticmethod
     def from_dict(data: Mapping[str, object]) -> "DiagnosticsConfig":
         known = set(DiagnosticsConfig.__dataclass_fields__)

@@ -67,16 +67,6 @@ class FlightRecorder:
     def __len__(self) -> int:
         return len(self._ring)
 
-    def format(self, last: int | None = None) -> str:
-        """Human-readable dump of the (tail of the) ring."""
-        lines = [
-            f"[{r['time']:12.3f}] #{r['seq']:<8} {r['kind']:<14} {r['label']}"
-            for r in self.tail(last)
-        ]
-        if self.dropped:
-            lines.insert(0, f"... ({self.dropped} earlier dropped)")
-        return "\n".join(lines)
-
 
 def snapshot_manager(manager: object) -> dict[str, object]:
     """Cluster/queue/job state snapshot for a crash report.

@@ -76,7 +76,7 @@ class Simulator:
         Optional :class:`~repro.observability.HotLoopProfiler` fed the
         wall-clock cost of every handler dispatch, keyed by event
         kind.  Inert when ``None`` (the default): the hot path then
-        pays one ``is not None`` test per event.
+        reads no clock, only ``is not None`` tests.
     """
 
     def __init__(
@@ -246,16 +246,14 @@ class Simulator:
             self._check_progress_guard()
         if self.recorder is not None:
             self.recorder.record(event)
-        if self.profiler is None:
-            for handler in self._handlers.get(event.kind, ()):
-                handler(self, event)
-        else:
+        profiler = self.profiler
+        if profiler is not None:
             started_ns = _wallclock.perf_counter_ns()
-            for handler in self._handlers.get(event.kind, ()):
-                handler(self, event)
-            self.profiler.record_event(
-                event.kind.name,
-                _wallclock.perf_counter_ns() - started_ns,
+        for handler in self._handlers.get(event.kind, ()):
+            handler(self, event)
+        if profiler is not None:
+            profiler.record_event(
+                event.kind.name, _wallclock.perf_counter_ns() - started_ns
             )
         return event
 

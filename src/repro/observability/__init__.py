@@ -3,8 +3,9 @@ profiling and Perfetto export.
 
 Everything here is *purely observational*: armed or disarmed, the
 simulation's results are byte-identical.  Disarmed (the default), the
-scheduler holds ``None`` in place of every telemetry object and pays
-one ``is not None`` test per instrumented site.
+scheduler holds ``None`` in place of the decision trace (which owns
+the metrics hub) and the profiler, and pays one ``is not None`` test
+per instrumented site.
 """
 
 from repro.observability.config import TelemetryConfig
@@ -39,11 +40,9 @@ from repro.observability.perfetto import (
 from repro.observability.profiler import HotLoopProfiler
 from repro.observability.stats import (
     aggregate_store,
-    merge_campaign_telemetry,
     read_telemetry_sidecars,
     telemetry_dir_for,
     telemetry_path_for,
-    write_campaign_telemetry,
     write_telemetry_sidecar,
 )
 from repro.observability.stitch import (
@@ -76,7 +75,6 @@ __all__ = [
     "count_histogram",
     "current_trace",
     "fleet_metrics",
-    "merge_campaign_telemetry",
     "merge_fleet_metrics",
     "merge_hub_dicts",
     "perfetto_trace",
@@ -90,7 +88,6 @@ __all__ = [
     "telemetry_dir_for",
     "telemetry_path_for",
     "validate_trace",
-    "write_campaign_telemetry",
     "write_telemetry_sidecar",
     "write_trace",
 ]

@@ -7,10 +7,10 @@ campaign ``params`` dicts), so a traced run re-executes with exactly
 the telemetry that produced the original records.
 
 Telemetry is strictly observational and **off by default**: with
-``enabled=False`` the manager allocates no hub, no decision trace and
-no profiler, and every telemetry check in the hot path is a single
-``x is not None`` test — the same inert-unless-armed contract the
-diagnostics hooks follow.  Enabled or not, simulation *results* are
+``enabled=False`` the manager allocates no decision trace (which owns
+the metrics hub) and no profiler, and every telemetry check in the hot
+path is a single ``x is not None`` test — the same inert-unless-armed
+contract the diagnostics hooks follow.  Enabled or not, simulation *results* are
 byte-identical (the test suite asserts this property).
 """
 
@@ -29,12 +29,11 @@ class TelemetryConfig:
     Attributes
     ----------
     enabled:
-        Master switch: arms the metrics hub and the decision trace.
-        Off (the default) means zero allocation and near-zero overhead.
-    decisions:
-        Keep structured decision records (scheduler passes, placement
-        accept/reject with reason codes, lifecycle transitions,
-        failures).  Only meaningful with ``enabled=True``.
+        Master switch: arms the decision trace (structured records of
+        scheduler passes, coded placement accepts and rejects,
+        lifecycle transitions and failures) together with the metrics
+        hub it owns.  Off (the default) means zero allocation and
+        near-zero overhead.
     profile:
         Arm the hot-loop profiler attributing wall-clock to event
         kinds and scheduler phases.  Only meaningful with
@@ -45,7 +44,6 @@ class TelemetryConfig:
     """
 
     enabled: bool = False
-    decisions: bool = True
     profile: bool = False
     decisions_path: str | None = None
 
@@ -54,15 +52,6 @@ class TelemetryConfig:
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, object]:
         return asdict(self)
-
-    def non_default_dict(self) -> dict[str, object]:
-        """Only the keys that differ from the defaults (compact params)."""
-        defaults = TelemetryConfig()
-        return {
-            key: value
-            for key, value in asdict(self).items()
-            if value != getattr(defaults, key)
-        }
 
     @staticmethod
     def from_dict(data: Mapping[str, object]) -> "TelemetryConfig":

@@ -4,12 +4,14 @@ The hub is a plain in-process metrics registry sampled at event
 boundaries by the workload manager.  It is pure bookkeeping — no
 clocks, no I/O — so it pickles inside snapshots (telemetry survives
 suspend/resume) and merges exactly across campaign workers: the
-per-worker sidecar files a telemetry-armed campaign writes are folded
+per-run sidecar files a telemetry-armed campaign writes are folded
 back together with :func:`merge_hub_dicts`.
 
-Zero-overhead-when-off contract: the manager holds ``None`` instead
-of a hub when telemetry is disabled, so the cost of the feature on
-the default path is one ``is not None`` test per instrumented site.
+Each :class:`~repro.observability.trace.DecisionTrace` creates and
+owns one hub.  Zero-overhead-when-off contract: the manager holds
+``None`` instead of a trace when telemetry is disabled, so the cost of
+the feature on the default path is one ``is not None`` test per
+instrumented site.
 """
 
 from __future__ import annotations
@@ -104,8 +106,8 @@ class TelemetryHub:
 
 
 def merge_hub_dicts(payloads: Iterable[Mapping[str, object]]) -> dict[str, object]:
-    """Merge serialised hub exports (e.g. per-worker sidecar files)
-    into one combined export — the runner-side campaign merge."""
+    """Merge serialised hub exports (e.g. per-run sidecar files) into
+    one combined export, as ``repro stats`` does for a store."""
     combined = TelemetryHub()
     for payload in payloads:
         combined.merge(TelemetryHub.from_dict(payload))

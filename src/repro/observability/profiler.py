@@ -2,23 +2,23 @@
 
 Attributes real time to (a) event kinds — measured around the
 engine's handler dispatch, the only place every event passes through
-— and (b) named scheduler phases (``placement``, ``apply``,
+— and (b) named scheduler phases (``placement``, ``dispatch``,
 ``interference``, ``metrics``) timed explicitly by the workload
 manager.  Sampling is two ``perf_counter_ns`` calls per measured
-section; with the profiler disarmed the cost is one ``is not None``
-test per event.
+section; each profiled site has one body that reads the clock only
+when the profiler is armed, so disarmed it costs ``is not None``
+tests and no clock reads.
 
 The profiler holds integer nanosecond totals only — no handles, no
-clocks at rest — so it pickles inside snapshots and merges across
-campaign workers like every other telemetry object.  Wall-clock
-totals are obviously not deterministic; they live in telemetry
-sidecars and ``--json`` profile sections, never in result payloads.
+clocks at rest — so it pickles inside snapshots like every other
+telemetry object.  Wall-clock totals are obviously not
+deterministic; they live in telemetry sidecars and ``--json`` profile
+sections, never in result payloads.
 """
 
 from __future__ import annotations
 
 from time import perf_counter_ns
-from typing import Mapping
 
 
 class HotLoopProfiler:
@@ -55,38 +55,9 @@ class HotLoopProfiler:
             cell[0] += 1
             cell[1] += elapsed_ns
 
-    class _Timer:
-        """Context-manager convenience for non-hot-path callers."""
-
-        __slots__ = ("_profiler", "_phase", "_start")
-
-        def __init__(self, profiler: "HotLoopProfiler", phase: str) -> None:
-            self._profiler = profiler
-            self._phase = phase
-
-        def __enter__(self) -> "HotLoopProfiler._Timer":
-            self._start = perf_counter_ns()
-            return self
-
-        def __exit__(self, *exc_info: object) -> None:
-            self._profiler.record_phase(
-                self._phase, perf_counter_ns() - self._start
-            )
-
-    def phase(self, name: str) -> "HotLoopProfiler._Timer":
-        return HotLoopProfiler._Timer(self, name)
-
     # ------------------------------------------------------------------
-    # Merge and export
+    # Export
     # ------------------------------------------------------------------
-    def merge(self, other: "HotLoopProfiler") -> None:
-        for kind, (calls, ns) in other.event_ns.items():
-            self.record_event(kind, ns)
-            self.event_ns[kind][0] += calls - 1
-        for phase, (calls, ns) in other.phase_ns.items():
-            self.record_phase(phase, ns)
-            self.phase_ns[phase][0] += calls - 1
-
     @property
     def total_event_ns(self) -> int:
         return sum(ns for _, ns in self.event_ns.values())
@@ -110,20 +81,3 @@ class HotLoopProfiler:
             "phases": section(self.phase_ns),
             "total_event_ms": self.total_event_ns / 1e6,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "HotLoopProfiler":
-        profiler = cls()
-        for table_name, target in (
-            ("events", profiler.event_ns),
-            ("phases", profiler.phase_ns),
-        ):
-            table = data.get(table_name, {})
-            if isinstance(table, Mapping):
-                for name, cell in table.items():
-                    if isinstance(cell, Mapping):
-                        target[str(name)] = [
-                            int(cell.get("calls", 0)),
-                            int(round(float(cell.get("wall_ms", 0.0)) * 1e6)),
-                        ]
-        return profiler

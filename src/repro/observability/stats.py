@@ -59,19 +59,9 @@ def write_telemetry_sidecar(
     return path
 
 
-def read_telemetry_sidecars(
-    store_dir: str | Path, telemetry_dir: str | Path | None = None
-) -> dict[str, dict]:
-    """All sidecars of a store, keyed by run id (missing dir = empty).
-
-    *telemetry_dir* overrides the default ``<store>/telemetry``
-    location (campaigns may park sidecars elsewhere).
-    """
-    directory = (
-        Path(telemetry_dir)
-        if telemetry_dir is not None
-        else telemetry_dir_for(store_dir)
-    )
+def read_telemetry_sidecars(store_dir: str | Path) -> dict[str, dict]:
+    """All sidecars of a store, keyed by run id (missing dir = empty)."""
+    directory = telemetry_dir_for(store_dir)
     sidecars: dict[str, dict] = {}
     if not directory.is_dir():
         return sidecars
@@ -84,14 +74,6 @@ def read_telemetry_sidecars(
         if isinstance(data, dict):
             sidecars[run_id] = data
     return sidecars
-
-
-def merge_campaign_telemetry(
-    store_dir: str | Path, telemetry_dir: str | Path | None = None
-) -> dict[str, object]:
-    """The runner-side merge: fold every per-worker sidecar into one
-    campaign-level document (written as ``<store>/telemetry.json``)."""
-    return _merge_sidecars(read_telemetry_sidecars(store_dir, telemetry_dir))
 
 
 def _merge_sidecars(sidecars: Mapping[str, dict]) -> dict[str, object]:
@@ -113,22 +95,6 @@ def _merge_sidecars(sidecars: Mapping[str, dict]) -> dict[str, object]:
         ),
     }
     return merged
-
-
-def write_campaign_telemetry(
-    store_dir: str | Path, telemetry_dir: str | Path | None = None
-) -> Path | None:
-    """Merge sidecars and persist ``<store>/telemetry.json``."""
-    merged = merge_campaign_telemetry(store_dir, telemetry_dir)
-    path = Path(store_dir) / "telemetry.json"
-    try:
-        path.write_text(
-            json.dumps(merged, sort_keys=True, indent=1) + "\n",
-            encoding="utf-8",
-        )
-    except OSError:
-        return None
-    return path
 
 
 def aggregate_store(path: str | Path) -> dict[str, object]:
@@ -203,7 +169,9 @@ def _aggregate_columnar(
 def _aggregate_json_store(store_dir: Path) -> dict[str, object]:
     """Simulate records grouped per strategy (runs, jobs, mean makespan
     / wait / efficiency), telemetry sidecars folded in where present,
-    and quarantine counts — the complete campaign picture."""
+    and quarantine counts — the complete campaign picture.  This is the
+    one place a store's sidecars are merged; nothing writes the merge
+    back into the store."""
     from repro.campaign.store import ResultStore
 
     store = ResultStore(store_dir)

@@ -15,17 +15,22 @@ cannot fill the disk with one unbounded trace file.
 
 Rejections are additionally *streak-suppressed*: a pending job that
 fails the same probe with the same code pass after pass emits one
-record when the streak starts, not one per pass (the hub counter
-still counts every attempt, and ``suppressed`` tallies the elided
-repeats).  Any accept or lifecycle transition for the job resets its
-streaks, so the stream records every *change* of decision — which is
-what keeps fully-armed tracing inside the DESIGN.md §7 overhead
-budget on contended queues, where identical re-rejections dominate.
+record when the streak starts, not one per pass (the hub's
+``reject.*`` counters count records, not attempts, and ``suppressed``
+tallies the elided repeats).  Any accept or lifecycle transition for
+the job resets its streaks, so the stream records every *change* of
+decision — which is what keeps fully-armed tracing inside the
+DESIGN.md §7 overhead budget on contended queues, where identical
+re-rejections dominate.
 
-The trace pickles inside snapshots — the ring, counters and sequence
-numbers travel with the manager, so a suspended/resumed run carries
-its full decision history.  Only the line buffer is flushed first;
-no file handle is held between flushes.
+Every trace owns its :class:`~repro.observability.hub.TelemetryHub`:
+the typed emit helpers bump its counters, so metrics and records
+cannot drift apart, and arming the trace arms the hub with it.
+
+The trace pickles inside snapshots — the ring, hub, counters and
+sequence numbers travel with the manager, so a suspended/resumed run
+carries its full decision history.  Only the line buffer is flushed
+first; no file handle is held between flushes.
 """
 
 from __future__ import annotations
@@ -33,12 +38,9 @@ from __future__ import annotations
 import json
 from collections import deque
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.observability.hub import TelemetryHub
+from repro.observability.hub import TelemetryHub
 
 #: Every reason code a rejection record may carry, with its meaning.
 #: This table is the single authority (documented in DESIGN.md §7);
@@ -113,10 +115,6 @@ class DecisionTrace:
         Rotate the JSONL file once it exceeds this size.
     keep:
         Rotated generations retained (``<path>.1`` ... ``<path>.keep``).
-    hub:
-        Optional :class:`~repro.observability.hub.TelemetryHub`; the
-        typed emit helpers bump its counters so metrics and trace
-        cannot drift apart.
 
     The manager always takes the defaults of *ring*, *flush_every*,
     *rotate_bytes* and *keep*; they are parameters so tests can force
@@ -130,7 +128,6 @@ class DecisionTrace:
         flush_every: int = 256,
         rotate_bytes: int = 64 * 1024 * 1024,
         keep: int = 2,
-        hub: "TelemetryHub | None" = None,
     ) -> None:
         if ring < 1:
             raise ConfigError(f"ring must be >= 1, got {ring}")
@@ -138,7 +135,9 @@ class DecisionTrace:
         self.flush_every = int(flush_every)
         self.rotate_bytes = int(rotate_bytes)
         self.keep = int(keep)
-        self.hub = hub
+        #: The run's metrics registry; the manager writes its job
+        #: histograms, pass gauges and ``sim.*`` figures here too.
+        self.hub = TelemetryHub()
         self._ring = int(ring)
         self.records: deque[dict] = deque(maxlen=self._ring)
         self.emitted = 0
@@ -210,8 +209,7 @@ class DecisionTrace:
         if stages is None:
             stages = self.streaks[job_id] = {}
         stages[stage] = code
-        if self.hub is not None:
-            self.hub.inc(f"reject.{stage}.{code}")
+        self.hub.inc(f"reject.{stage}.{code}")
         self._seq += 1
         return self._append({
             "seq": self._seq, "t": float(t), "type": "reject",
@@ -223,8 +221,7 @@ class DecisionTrace:
         **fields: object,
     ) -> dict:
         """A placement probe succeeded (the job starts this pass)."""
-        if self.hub is not None:
-            self.hub.inc(f"accept.{stage}.{kind}")
+        self.hub.inc(f"accept.{stage}.{kind}")
         self.streaks.pop(job_id, None)
         self._seq += 1
         return self._append({
@@ -240,8 +237,7 @@ class DecisionTrace:
         rejection streaks reset — the next identical rejection is a
         fresh decision and records again.
         """
-        if self.hub is not None:
-            self.hub.inc(f"jobs.{state}")
+        self.hub.inc(f"jobs.{state}")
         self.streaks.pop(job_id, None)
         self._seq += 1
         return self._append({
@@ -253,8 +249,7 @@ class DecisionTrace:
         self, t: float, name: str, **fields: object
     ) -> dict:
         """A scheduler-cycle span summary (one per pass)."""
-        if self.hub is not None:
-            self.hub.inc(f"span.{name}")
+        self.hub.inc(f"span.{name}")
         self._seq += 1
         return self._append({
             "seq": self._seq, "t": float(t), "type": "span",
@@ -263,8 +258,7 @@ class DecisionTrace:
 
     def event(self, t: float, name: str, **fields: object) -> dict:
         """A point event (failure, repair, reservation edge, snapshot)."""
-        if self.hub is not None:
-            self.hub.inc(f"event.{name}")
+        self.hub.inc(f"event.{name}")
         self._seq += 1
         return self._append({
             "seq": self._seq, "t": float(t), "type": "event",

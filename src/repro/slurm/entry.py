@@ -121,7 +121,6 @@ def _execute_simulate(
 
         config.telemetry = TelemetryConfig(
             enabled=True,
-            decisions=True,
             profile=True,
             decisions_path=str(
                 Path(telemetry_dir) / f"{run_id}.decisions.jsonl"

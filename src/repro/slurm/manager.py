@@ -44,7 +44,6 @@ from repro.errors import (
 from repro.interference.model import InterferenceModel
 from repro.interference.profile import ResourceProfile
 from repro.miniapps.suite import TRINITY_SUITE
-from repro.observability.hub import TelemetryHub
 from repro.observability.profiler import HotLoopProfiler
 from repro.observability.trace import DecisionTrace
 from repro.resilience import (
@@ -155,13 +154,11 @@ class WorkloadManager:
             FlightRecorder(diag.ring_size) if diag.flight_recorder else None
         )
         # Telemetry (all None when off — the zero-overhead contract).
+        # The decision trace owns the run's metrics hub.
         telemetry = self.config.telemetry
-        self.hub: TelemetryHub | None = (
-            TelemetryHub() if telemetry.enabled else None
-        )
         self.decisions: DecisionTrace | None = (
-            DecisionTrace(path=telemetry.decisions_path, hub=self.hub)
-            if telemetry.enabled and telemetry.decisions
+            DecisionTrace(path=telemetry.decisions_path)
+            if telemetry.enabled
             else None
         )
         self.hot_profiler: HotLoopProfiler | None = (
@@ -292,6 +289,9 @@ class WorkloadManager:
         return state
 
     def __setstate__(self, state: dict) -> None:
+        # Older snapshots also held the metrics hub in a manager slot;
+        # their decision trace carries the same hub object.
+        state.pop("hub", None)
         self.__dict__.update(state)
         self._release_bounds = self._scan_release_bounds()
 
@@ -470,30 +470,29 @@ class WorkloadManager:
 
     def _refresh_rate(self, job: Job) -> None:
         """Integrate progress, recompute the rate, reschedule finish."""
-        if self.hot_profiler is None:
-            self._refresh_rate_inner(job)
-        else:
-            started_ns = self.hot_profiler.now_ns()
-            self._refresh_rate_inner(job)
-            self.hot_profiler.record_phase(
-                "interference", self.hot_profiler.now_ns() - started_ns
-            )
-
-    def _refresh_rate_inner(self, job: Job) -> None:
+        profiler = self.hot_profiler
+        if profiler is not None:
+            started_ns = profiler.now_ns()
         now = self.sim.now
         job.integrate_progress(now, job.sharing_now)
         co_runners = self.cluster.jobs_sharing_with(job.job_id)
         job.sharing_now = bool(co_runners)
         job.corun_job_ids |= co_runners
         new_rate = self._job_rate(job, co_runners)
-        if job.finish_event is not None and not job.finish_event.cancelled:
-            if abs(new_rate - job.rate) < 1e-12:
-                return
-            self.sim.cancel(job.finish_event)
-        job.rate = new_rate
-        job.finish_event = self.sim.schedule(
-            job.eta(now), EventKind.JOB_FINISH, job
-        )
+        finish = job.finish_event
+        live = finish is not None and not finish.cancelled
+        # An unchanged rate keeps the scheduled finish event.
+        if not (live and abs(new_rate - job.rate) < 1e-12):
+            if live:
+                self.sim.cancel(finish)
+            job.rate = new_rate
+            job.finish_event = self.sim.schedule(
+                job.eta(now), EventKind.JOB_FINISH, job
+            )
+        if profiler is not None:
+            profiler.record_phase(
+                "interference", profiler.now_ns() - started_ns
+            )
 
     # ------------------------------------------------------------------
     # Event handlers
@@ -1001,9 +1000,8 @@ class WorkloadManager:
                 now, job.job_id, final_state.name.lower(),
                 shared=record.was_shared,
             )
-        if self.hub is not None:
-            self.hub.observe("job.wait_s", record.wait_time)
-            self.hub.observe("job.run_s", record.run_time)
+            self.decisions.hub.observe("job.wait_s", record.wait_time)
+            self.decisions.hub.observe("job.run_s", record.run_time)
         self.priority.charge(job.spec.user, record.node_seconds_allocated)
         if self.predictor is not None and final_state is JobState.COMPLETED:
             self.predictor.observe(
@@ -1072,23 +1070,20 @@ class WorkloadManager:
             release_bounds=self._pass_release_bounds(),
         )
         profiler = self.hot_profiler
-        if profiler is None:
-            placements = self.strategy.schedule(ctx)
-            for placement in placements:
-                self._start_job(placement)
-            if placements and self.collector is not None:
-                self.collector.on_sample(sim.now, self)
-        else:
+        if profiler is not None:
             started_ns = profiler.now_ns()
-            placements = self.strategy.schedule(ctx)
+        placements = self.strategy.schedule(ctx)
+        if profiler is not None:
             placed_ns = profiler.now_ns()
             profiler.record_phase("placement", placed_ns - started_ns)
-            for placement in placements:
-                self._start_job(placement)
+        for placement in placements:
+            self._start_job(placement)
+        if profiler is not None:
             applied_ns = profiler.now_ns()
             profiler.record_phase("dispatch", applied_ns - placed_ns)
-            if placements and self.collector is not None:
-                self.collector.on_sample(sim.now, self)
+        if placements and self.collector is not None:
+            self.collector.on_sample(sim.now, self)
+            if profiler is not None:
                 profiler.record_phase("metrics", profiler.now_ns() - applied_ns)
         if self.decisions is not None:
             self.decisions.span(
@@ -1096,9 +1091,9 @@ class WorkloadManager:
                 pending=len(pending), running=len(running),
                 placed=len(placements),
             )
-        if self.hub is not None:
-            self.hub.set_gauge("queue.pending", float(len(self.queue)))
-            self.hub.set_gauge("cluster.running", float(len(running)))
+            hub = self.decisions.hub
+            hub.set_gauge("queue.pending", float(len(self.queue)))
+            hub.set_gauge("cluster.running", float(len(running)))
 
     # ------------------------------------------------------------------
     # Starting jobs
@@ -1152,11 +1147,12 @@ class WorkloadManager:
         callers must keep this OUT of result payloads and store
         records — it belongs in ``--json`` extras and sidecar files.
         """
-        if self.hub is None:
+        if self.decisions is None:
             return None
-        summary: dict[str, object] = {"metrics": self.hub.as_dict()}
-        if self.decisions is not None:
-            summary["decisions"] = self.decisions.summary()
+        summary: dict[str, object] = {
+            "metrics": self.decisions.hub.as_dict(),
+            "decisions": self.decisions.summary(),
+        }
         if self.hot_profiler is not None:
             summary["profile"] = self.hot_profiler.as_dict()
         return summary
@@ -1216,14 +1212,12 @@ class WorkloadManager:
         elapsed = _wallclock.perf_counter() - started
         if self.decisions is not None:
             self.decisions.close()
-        if self.hub is not None:
-            self.hub.inc("sim.runs")
-            self.hub.set_gauge(
+            hub = self.decisions.hub
+            hub.inc("sim.runs")
+            hub.set_gauge(
                 "sim.events_dispatched", float(self.sim.events_dispatched)
             )
-            self.hub.set_gauge(
-                "sim.scheduler_passes", float(self.scheduler_passes)
-            )
+            hub.set_gauge("sim.scheduler_passes", float(self.scheduler_passes))
         ends = [r.end_time for r in self.accounting]
         submits = [j.spec.submit_time for j in self.jobs.values()]
         makespan = (max(ends) - min(submits)) if ends else 0.0

@@ -37,7 +37,6 @@ class TestExclusive:
         node.allocate_exclusive(7)
         assert node.mode is NodeMode.EXCLUSIVE
         assert node.occupant_ids == (7,)
-        assert node.hosts(7)
 
     def test_exclusive_rejects_second_exclusive(self, node):
         node.allocate_exclusive(1)

@@ -47,7 +47,6 @@ class TestDiagnosticsConfig:
         assert config.wall_clock_limit_s is None
         assert config.stall_event_limit is None
         assert config.max_events is None
-        assert config.non_default_dict() == {}
 
     def test_roundtrip(self):
         config = DiagnosticsConfig(
@@ -102,12 +101,6 @@ class TestFlightRecorder:
         entry = recorder.last()
         assert entry["kind"] == "SCHEDULER_PASS"
         assert entry["label"] == "tick"
-
-    def test_format_mentions_drops(self):
-        recorder = FlightRecorder(limit=1)
-        recorder.record(Event(time=0.0, kind=EventKind.JOB_SUBMIT))
-        recorder.record(Event(time=1.0, kind=EventKind.JOB_SUBMIT))
-        assert "1 earlier dropped" in recorder.format()
 
 
 class TestWatchdogs:

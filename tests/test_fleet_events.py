@@ -3,8 +3,6 @@ Prometheus rendering, fsck hygiene, and the byte-identity contract."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.campaign.queue import WorkQueue
@@ -363,9 +361,10 @@ class TestFsckSidecars:
 class TestByteIdentity:
     def test_armed_vs_disarmed_stores_identical(self, tmp_path):
         """Observability must not leak into results: a metrics-armed
-        2-worker drain leaves a store byte-identical to a metrics-off
-        drain of the same campaign (sidecars live under ``.queue/``,
-        outside the fingerprint surface)."""
+        2-worker drain leaves a store byte-identical to a drain of the
+        same campaign with the workers' event sidecars detached
+        (sidecars live under ``.queue/``, outside the fingerprint
+        surface)."""
         from repro.campaign.queue import QueueWorker
         from repro.faultinject.chaos import store_fingerprint
 
@@ -377,7 +376,6 @@ class TestByteIdentity:
         for mode, metrics in (("armed", True), ("disarmed", False)):
             store_dir = tmp_path / mode
             queue = WorkQueue(store_dir)
-            queue.write_config({"metrics": metrics})
             if metrics:
                 queue.arm_events()
             queue.enqueue(
@@ -387,6 +385,8 @@ class TestByteIdentity:
             )
             for _ in range(2):  # two sequential "workers"
                 worker = QueueWorker(store_dir, entry=entry)
+                if not metrics:
+                    worker.queue.events = None
                 worker.drain()
             fingerprints[mode] = store_fingerprint(store_dir)
             sidecars = list(metrics_dir_for(store_dir).glob("*"))

@@ -24,8 +24,8 @@ from repro.observability import (
     REASON_CODES,
     TelemetryConfig,
     TelemetryHub,
+    aggregate_store,
     count_histogram,
-    merge_campaign_telemetry,
     merge_hub_dicts,
     read_telemetry_sidecars,
     size_class_labels,
@@ -50,7 +50,7 @@ def build(strategy="shared_backfill", jobs=60, nodes=16, seed=7,
                          config=config)
 
 
-ARMED = TelemetryConfig(enabled=True, decisions=True, profile=True)
+ARMED = TelemetryConfig(enabled=True, profile=True)
 
 
 # ----------------------------------------------------------------------
@@ -103,7 +103,8 @@ class TestTelemetryConfig:
     def test_defaults_are_inert(self):
         config = TelemetryConfig()
         assert not config.enabled
-        assert config.non_default_dict() == {}
+        assert not config.profile
+        assert config.decisions_path is None
 
     def test_round_trip(self):
         config = TelemetryConfig(
@@ -182,8 +183,8 @@ class TestDecisionTrace:
         """The same (job, stage) failing with the same code records
         once per streak; a code change, accept or lifecycle event
         restarts the streak."""
-        hub = TelemetryHub()
-        trace = DecisionTrace(hub=hub)
+        trace = DecisionTrace()
+        hub = trace.hub
         for _ in range(5):
             trace.reject(0.0, "exclusive", 1, "insufficient_idle")
         assert trace.emitted == 1
@@ -263,20 +264,6 @@ class TestHotLoopProfiler:
         assert payload["phases"]["placement"]["calls"] == 1
         assert payload["total_event_ms"] == pytest.approx(4.0)
 
-    def test_merge_and_round_trip(self):
-        a, b = HotLoopProfiler(), HotLoopProfiler()
-        a.record_event("X", 10)
-        b.record_event("X", 30)
-        a.merge(b)
-        restored = HotLoopProfiler.from_dict(a.as_dict())
-        assert restored.as_dict()["events"]["X"]["calls"] == 2
-
-    def test_phase_context_manager(self):
-        prof = HotLoopProfiler()
-        with prof.phase("metrics"):
-            pass
-        assert prof.as_dict()["phases"]["metrics"]["calls"] == 1
-
 
 # ----------------------------------------------------------------------
 # Live-simulation reason-code completeness
@@ -301,7 +288,7 @@ class TestReasonCodeCompleteness:
         # record per decision change); streak repeats land in the
         # `suppressed` tally instead.  With nothing dropped from the
         # ring, counters and records must agree code-for-code.
-        counters = manager.hub.as_dict()["counters"]
+        counters = manager.decisions.hub.as_dict()["counters"]
         per_code: dict[str, int] = {}
         for record in rejects:
             key = f"reject.{record['stage']}.{record['code']}"
@@ -353,7 +340,6 @@ class TestReasonCodeCompleteness:
 class TestManagerTelemetry:
     def test_disarmed_manager_holds_none(self):
         manager = build()
-        assert manager.hub is None
         assert manager.decisions is None
         assert manager.hot_profiler is None
         assert manager.telemetry_summary() is None
@@ -397,7 +383,7 @@ class TestSidecars:
             )
         sidecars = read_telemetry_sidecars(store)
         assert set(sidecars) == {"aaaa", "bbbb"}
-        merged = merge_campaign_telemetry(store)
+        merged = aggregate_store(store)["telemetry"]
         assert merged["runs"] == 2
         assert merged["exec"]["wall_clock_s"] == pytest.approx(4.0)
         assert merged["exec"]["resume_count"] == 2

@@ -51,7 +51,7 @@ def build(strategy="shared_backfill", jobs=60, nodes=16, seed=7,
     ).generate(jobs, nodes, rng)
     config = SchedulerConfig(strategy=strategy)
     if decisions:
-        config.telemetry = TelemetryConfig(enabled=True, decisions=True)
+        config.telemetry = TelemetryConfig(enabled=True)
     return build_manager(trace, num_nodes=nodes, strategy=strategy,
                          config=config)
 
