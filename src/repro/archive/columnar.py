@@ -12,26 +12,28 @@ Layout::
     <root>/manifest.json          # authoritative row counts + dtypes
     <root>/<family>.col           # raw C-contiguous record bytes
 
-Crash safety is the manifest's job.  :meth:`ColumnarStore.append`
-first truncates the column file to the manifest's row count (erasing
-any torn tail a previous crash left), writes + fsyncs the new
-records, and only then atomically rewrites the manifest.  A crash at
-any point leaves the manifest describing a fully-written prefix;
-whatever bytes follow it are ignored and overwritten by the next
-append.
+Crash safety is the manifest's job.  A commit first truncates each
+column file it extends to the manifest's row count (erasing any torn
+tail a previous crash left), writes + fsyncs the new records, and
+only then atomically rewrites the manifest.  A crash at any point
+leaves the manifest describing a fully-written prefix; whatever bytes
+follow it are ignored and overwritten by the next commit.
 
 :meth:`append_once` adds idempotence on top: each append is tagged
 with a caller-chosen *mark* key recorded in the same manifest write.
-Re-executing a producer (e.g. a replay window whose JSON result was
-lost) re-calls ``append_once`` with the same key and becomes a no-op
-— the store never double-counts a window.
+Re-executing a producer (e.g. a replay window whose commit was lost)
+re-calls ``append_once`` with the same key and becomes a no-op — the
+store never double-counts a window.
 
-:meth:`ColumnarStore.batch` widens that commit to several appends:
-inside the block each append writes and fsyncs its column file as
-usual, and the block ends with one manifest write carrying every new
-row count and mark — so a producer's marks (a replay window's
-``jobs`` and ``windows`` rows) become visible together or not at
-all.  The manifest is written compact (``sort_keys``, no
+:meth:`ColumnarStore.batch` widens that commit to every append inside
+the block: the appends are staged in memory, and a clean exit writes
+one truncate-first write and fsync per family that gained rows, then
+one manifest carrying every new row count and mark — so a producer's
+marks (a replay's ``jobs`` and ``windows`` rows for a whole group of
+windows) become visible together or not at all.  Staged rows are
+invisible to :meth:`~ColumnarStore.rows`, :meth:`~ColumnarStore.read`
+and the marks until that commit.  An append outside any batch is a
+batch of one.  The manifest is written compact (``sort_keys``, no
 indentation); stores written with ``indent=1`` read the same.
 
 The module also owns the fixed dtypes and the converters between
@@ -133,10 +135,13 @@ class ColumnarStore:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        #: The committed manifest: what the file on disk says.
         self._manifest = self._read_manifest()
-        #: Inside :meth:`batch`: whether an append is awaiting the
-        #: block's manifest write (None outside any batch).
-        self._pending: bool | None = None
+        #: Inside :meth:`batch`: the manifest its commit will write
+        #: (None outside any batch) ...
+        self._next: dict | None = None
+        #: ... and the ``(family, bytes)`` appends it will write.
+        self._tail: list[tuple[str, bytes]] = []
 
     # ------------------------------------------------------------------
     # Manifest
@@ -170,11 +175,11 @@ class ColumnarStore:
         manifest.setdefault("marks", {})
         return manifest
 
-    def _write_manifest(self) -> None:
+    def _write_manifest(self, manifest: dict) -> None:
         # Compact on purpose: ``indent`` forces the pure-Python
         # encoder, about 3x slower on a many-mark manifest.
         data = json.dumps(
-            self._manifest, sort_keys=True, separators=(",", ":")
+            manifest, sort_keys=True, separators=(",", ":")
         ).encode("utf-8")
         write_atomic(
             self.root / MANIFEST_NAME, data,
@@ -207,7 +212,7 @@ class ColumnarStore:
         entry = self._manifest["families"].get(family)
         if entry is None:
             raise ConfigError(f"columnar store has no family {family!r}")
-        return np.dtype([(name, code) for name, code in entry["dtype"]])
+        return _entry_dtype(entry)
 
     def marked(self, key: str) -> bool:
         return key in self._manifest["marks"]
@@ -241,44 +246,82 @@ class ColumnarStore:
     def append_once(
         self, family: str, key: str, records: np.ndarray
     ) -> int | None:
-        """Append exactly once per *key*; None when already applied.
+        """Append exactly once per *key*; None when already applied
+        (committed, or staged by the open batch).
 
         The mark lands in the same atomic manifest write as the row
         count, so "rows visible" and "mark present" cannot diverge.
         """
-        if self.marked(key):
+        staging = self._manifest if self._next is None else self._next
+        if key in staging["marks"]:
             return None
         return self._append(family, records, mark=key)
 
     @contextlib.contextmanager
     def batch(self) -> Iterator["ColumnarStore"]:
-        """Commit every append inside the block with one manifest write.
+        """Stage every append inside the block; commit them on exit.
 
-        Column files are written and fsynced per append, as outside a
-        batch; the manifest — row counts and marks — is written once
-        when the block exits cleanly, and not at all when nothing was
-        appended.  If the block or that write fails, the in-memory
-        manifest is re-read from disk, so the store keeps describing
-        only what was committed.  Batches do not nest.
+        No column byte is written inside the block.  A clean exit
+        makes one truncate-first write and fsync per family with
+        staged rows, then one manifest write, and writes nothing when
+        nothing was appended.  An exception inside the block drops
+        every staged append; a failed commit leaves the in-memory
+        manifest at the last committed one.  A batch opened inside
+        another joins it: its appends commit with the outer block, and
+        an exception inside it drops only the appends it staged.
         """
-        if self._pending is not None:
-            raise RuntimeError("ColumnarStore.batch() does not nest")
-        self._pending = False
+        if self._next is not None:
+            saved = (_copy_manifest(self._next), len(self._tail))
+            try:
+                yield self
+            except BaseException:
+                self._next = saved[0]
+                del self._tail[saved[1]:]
+                raise
+            return
+        self._next = _copy_manifest(self._manifest)
         try:
             yield self
-            if self._pending:
-                self._write_manifest()
-        except BaseException:
-            self._manifest = self._read_manifest()
-            raise
+            manifest, tail = self._next, self._tail
         finally:
-            self._pending = None
+            self._next, self._tail = None, []
+        if tail:
+            self._commit(manifest, tail)
+
+    def _commit(self, manifest: dict, tail: list[tuple[str, bytes]]) -> None:
+        chunks: dict[str, list[bytes]] = {}
+        for family, data in tail:
+            chunks.setdefault(family, []).append(data)
+        for family, parts in chunks.items():
+            offset = self.rows(family) * _entry_dtype(
+                manifest["families"][family]
+            ).itemsize
+            self._write_column(family, offset, b"".join(parts))
+        self._write_manifest(manifest)
+        self._manifest = manifest
+
+    def _write_column(self, family: str, offset: int, data: bytes) -> None:
+        path = self.path_for(family)
+
+        def _attempt() -> None:
+            # Re-seeking + truncating per attempt makes a retry after a
+            # transient mid-write error start from a clean prefix.
+            with open(path, "a+b") as handle:
+                handle.seek(offset)
+                handle.truncate()
+                append_durable(handle, data, "columnar.append.write")
+
+        with_io_retries(_attempt)
 
     def _append(
         self, family: str, records: np.ndarray, mark: str | None
     ) -> int:
+        if self._next is None:
+            with self.batch():
+                return self._append(family, records, mark)
         records = np.ascontiguousarray(records)
-        families = self._manifest["families"]
+        self.path_for(family)  # rejects a bad family name
+        families = self._next["families"]
         entry = families.get(family)
         if entry is None:
             entry = {
@@ -293,33 +336,18 @@ class ColumnarStore:
                 raise ConfigError(
                     f"family {family!r} needs a structured (record) dtype"
                 )
-            families[family] = entry
-        expected = self.dtype(family)
+        expected = _entry_dtype(entry)
         if records.dtype != expected:
             raise ConfigError(
                 f"family {family!r} expects dtype {expected}, "
                 f"got {records.dtype}"
             )
+        families[family] = entry
         start = int(entry["rows"])
-        path = self.path_for(family)
-        data = records.tobytes()
-
-        def _attempt() -> None:
-            # Re-seeking + truncating per attempt makes a retry after a
-            # transient mid-write error start from a clean prefix.
-            with open(path, "a+b") as handle:
-                handle.seek(start * expected.itemsize)
-                handle.truncate()
-                append_durable(handle, data, "columnar.append.write")
-
-        with_io_retries(_attempt)
         entry["rows"] = start + len(records)
         if mark is not None:
-            self._manifest["marks"][mark] = start
-        if self._pending is None:
-            self._write_manifest()
-        else:
-            self._pending = True
+            self._next["marks"][mark] = start
+        self._tail.append((family, records.tobytes()))
         return start
 
     # ------------------------------------------------------------------
@@ -363,6 +391,23 @@ class ColumnarStore:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         counts = {f: self.rows(f) for f in self.families()}
         return f"ColumnarStore({str(self.root)!r}, rows={counts})"
+
+
+def _entry_dtype(entry: dict) -> np.dtype:
+    """The record dtype a manifest family entry describes."""
+    return np.dtype([(name, code) for name, code in entry["dtype"]])
+
+
+def _copy_manifest(manifest: dict) -> dict:
+    """A copy a batch can stage into without touching *manifest*."""
+    return {
+        **manifest,
+        "families": {
+            family: dict(entry)
+            for family, entry in manifest["families"].items()
+        },
+        "marks": dict(manifest["marks"]),
+    }
 
 
 # ----------------------------------------------------------------------

@@ -16,26 +16,35 @@ One archive replay is a *chain* of windows, which
 * after each segment the manager's terminal jobs are compacted out
   (:meth:`~repro.slurm.manager.WorkloadManager.compact_terminated`),
   the boundary snapshot for window ``k+1`` is written when ``k+1`` is
-  a multiple of :data:`SNAPSHOT_EVERY`, and only then are the
-  window's ``jobs`` and ``windows`` rows committed to the columnar
-  store in one :meth:`~repro.archive.columnar.ColumnarStore.batch` —
-  one manifest write carrying both idempotence marks.
+  a multiple of :data:`SNAPSHOT_EVERY`, and the window's ``jobs`` and
+  ``windows`` rows are staged in the columnar store.
+
+The windows between two boundary snapshots form a *snapshot group*,
+and :func:`replay_archive` keeps one :meth:`~repro.archive.columnar.
+ColumnarStore.batch` open per group.  The window that writes the
+group-closing snapshot (or the chain's last window) commits the group
+after that snapshot: one write per column family and one manifest
+write, carrying every idempotence mark of the group.  A window is
+reported completed only once its group has committed.
 
 The columnar ``{chain}:windows:{k}`` mark is the only record of
 progress: a call continues at the first window without one.  A
 graceful stop — a suspend request or a guard trip between windows —
-also writes the snapshot of the live manager for the next window, so
-its resume re-derives nothing.  After a crash the resume starts from
-the newest snapshot at or before the first uncommitted window (or
-from a fresh window 0) and re-runs the committed windows after it,
-checking that each re-derived ``jobs`` and ``windows`` row equals the
-committed row byte for byte: every crash recovery is a determinism
-check, and a divergence fails the chain without appending anything.
-Because a window writes its snapshot before its commit, a resume
-re-derives at most ``SNAPSHOT_EVERY - 1`` windows (more only when a
-snapshot was deleted), and :meth:`~repro.archive.columnar.
-ColumnarStore.append_once` keeps a re-run of an uncommitted window
-from double-counting.
+writes the snapshot of the live manager for the next window and then
+commits the windows already run, so its resume re-derives nothing.
+So does a failing window, for the windows of its group run before it.
+The resume starts from the newest snapshot at or before the first
+uncommitted window (or from a fresh window 0) and re-runs the
+committed windows after it, checking that each re-derived ``jobs``
+and ``windows`` row equals the committed row byte for byte: recovery
+is a determinism check, and a divergence fails the chain without
+appending anything.  A crash loses at most the one uncommitted
+group, whose start snapshot already exists, so its resume re-derives
+nothing; re-derived windows come from a partial group committed
+before a failed window, a deleted snapshot, or a store written one
+commit per window.  :meth:`~repro.archive.columnar.ColumnarStore.
+append_once` keeps a re-run of an uncommitted window from
+double-counting.
 
 While later windows remain, ``manager.expect_more_work`` keeps the
 periodic backfill chain and failure processes armed across idle gaps
@@ -197,9 +206,11 @@ def execute_replay_window(
     window 0 builds a fresh manager and a later window restores its
     boundary snapshot.  The window writes the next boundary snapshot
     when that window's index is a multiple of :data:`SNAPSHOT_EVERY`,
-    then commits its ``jobs`` and ``windows`` rows in one batch of
-    *store* (opened on *columnar_dir* when None).  Everything
-    nondeterministic (wall clock) goes to the telemetry sidecar.
+    then appends its ``jobs`` and ``windows`` rows in one batch of
+    *store* (opened on *columnar_dir* when None): inside a batch the
+    caller holds open they commit with it, otherwise the window
+    commits them itself.  Everything nondeterministic (wall clock)
+    goes to the telemetry sidecar.
 
     With *verify* the window is already committed: it writes no
     snapshot, no rows and no sidecar, and raises
@@ -357,6 +368,14 @@ def _stop_snapshot(
         )
 
 
+def _guards_tripped(guards: ResourceGuards, tracker: ProgressTracker) -> bool:
+    """Poll *guards* on this process, reporting each trip."""
+    trips = guards.check((os.getpid(),))
+    for trip in trips or ():
+        tracker.emit(GUARD, run_id="", label=trip.kind, error=trip.message)
+    return bool(trips)
+
+
 @dataclass
 class ReplayOutcome:
     """Result of :func:`replay_archive`."""
@@ -388,16 +407,18 @@ def replay_archive(
     to the next (window ``k+1`` continues where window ``k`` stopped —
     there is no window parallelism to exploit *within* one chain; run
     different strategies as separate chains for that).  The call holds
-    the store lock and opens the columnar store once.  It continues at
-    the first window without a ``windows`` mark: from the newest
-    boundary snapshot at or before it (or a fresh window 0) it re-runs
-    the committed windows in between, checking their rows against the
-    committed ones, and counts every committed window as cached, so an
-    interrupted replay re-run picks up where it stopped.  It stops
-    early at the first failing window (later windows cannot run
-    without it), at a suspend request (checked between windows), or
-    when *guards* trip on this process after a committed window; the
-    two graceful stops snapshot the live manager for the next window.
+    the store lock, opens the columnar store once and commits it once
+    per snapshot group.  It continues at the first window without a
+    ``windows`` mark: from the newest boundary snapshot at or before
+    it (or a fresh window 0) it re-runs the committed windows in
+    between, checking their rows against the committed ones, and
+    counts every committed window as cached, so an interrupted replay
+    re-run picks up where it stopped.  It stops early at the first
+    failing window or group commit (later windows cannot run without
+    it), at a suspend request (checked between windows), or when
+    *guards* trip on this process after a window; the two graceful
+    stops snapshot the live manager for the next window, and every
+    stop commits the windows its group has run.
     On full success the boundary snapshots are deleted and a stitched
     whole-trace summary is written to ``<store>/stitched.json``.
     """
@@ -453,45 +474,61 @@ def replay_archive(
         )
         try:
             manager = None
-            for k in range(resume, len(window_params)):
-                verify = k < first
-                if not verify and _suspend.suspend_requested():
-                    _suspend.reset()
-                    campaign.interrupted = True
-                    _stop_snapshot(manager, boundary_dir, chain, k)
-                    break
-                label = f"window {k}"
-                if not verify:
-                    tracker.emit(STARTED, run_ids[k], label)
+            k, count = resume, len(window_params)
+            while k < count and not (campaign.interrupted or campaign.failures):
+                # One batch per snapshot group: the windows up to the
+                # next multiple of SNAPSHOT_EVERY commit together.
+                end = min(count, (k // SNAPSHOT_EVERY + 1) * SNAPSHOT_EVERY)
+                ran: list[int] = []
+                failures: list[tuple[int, Exception]] = []
                 try:
-                    manager = execute_replay_window(
-                        window_params[k], archive_dir, columnar_dir,
-                        boundary_dir, telemetry_dir, manager=manager,
-                        store=store, verify=verify,
-                    )
+                    with store.batch():
+                        while k < end and not (campaign.interrupted or failures):
+                            verify = k < first
+                            if not verify and _suspend.suspend_requested():
+                                _suspend.reset()
+                                campaign.interrupted = True
+                                _stop_snapshot(manager, boundary_dir, chain, k)
+                                break
+                            if not verify:
+                                tracker.emit(STARTED, run_ids[k], f"window {k}")
+                            try:
+                                manager = execute_replay_window(
+                                    window_params[k], archive_dir, columnar_dir,
+                                    boundary_dir, telemetry_dir, manager=manager,
+                                    store=store, verify=verify,
+                                )
+                            except Exception as exc:  # noqa: BLE001 - ends the chain
+                                failures.append((k, exc))
+                                break
+                            if verify:
+                                tracker.emit(CACHED, run_ids[k], f"window {k}")
+                            else:
+                                ran.append(k)
+                            k += 1
+                            if (
+                                not verify
+                                and guards is not None
+                                and k < count
+                                and _guards_tripped(guards, tracker)
+                            ):
+                                campaign.interrupted = True
+                                _stop_snapshot(manager, boundary_dir, chain, k)
                 except Exception as exc:  # noqa: BLE001 - ends the chain
+                    if not ran:
+                        raise
+                    # The group did not commit: none of it is visible,
+                    # and the failure falls on its closing window.
+                    failures.insert(0, (ran[-1], exc))
+                    ran.clear()
+                for j in ran:
+                    tracker.emit(COMPLETED, run_ids[j], f"window {j}")
+                for j, exc in failures:
                     error = f"{type(exc).__name__}: {exc}"
-                    tracker.emit(FAILED, run_ids[k], label, error=error)
+                    tracker.emit(FAILED, run_ids[j], f"window {j}", error=error)
                     campaign.failures.append(
-                        RunFailure(run_ids[k], label, 1, error)
+                        RunFailure(run_ids[j], f"window {j}", 1, error)
                     )
-                    break
-                tracker.emit(CACHED if verify else COMPLETED, run_ids[k], label)
-                if (
-                    not verify
-                    and guards is not None
-                    and k + 1 < len(window_params)
-                ):
-                    trips = guards.check((os.getpid(),))
-                    for trip in trips or ():
-                        tracker.emit(
-                            GUARD, run_id="", label=trip.kind,
-                            error=trip.message,
-                        )
-                    if trips:
-                        campaign.interrupted = True
-                        _stop_snapshot(manager, boundary_dir, chain, k + 1)
-                        break
         finally:
             _suspend.restore_signal_handlers(previous_handlers)
         # Results are read back from the marks' rows, cached or not.

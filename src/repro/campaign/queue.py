@@ -1094,9 +1094,10 @@ class QueueWorker:
         the queue runs different strategies' chains in parallel.  A
         suspension between windows propagates as
         :class:`SuspendRequested` so the degradation ladder requeues
-        the chain; each committed window keeps its columnar
-        ``windows`` mark in the sub-store, and a redelivery resumes at
-        the first window without one.
+        the chain.  The windows commit to the sub-store once per
+        snapshot group, and a suspension first commits the windows
+        already run, so each keeps its columnar ``windows`` mark and a
+        redelivery resumes at the first window without one.
         """
         from repro.archive.replay import replay_archive
 

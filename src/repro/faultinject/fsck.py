@@ -588,7 +588,7 @@ def _check_replay_coherence(report: FsckReport, root: Path, store) -> None:
             f"windows say {flushed_total} jobs were flushed but the "
             f"jobs family holds {jobs_rows} rows",
         )
-    marks = store._manifest["marks"]
+    marks = set(store.marks())
     chains = {k.split(":")[0] for k in marks if len(k.split(":")) == 3}
     by_window = {int(w["window"]): w for w in windows}
     for chain in sorted(chains):

@@ -140,9 +140,9 @@ class TestBatch:
         writes = []
         original = ColumnarStore._write_manifest
 
-        def counting(self):
-            writes.append(dict(self._manifest["marks"]))
-            return original(self)
+        def counting(self, manifest):
+            writes.append(dict(manifest["marks"]))
+            return original(self, manifest)
 
         monkeypatch.setattr(ColumnarStore, "_write_manifest", counting)
         store = ColumnarStore(tmp_path)
@@ -208,14 +208,62 @@ class TestBatch:
         assert store.rows("jobs") == 0
         assert not (tmp_path / "manifest.json").exists()
 
-    def test_batches_do_not_nest(self, tmp_path):
+    def test_no_column_byte_reaches_disk_inside_the_block(self, tmp_path):
         store = ColumnarStore(tmp_path)
+        self.window_batch(store, 0)
+        before = store_bytes(tmp_path)
         with pytest.raises(RuntimeError):
             with store.batch():
-                store.append_once("jobs", "c:jobs:0", jobs_batch(1))
+                store.append_once("jobs", "c:jobs:1", jobs_batch(3, 3))
+                store.append("windows", jobs_batch(1))
+                store.append_once("extra", "c:extra:1", jobs_batch(2))
+                assert store_bytes(tmp_path) == before
+                # Staged rows are invisible until the commit.
+                assert store.rows("jobs") == 3
+                assert store.rows("windows") == 1
+                assert "extra" not in store.families()
+                assert not store.marked("c:jobs:1")
+                assert store.marks() == ["c:jobs:0", "c:windows:0"]
+                raise RuntimeError("abandon the block")
+        assert store_bytes(tmp_path) == before
+        assert store.marks() == ["c:jobs:0", "c:windows:0"]
+
+    def test_one_column_write_per_family(self, tmp_path, monkeypatch):
+        columns = []
+        original = ColumnarStore._write_column
+
+        def counting(self, family, offset, data):
+            columns.append((family, offset, len(data)))
+            return original(self, family, offset, data)
+
+        monkeypatch.setattr(ColumnarStore, "_write_column", counting)
+        store = ColumnarStore(tmp_path / "grouped")
+        with store.batch():
+            for window in range(3):
+                self.window_batch(store, window)
+        itemsize = JOBS_DTYPE.itemsize
+        assert columns == [("jobs", 0, 9 * itemsize), ("windows", 0, 3 * itemsize)]
+        plain = ColumnarStore(tmp_path / "plain")
+        for window in range(3):
+            self.window_batch(plain, window)
+        assert store_bytes(tmp_path / "grouped") == store_bytes(
+            tmp_path / "plain"
+        )
+
+    def test_nested_batch_joins_the_outer_one(self, tmp_path):
+        store = ColumnarStore(tmp_path)
+        with store.batch():
+            self.window_batch(store, 0)
+            with pytest.raises(ConfigError):
                 with store.batch():
-                    pass
-        assert ColumnarStore(tmp_path).rows("jobs") == 0
+                    store.append_once("jobs", "c:jobs:1", jobs_batch(3, 3))
+                    store.append("jobs", np.zeros(1, SPECS_DTYPE))
+            assert not (tmp_path / "manifest.json").exists()
+            # The failed inner block's mark is gone, so it can re-run.
+            assert store.append_once("jobs", "c:jobs:1", jobs_batch(3, 3)) == 3
+        reopened = ColumnarStore(tmp_path)
+        assert reopened.marks() == ["c:jobs:0", "c:jobs:1", "c:windows:0"]
+        assert list(reopened.read("jobs")["job_id"]) == [0, 1, 2, 3, 4, 5]
 
     def test_indented_manifest_opens_and_appends(self, tmp_path):
         store = ColumnarStore(tmp_path)

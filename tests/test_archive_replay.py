@@ -120,10 +120,14 @@ def record_windows(monkeypatch):
     return calls
 
 
-def fail_commit(monkeypatch, nth):
-    """Fail the *nth* columnar manifest rename of the chain, as a crash
-    between a window's column bytes and its commit would; returns the
-    undo."""
+class Killed(BaseException):
+    """Stands in for a hard kill: no ``except Exception`` sees it."""
+
+
+def fail_commit(monkeypatch, nth, error=RuntimeError):
+    """Raise *error* at the *nth* columnar manifest rename of the chain
+    — the commit of its *nth* snapshot group — after the group's
+    column bytes are written; returns the undo."""
     original = durable.failpoint
     commits = []
 
@@ -131,7 +135,7 @@ def fail_commit(monkeypatch, nth):
         if name == "columnar.manifest.rename":
             commits.append(name)
             if len(commits) == nth:
-                raise RuntimeError("injected failure before the rename")
+                raise error("injected failure before the rename")
         original(name)
 
     monkeypatch.setattr(durable, "failpoint", failing)
@@ -171,6 +175,25 @@ def gap_archive(tmp_path_factory):
     assert result.windows == 5
     assert result.jobs == 240
     return root / "archive"
+
+
+@pytest.fixture(scope="module")
+def long_archive(tmp_path_factory):
+    """The gap workload in 20 windows: snapshot groups 0-7, 8-15 and
+    16-19.  Returns the archive and a clean easy_backfill replay
+    store of it."""
+    root = tmp_path_factory.mktemp("longarch")
+    swf = root / "gap.swf"
+    swf.write_text("\n".join(gap_workload_lines()) + "\n")
+    result = ingest_swf(
+        swf, root / "archive", window_jobs=12, chunk_jobs=16, max_procs=64
+    )
+    assert result.windows == 20
+    assert replay_archive(
+        root / "archive", root / "clean", strategy="easy_backfill",
+        num_nodes=64,
+    ).ok
+    return root / "archive", root / "clean"
 
 
 class TestByteIdentity:
@@ -358,18 +381,18 @@ class TestResumeIdempotence:
     def test_rerun_does_not_double_count(
         self, gap_archive, tmp_path, monkeypatch
     ):
-        """Window 2 fails after its column bytes are written but
-        before its manifest commit: the re-run restores snapshot 2
-        once and its columnar appends overwrite the uncommitted tail
-        instead of adding to it."""
+        """The commit of windows 2-3 fails after their column bytes
+        are written but before the manifest: the re-run restores
+        snapshot 2 once and its columnar appends overwrite the
+        uncommitted tail instead of adding to it."""
         monkeypatch.setattr(replay, "SNAPSHOT_EVERY", 2)
         store = tmp_path / "store"
-        undo = fail_commit(monkeypatch, 3)
+        undo = fail_commit(monkeypatch, 2)
         first = replay_archive(
             gap_archive, store, strategy="easy_backfill", num_nodes=64
         )
         assert not first.ok
-        assert [f.label for f in first.campaign.failures] == ["window 2"]
+        assert [f.label for f in first.campaign.failures] == ["window 3"]
         assert ColumnarStore(first.columnar).rows("windows") == 2
         undo()
 
@@ -386,9 +409,11 @@ class TestResumeIdempotence:
     def test_failed_snapshot_leaves_its_window_uncommitted(
         self, gap_archive, tmp_path, monkeypatch
     ):
-        """Window 3 writes snapshot 4 before its commit, so a failed
-        write leaves window 3 unmarked; the re-run restores snapshot 2
-        and re-derives window 2 on its way back to window 3."""
+        """Window 3 writes snapshot 4 before its group's commit, so a
+        failed write leaves window 3 unmarked while window 2, run
+        before it in the same group, commits; the re-run restores
+        snapshot 2 and re-derives window 2 on its way back to window
+        3."""
         monkeypatch.setattr(replay, "SNAPSHOT_EVERY", 2)
         store = tmp_path / "store"
         original = snapshot_state.write_snapshot
@@ -446,20 +471,26 @@ class TestVerifiedResume:
     after it, checking their rows against the committed ones."""
 
     def crash_in_window_3(self, gap_archive, store, monkeypatch):
-        """Fail window 3's commit at ``SNAPSHOT_EVERY = 2``: windows
-        0-2 are committed, snapshots 2 and 4 exist."""
+        """Fail window 3 at ``SNAPSHOT_EVERY = 2``: the commit of its
+        group keeps window 2, so windows 0-2 are committed and only
+        snapshot 2 exists."""
         monkeypatch.setattr(replay, "SNAPSHOT_EVERY", 2)
-        undo = fail_commit(monkeypatch, 4)
+        original = replay.execute_replay_window
+
+        def fail(params):
+            if params["window"] == 3:
+                raise RuntimeError("injected window failure")
+
+        wrap_windows(monkeypatch, before=fail)
         first = replay_archive(
             gap_archive, store, strategy="easy_backfill", num_nodes=64
         )
-        undo()
+        monkeypatch.setattr(replay, "execute_replay_window", original)
         assert [f.label for f in first.campaign.failures] == ["window 3"]
+        assert first.campaign.completed == 3
         assert ColumnarStore(first.columnar).rows("windows") == 3
         snaps = sorted(p.name for p in (store / BOUNDARY_DIR_NAME).iterdir())
-        assert snaps == [
-            f"{first.chain}-w00002.snap", f"{first.chain}-w00004.snap",
-        ]
+        assert snaps == [f"{first.chain}-w00002.snap"]
         return first.chain
 
     def test_crash_rederives_only_the_windows_after_the_snapshot(
@@ -519,7 +550,8 @@ class TestVerifiedResume:
     ):
         """Older versions wrote a snapshot at every boundary; such a
         store resumes from the snapshot of its first uncommitted
-        window."""
+        window.  At ``SNAPSHOT_EVERY = 1`` every window is its own
+        group, so the fourth commit is window 3's."""
         monkeypatch.setattr(replay, "SNAPSHOT_EVERY", 1)
         store = tmp_path / "store"
         undo = fail_commit(monkeypatch, 4)
@@ -597,6 +629,139 @@ class TestVerifiedResume:
         assert [p.name for p in restores] == [f"{second.chain}-w00002.snap"]
         assert windows == [(2, False), (3, False), (4, False)]
         assert_matches_reference(gap_archive, store)
+
+
+class TestGroupCommit:
+    """A replay commits once per snapshot group: the windows between
+    two boundary snapshots become visible together."""
+
+    def test_kill_at_a_group_commit_resumes_without_verifying(
+        self, long_archive, tmp_path, monkeypatch
+    ):
+        archive, clean = long_archive
+        store = tmp_path / "store"
+        undo = fail_commit(monkeypatch, 2, error=Killed)
+        with pytest.raises(Killed):
+            replay_archive(archive, store, strategy="easy_backfill", num_nodes=64)
+        undo()
+        assert ColumnarStore(store / COLUMNAR_DIR_NAME).rows("windows") == 8
+        windows = record_windows(monkeypatch)
+        restores = count_restores(monkeypatch)
+        second = replay_archive(
+            archive, store, strategy="easy_backfill", num_nodes=64
+        )
+        assert second.ok
+        # Group 8-15 wrote snapshot 16 and died at its commit; its start
+        # snapshot 8 lets the resume re-derive nothing.
+        assert [p.name for p in restores] == [f"{second.chain}-w00008.snap"]
+        assert windows == [(k, False) for k in range(8, 20)]
+        assert (second.campaign.cached, second.campaign.completed) == (8, 12)
+        assert store_fingerprint(store) == store_fingerprint(clean)
+        assert_fsck_clean(store)
+
+    def test_failed_window_commits_the_windows_before_it(
+        self, long_archive, tmp_path, monkeypatch
+    ):
+        archive, clean = long_archive
+        store = tmp_path / "store"
+        original = replay.execute_replay_window
+
+        def fail(params):
+            if params["window"] == 11:
+                raise RuntimeError("injected window failure")
+
+        wrap_windows(monkeypatch, before=fail)
+        events = []
+        first = replay_archive(
+            archive, store, strategy="easy_backfill", num_nodes=64,
+            progress=events.append,
+        )
+        monkeypatch.setattr(replay, "execute_replay_window", original)
+        assert [f.label for f in first.campaign.failures] == ["window 11"]
+        assert first.campaign.completed == 11
+        assert [e.label for e in events if e.kind == "completed"] == [
+            f"window {k}" for k in range(11)
+        ]
+        assert ColumnarStore(first.columnar).rows("windows") == 11
+        assert_fsck_clean(store)
+        windows = record_windows(monkeypatch)
+        restores = count_restores(monkeypatch)
+        second = replay_archive(
+            archive, store, strategy="easy_backfill", num_nodes=64
+        )
+        assert second.ok
+        assert [p.name for p in restores] == [f"{second.chain}-w00008.snap"]
+        assert windows == [(k, k < 11) for k in range(8, 20)]
+        assert (second.campaign.cached, second.campaign.completed) == (11, 9)
+        assert store_fingerprint(store) == store_fingerprint(clean)
+
+    def test_failed_group_commit_fails_its_closing_window(
+        self, long_archive, tmp_path, monkeypatch
+    ):
+        archive, clean = long_archive
+        store = tmp_path / "store"
+        undo = fail_commit(monkeypatch, 2)
+        events = []
+        first = replay_archive(
+            archive, store, strategy="easy_backfill", num_nodes=64,
+            progress=events.append,
+        )
+        undo()
+        assert [f.label for f in first.campaign.failures] == ["window 15"]
+        assert [e.label for e in events if e.kind == "completed"] == [
+            f"window {k}" for k in range(8)
+        ]
+        assert first.campaign.completed == 8
+        # Nothing of windows 8-15 is visible: the store holds exactly
+        # the clean replay's first group.
+        reference = ColumnarStore(clean / COLUMNAR_DIR_NAME)
+        visible = ColumnarStore(store / COLUMNAR_DIR_NAME)
+        committed = int(reference.read("windows", 0, 8)["jobs_flushed"].sum())
+        assert visible.rows("windows") == 8
+        assert visible.rows("jobs") == committed
+        assert np.asarray(visible.read("jobs")).tobytes() == np.asarray(
+            reference.read("jobs", 0, committed)
+        ).tobytes()
+        assert visible.marks() == sorted(
+            key for key in reference.marks() if int(key.rsplit(":", 1)[1]) < 8
+        )
+        assert_fsck_clean(store)
+        second = replay_archive(
+            archive, store, strategy="easy_backfill", num_nodes=64
+        )
+        assert second.ok
+        assert (second.campaign.cached, second.campaign.completed) == (8, 12)
+        assert store_fingerprint(store) == store_fingerprint(clean)
+
+    def test_store_committed_window_by_window_resumes(
+        self, long_archive, tmp_path, monkeypatch
+    ):
+        """Earlier versions committed every window on its own, with a
+        snapshot at every eighth boundary; such a store resumes from
+        snapshot 8, verifies windows 8-11 and ends byte-identical."""
+        archive, clean = long_archive
+        store = tmp_path / "store"
+        loaded = load_archive(archive)
+        manager = None
+        for k in range(12):
+            params = replay_window_params(
+                loaded.archive_id, k, len(loaded), "easy_backfill", 64
+            )
+            manager = execute_replay_window(
+                params, archive, store / COLUMNAR_DIR_NAME,
+                store / BOUNDARY_DIR_NAME, manager=manager,
+            )
+            assert ColumnarStore(store / COLUMNAR_DIR_NAME).rows("windows") \
+                == k + 1
+        windows = record_windows(monkeypatch)
+        restores = count_restores(monkeypatch)
+        second = replay_archive(
+            archive, store, strategy="easy_backfill", num_nodes=64
+        )
+        assert second.ok
+        assert [p.name for p in restores] == [f"{second.chain}-w00008.snap"]
+        assert windows == [(k, k < 12) for k in range(8, 20)]
+        assert store_fingerprint(store) == store_fingerprint(clean)
 
 
 class TestGuards:

@@ -559,6 +559,8 @@ class TestExitCodes:
 # Full-stack integration: SIGTERM a live campaign, resume it, and
 # demand byte-identical results (includes registry experiment e8).
 # ----------------------------------------------------------------------
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
 CAMPAIGN_ARGS = [
     "--jobs", "700", "--sizes", "64", "--seeds", "1", "2",
     "--strategies", "easy_backfill", "shared_backfill",
@@ -582,7 +584,7 @@ class TestSuspendResumeIntegration:
         return subprocess.run(
             [sys.executable, "-m", "repro", *args],
             capture_output=True, text=True, timeout=timeout,
-            cwd="/root/repo", env={**os.environ, "PYTHONPATH": "src"},
+            cwd=REPO_ROOT, env={**os.environ, "PYTHONPATH": "src"},
         )
 
     def test_sigterm_then_resume_is_byte_identical(self, tmp_path):
@@ -599,18 +601,20 @@ class TestSuspendResumeIntegration:
              "--store", str(interrupted_store),
              "--progress-log", str(progress_log)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            cwd="/root/repo", env={**os.environ, "PYTHONPATH": "src"},
+            cwd=REPO_ROOT, env={**os.environ, "PYTHONPATH": "src"},
         )
-        # Don't SIGTERM before the campaign's handlers are installed:
-        # wait until the progress log shows runs actually in flight.
+        # Don't SIGTERM before the campaign's handlers are installed,
+        # and let real work happen first: signal as soon as the first
+        # run has completed, while the rest are still in flight.  (A
+        # fixed sleep races the whole grid, which finishes in ~1 s.)
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline:
-            if progress_log.exists() and "started" in progress_log.read_text():
+            if (progress_log.exists()
+                    and '"kind": "completed"' in progress_log.read_text()):
                 break
-            time.sleep(0.05)
+            time.sleep(0.02)
         else:
-            pytest.fail("campaign never started dispatching")
-        time.sleep(1.0)  # let the in-flight runs do real work
+            pytest.fail("campaign never completed a run")
         child.send_signal(signal.SIGTERM)
         out, err = child.communicate(timeout=120)
         assert child.returncode == EXIT_SUSPENDED, (out, err)

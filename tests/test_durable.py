@@ -156,31 +156,34 @@ class TestFsyncBudgets:
         store.save("ab", {"run_id": "ab", "params": {}, "result": {}})
         assert fsyncs() - before == 1
 
-    def test_three_or_four_per_replay_window(self, tmp_path, monkeypatch):
+    def test_four_per_snapshot_group(self, tmp_path, monkeypatch):
         ingest_gap(tmp_path)
         monkeypatch.setattr(replay, "SNAPSHOT_EVERY", 2)
-        per_window: list[int] = []
-        original = replay.execute_replay_window
+        per_group: list[int] = []
+        counted = [fsyncs()]
+        original = durable.failpoint
 
-        def counted(*args, **kwargs):
-            before = fsyncs()
-            manager = original(*args, **kwargs)
-            per_window.append(fsyncs() - before)
-            return manager
+        def at_commit(name):
+            # The rename comes after the group's last fsync.
+            if name == "columnar.manifest.rename":
+                per_group.append(fsyncs() - counted[0])
+                counted[0] = fsyncs()
+            original(name)
 
-        monkeypatch.setattr(replay, "execute_replay_window", counted)
-        before = fsyncs()
+        monkeypatch.setattr(durable, "failpoint", at_commit)
+        before = counted[0]
         outcome = replay.replay_archive(
             tmp_path / "archive", tmp_path / "store",
             strategy="easy_backfill", num_nodes=64,
         )
         total = fsyncs() - before
         assert outcome.campaign.ok
-        # Two column appends and the manifest; windows 1 and 3 also
-        # write the snapshot of windows 2 and 4.  stitched.json is one
-        # more per chain.
-        assert per_window == [3, 4, 3, 4, 3]
-        assert total == sum(per_window) + 1
+        # Groups 0-1, 2-3 and 4.  Each writes its two column files
+        # (every group flushes jobs) and the manifest; the first two
+        # also write the snapshot of the next group.  stitched.json is
+        # one more per chain.
+        assert per_group == [4, 4, 3]
+        assert total == sum(per_group) + 1
 
     def test_seven_per_queue_run(self, tmp_path):
         queue = WorkQueue(tmp_path)
