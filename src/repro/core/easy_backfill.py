@@ -68,14 +68,16 @@ def compute_reservation(
     larger than the cluster) — admission control should have rejected
     such a job, so this is purely defensive.
     """
+    need = head.num_nodes
     free = view.idle_count
-    if free >= head.num_nodes:
-        return ctx.now, free - head.num_nodes
-    for release_time in node_release_times(ctx, placements):
-        free += 1
-        if free >= head.num_nodes:
-            return release_time, free - head.num_nodes
-    return float("inf"), view.idle_count
+    if free >= need:
+        return ctx.now, free - need
+    # Each release frees one node: the head fits, with no node to
+    # spare, at the (need - free)-th earliest release.
+    times = node_release_times(ctx, placements)
+    if need - free <= len(times):
+        return times[need - free - 1], 0
+    return float("inf"), free
 
 
 class EasyBackfillStrategy(Strategy):

@@ -103,6 +103,17 @@ class AvailabilityView:
             self._sums = sums
         return (sums >> need) & 1 == 1
 
+    def rules_out(self, job: Job) -> bool:
+        """Whether *job* certainly cannot be placed now: it needs more
+        nodes than are idle, and it either may not share or no groups
+        sum to its size.  Then every join, open-shared and exclusive
+        probe would fail, so callers skip them; they ask only with no
+        decision trace armed, which needs each probe's reject code."""
+        need = job.spec.num_nodes
+        return need > len(self.idle) and (
+            not job.spec.shareable or not self.may_cover(need)
+        )
+
     def joinable_groups(self, profile: ResourceProfile) -> list[ResidentGroup]:
         """Groups whose resident is compatible with *profile*, best
         predicted pair throughput first (stable on resident id).

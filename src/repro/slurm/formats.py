@@ -79,7 +79,7 @@ def squeue(manager: "WorkloadManager", max_rows: int = 40) -> str:
                 _compress_node_ids(job.allocation.node_ids),
             )
         )
-    pending = manager.queue.ordered(now)
+    pending = manager.queue.ranked(now)
     for job in pending[: max(0, max_rows - len(running))]:
         rows.append(
             job_row(job, "PD", _fmt_duration(now - job.spec.submit_time), "(Priority)")

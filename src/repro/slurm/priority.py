@@ -95,52 +95,76 @@ class MultifactorPriority:
     # ------------------------------------------------------------------
     def priority(self, job: Job, now: float) -> float:
         """Priority of *job* at time *now* (higher runs first)."""
-        return self._priorities([job], now)[0]
+        return -self._keys([job], now)[0][0]
 
     def refresh(self, jobs: list[Job], now: float) -> None:
         """Recompute and store priorities on the given jobs."""
-        for job, value in zip(jobs, self._priorities(jobs, now)):
-            job.priority = value
+        for key in self._keys(jobs, now):
+            key[3].priority = -key[0]
 
-    def _priorities(self, jobs: list[Job], now: float) -> list[float]:
-        """Priorities of *jobs* at time *now*.
+    def rank(self, jobs: list[Job], now: float) -> list[Job]:
+        """Jobs sorted by descending priority, FIFO on ties.  Writes
+        nothing to the jobs, so read-only views can rank a live queue."""
+        keys = self._keys(jobs, now)
+        keys.sort()
+        return [key[3] for key in keys]
 
-        Reads the weights, and computes each user's weighted fairshare
-        term and each QoS class's weighted term, once per call rather
-        than once per job.
+    def order(self, jobs: list[Job], now: float) -> list[Job]:
+        """Jobs sorted by descending priority, FIFO on ties; stores
+        each job's priority on it."""
+        keys = self._keys(jobs, now)
+        keys.sort()
+        ordered: list[Job] = []
+        for key in keys:
+            job = key[3]
+            job.priority = -key[0]
+            ordered.append(job)
+        return ordered
+
+    def _keys(
+        self, jobs: list[Job], now: float
+    ) -> list[tuple[float, float, int, Job]]:
+        """Unsorted ``(-priority, submit_time, job_id, job)`` of *jobs*
+        at time *now*.
+
+        One loop evaluates the textbook sum in its operand order; the
+        conditional expressions are ``max(0.0, x)`` and ``min(1.0, x)``
+        spelled out (same result for -0.0 and NaN).  Each user's
+        weighted fairshare term and each QoS class's weighted term are
+        computed once per call rather than once per job.
         """
         w = self.weights
         age_w, size_w, age_saturation = w.age, w.size, w.age_saturation
+        fairshare_w, qos_w = w.fairshare, w.qos
         num_nodes = self.num_nodes
         backoff = self.requeue_backoff
+        usages, norm = self.usage, self.share_norm
         fairshare: dict[str, float] = {}
         qos: dict[str, float] = {}
-        values: list[float] = []
+        keys: list[tuple[float, float, int, Job]] = []
+        append = keys.append
         for job in jobs:
             spec = job.spec
-            user_term = fairshare.get(spec.user)
+            user = spec.user
+            user_term = fairshare.get(user)
             if user_term is None:
-                user_term = fairshare[spec.user] = (
-                    w.fairshare * self.fairshare_factor(spec.user)
+                user_term = fairshare[user] = (
+                    fairshare_w * 2.0 ** (-usages.get(user, 0.0) / norm)
                 )
             qos_term = qos.get(spec.qos)
             if qos_term is None:
-                qos_term = qos[spec.qos] = w.qos * self.qos_factor(spec.qos)
-            wait = max(0.0, now - spec.submit_time)
+                qos_term = qos[spec.qos] = qos_w * self.qos_factor(spec.qos)
+            submit = spec.submit_time
+            wait = now - submit
+            age = (wait if wait > 0.0 else 0.0) / age_saturation
+            size = spec.num_nodes / num_nodes
             value = (
-                age_w * min(1.0, wait / age_saturation)
-                + size_w * min(1.0, spec.num_nodes / num_nodes)
+                age_w * (age if age < 1.0 else 1.0)
+                + size_w * (size if size < 1.0 else 1.0)
                 + user_term
                 + qos_term
             )
             if backoff > 0.0 and job.requeues > 0:
                 value -= backoff * job.requeues
-            values.append(value)
-        return values
-
-    def order(self, jobs: list[Job], now: float) -> list[Job]:
-        """Jobs sorted by descending priority, FIFO on ties."""
-        self.refresh(jobs, now)
-        return sorted(
-            jobs, key=lambda j: (-j.priority, j.spec.submit_time, j.job_id)
-        )
+            append((-value, submit, spec.job_id, job))
+        return keys

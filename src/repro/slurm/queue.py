@@ -49,8 +49,14 @@ class PendingQueue:
         del self._jobs[job.job_id]
 
     def ordered(self, now: float) -> list[Job]:
-        """Current queue in scheduling (priority) order."""
+        """Current queue in scheduling (priority) order; stores each
+        job's priority on it (a scheduler pass's view)."""
         return self.priority.order(list(self._jobs.values()), now)
+
+    def ranked(self, now: float) -> list[Job]:
+        """The order :meth:`ordered` would return, writing nothing to
+        the jobs (a read-only view, such as ``squeue``)."""
+        return self.priority.rank(list(self._jobs.values()), now)
 
     def clear(self) -> None:
         self._jobs.clear()

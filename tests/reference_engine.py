@@ -7,7 +7,8 @@ rejects impossible joins by a subset-sum mask, and memoises
 interference predictions per profile pair and compatible groups per
 profile.  This module keeps the straightforward versions they
 replaced — every query answered by walking the nodes or the running
-jobs, every join fully probed, every prediction recomputed — so
+jobs, every job scored from scratch and sorted by a key function,
+every placement probe run in full, every prediction recomputed — so
 differential tests can run both engines on the same workload and
 demand identical placements and metrics.
 
@@ -30,6 +31,7 @@ from repro.interference.model import InterferenceModel
 from repro.interference.smt import smt_core_factor
 from repro.metrics.collector import MetricsCollector
 from repro.slurm.manager import WorkloadManager
+from repro.slurm.priority import MultifactorPriority
 
 
 class ReferenceCluster(Cluster):
@@ -81,6 +83,9 @@ class ReferenceAvailabilityView(AvailabilityView):
     def may_cover(self, need) -> bool:
         return True
 
+    def rules_out(self, job) -> bool:
+        return False
+
     def joinable_groups(self, profile):
         pairing = self._ctx.pairing
         candidates = [
@@ -92,6 +97,33 @@ class ReferenceAvailabilityView(AvailabilityView):
             key=lambda g: (-pairing.score(profile, g.profile), g.job.job_id)
         )
         return candidates
+
+
+class ReferencePriority(MultifactorPriority):
+    """Scores each job on its own with the textbook formula (no
+    fairshare term shared across jobs) and sorts with a per-job key
+    function."""
+
+    def score(self, job, now) -> float:
+        w = self.weights
+        spec = job.spec
+        wait = max(0.0, now - spec.submit_time)
+        value = (
+            w.age * min(1.0, wait / w.age_saturation)
+            + w.size * min(1.0, spec.num_nodes / self.num_nodes)
+            + w.fairshare * self.fairshare_factor(spec.user)
+            + w.qos * self.qos_factor(spec.qos)
+        )
+        if self.requeue_backoff > 0.0 and job.requeues > 0:
+            value -= self.requeue_backoff * job.requeues
+        return value
+
+    def order(self, jobs, now):
+        for job in jobs:
+            job.priority = self.score(job, now)
+        return sorted(
+            jobs, key=lambda j: (-j.priority, j.spec.submit_time, j.job_id)
+        )
 
 
 class ReferenceCollector(MetricsCollector):
@@ -168,9 +200,9 @@ class ReferencePairing(PairingPolicy):
 
 
 class ReferenceManager(WorkloadManager):
-    """A manager on the reference model and pairing policy, computing
-    rates node by node and reserving against release times scanned
-    from the running jobs.  It runs on a :class:`ReferenceCluster`, so
+    """A manager on the reference model, pairing policy and priority,
+    computing rates node by node and reserving against release times
+    scanned from the running jobs.  It runs on a :class:`ReferenceCluster`, so
     the co-runners that set ``sharing_now``, ``corun_job_ids`` and the
     jobs refreshed on a start or an end are found by a node walk too.
     Pair it with :class:`ReferenceCollector` and run it inside
@@ -189,6 +221,10 @@ class ReferenceManager(WorkloadManager):
             threshold=self.pairing.threshold,
             max_dilation=self.pairing.max_dilation,
             oblivious=self.pairing.oblivious,
+        )
+        priority = self.priority
+        self.priority = self.queue.priority = ReferencePriority(
+            priority.weights, priority.num_nodes, priority.qos_levels
         )
 
     def _pass_release_bounds(self):

@@ -118,6 +118,18 @@ class TestEasyBackfill:
         assert shadow == pytest.approx(100.0)
         assert extra == 0
 
+    def test_reservation_head_never_fits(self, cluster):
+        running = start_exclusive(
+            cluster, make_job(job_id=1, nodes=6, runtime=80.0, walltime=100.0),
+            list(range(6)),
+        )
+        head = make_job(job_id=2, nodes=cluster.num_nodes + 1)
+        ctx = make_ctx(cluster, running={1: running}, pending=[head])
+        view = AvailabilityView(ctx)
+        shadow, extra = compute_reservation(ctx, view, head, [])
+        assert shadow == float("inf")
+        assert extra == cluster.num_nodes - 6
+
     def test_short_job_backfills(self, cluster):
         running = start_exclusive(
             cluster, make_job(job_id=1, nodes=6, runtime=80.0, walltime=100.0),

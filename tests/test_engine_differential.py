@@ -2,18 +2,22 @@
 
 Both engines run the same random workload; the reference answers every
 occupancy and co-runner query by walking the nodes, reserves against
-release times
-scanned from the running jobs, probes every join in full and
-recomputes every interference prediction
+release times scanned from the running jobs, scores every pending job
+from scratch and sorts with a key function, runs every placement probe
+in full and recomputes every interference prediction
 (:mod:`tests.reference_engine`).  At every scheduler pass the two must
 return the identical placement list, and at the end the identical
-accounting records, metrics series and co-runner sets (in iteration
-order, which a snapshot pickles).  The scenarios arm everything
-that moves the engine's indexes: node and rack failures with
-flaky-node blacklisting (the placement's ``avoid_nodes``),
-topology-aware selection, memory-constrained joins on nodes of mixed
-memory, time-sliced sharing, and walltime prediction (whose passes
-scan in both engines).
+accounting records, metrics series, stored job priorities (bit for
+bit) and co-runner sets (in iteration order, which a snapshot
+pickles).  The scenarios arm everything that moves the engine's
+indexes and caches: node and rack failures with flaky-node
+blacklisting (the placement's ``avoid_nodes``) and requeue priority
+backoff, topology-aware selection, memory-constrained joins on nodes
+of mixed memory, time-sliced sharing, and walltime prediction (whose
+passes scan in both engines).
+
+The same scenario space carries a causality property: a job that
+arrives after the last finish changes no earlier accounting record.
 """
 
 from dataclasses import dataclass
@@ -31,11 +35,13 @@ from repro.metrics.validation import ValidatingCollector
 from repro.resilience.config import ResilienceConfig
 from repro.slurm.config import SchedulerConfig
 from repro.slurm.manager import WorkloadManager
+from repro.workload.trace import WorkloadTrace
 from repro.workload.trinity import TrinityWorkloadGenerator
 from tests.reference_engine import (
     ReferenceCluster,
     ReferenceCollector,
     ReferenceManager,
+    ReferencePriority,
     reference_views,
 )
 
@@ -55,6 +61,8 @@ class Scenario:
     memory_constrained: bool = False
     time_sliced: bool = False
     predicted: bool = False
+    #: Priority points per requeue (with failures armed).
+    requeue_backoff: float = 0.0
 
 
 def _cluster(scenario: Scenario, cls: type[Cluster] = Cluster) -> Cluster:
@@ -81,15 +89,22 @@ def _config(scenario: Scenario) -> SchedulerConfig:
     return config
 
 
-def run_engine(scenario: Scenario, reference: bool):
-    """Run *scenario*; returns (manager, result, per-pass placements,
-    whether each pass reserved against release bounds)."""
-    trace = TrinityWorkloadGenerator(
+def scenario_trace(scenario: Scenario) -> WorkloadTrace:
+    return TrinityWorkloadGenerator(
         share_obeys_app=False,
         share_fraction=scenario.share_fraction,
         offered_load=1.5,
     ).generate(scenario.num_jobs, scenario.nodes,
                np.random.default_rng(scenario.seed))
+
+
+def run_engine(scenario: Scenario, reference: bool,
+               trace: WorkloadTrace | None = None):
+    """Run *scenario* (on *trace* instead of its own, if given);
+    returns (manager, result, per-pass placements, whether each pass
+    reserved against release bounds)."""
+    if trace is None:
+        trace = scenario_trace(scenario)
     cluster = _cluster(scenario, ReferenceCluster if reference else Cluster)
     manager_cls = ReferenceManager if reference else WorkloadManager
     collector_cls = ReferenceCollector if reference else ValidatingCollector
@@ -106,6 +121,7 @@ def run_engine(scenario: Scenario, reference: bool):
             rack_mtbf_hours=60.0,
             repair_hours=1.0,
             max_requeues=2,
+            requeue_priority_backoff=scenario.requeue_backoff,
             blacklist_failures=2,
             blacklist_window_hours=12.0,
             seed=scenario.seed,
@@ -136,6 +152,8 @@ def assert_engines_agree(scenario: Scenario):
         scenario, reference=True
     )
     manager, result, passes, indexed = run_engine(scenario, reference=False)
+    assert type(ref_manager.priority) is ReferencePriority
+    assert ref_manager.queue.priority is ref_manager.priority
     # The reference always scans; the indexed engine scans exactly
     # when the walltime predictor moves the predicted ends.
     assert not any(ref_indexed)
@@ -150,6 +168,9 @@ def assert_engines_agree(scenario: Scenario):
         ), name
     assert [list(job.corun_job_ids) for job in manager.jobs.values()] == [
         list(job.corun_job_ids) for job in ref_manager.jobs.values()
+    ]
+    assert [job.priority.hex() for job in manager.jobs.values()] == [
+        job.priority.hex() for job in ref_manager.jobs.values()
     ]
     manager.check_indexes()
     return manager
@@ -167,16 +188,19 @@ def assert_engines_agree(scenario: Scenario):
     memory_constrained=st.booleans(),
     time_sliced=st.booleans(),
     predicted=st.booleans(),
+    requeue_backoff=st.sampled_from([0.0, 150.0, 2000.0]),
 )
 def test_indexed_engine_matches_reference(seed, strategy, num_jobs,
                                           share_fraction, failures,
                                           topology_aware, memory_constrained,
-                                          time_sliced, predicted):
+                                          time_sliced, predicted,
+                                          requeue_backoff):
     assert_engines_agree(Scenario(
         seed=seed, strategy=strategy, num_jobs=num_jobs,
         share_fraction=share_fraction, failures=failures,
         topology_aware=topology_aware, memory_constrained=memory_constrained,
         time_sliced=time_sliced, predicted=predicted,
+        requeue_backoff=requeue_backoff,
     ))
 
 
@@ -197,6 +221,15 @@ def test_failure_injection_matches_reference(strategy):
     ))
     assert manager.failures_injected > 0
     assert manager.rack_failures_injected > 0
+    assert manager.jobs_requeued > 0
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_requeue_backoff_matches_reference(strategy):
+    manager = assert_engines_agree(Scenario(
+        seed=3, strategy=strategy, num_jobs=50, nodes=16, share_fraction=0.9,
+        failures=True, requeue_backoff=400.0,
+    ))
     assert manager.jobs_requeued > 0
 
 
@@ -247,3 +280,52 @@ def test_nothing_shareable_schedules_like_the_exclusive_twin(
         assert not any(record.was_shared for record in records)
         runs.append((records, job_records_to_array(records).tobytes()))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 10_000),
+    num_jobs=st.integers(5, 30),
+    share_fraction=st.floats(min_value=0.0, max_value=1.0),
+    failures=st.booleans(),
+    topology_aware=st.booleans(),
+    memory_constrained=st.booleans(),
+    time_sliced=st.booleans(),
+    predicted=st.booleans(),
+    requeue_backoff=st.sampled_from([0.0, 150.0]),
+    pick=st.integers(0, 10_000),
+    gap=st.floats(min_value=1e-3, max_value=1e5),
+)
+def test_a_later_arrival_changes_no_earlier_record(
+        strategy, seed, num_jobs, share_fraction, failures, topology_aware,
+        memory_constrained, time_sliced, predicted, requeue_backoff, pick,
+        gap):
+    # Causality: the engine may not let a job that arrives after the
+    # last finish reach back and change any record written before it.
+    scenario = Scenario(
+        seed=seed, strategy=strategy, num_jobs=num_jobs,
+        share_fraction=share_fraction, failures=failures,
+        topology_aware=topology_aware, memory_constrained=memory_constrained,
+        time_sliced=time_sliced, predicted=predicted,
+        requeue_backoff=requeue_backoff,
+    )
+    trace = scenario_trace(scenario)
+    _, result, _, _ = run_engine(scenario, reference=False, trace=trace)
+    records = list(result.accounting)
+    last_finish = max(record.end_time for record in records)
+    late = trace[pick % len(trace)].with_(
+        job_id=max(spec.job_id for spec in trace) + 1,
+        submit_time=last_finish + gap,
+        depends_on=-1,
+    )
+    extended = WorkloadTrace([*trace, late], name=trace.name)
+    _, later, _, _ = run_engine(scenario, reference=False, trace=extended)
+    later_records = list(later.accounting)
+    assert [record.job_id for record in later_records] == [
+        record.job_id for record in records
+    ] + [late.job_id]
+    assert job_records_to_array(later_records[:-1]).tobytes() == (
+        job_records_to_array(records).tobytes()
+    )

@@ -6,6 +6,7 @@ from repro.cluster.machine import Cluster
 from repro.slurm.config import SchedulerConfig
 from repro.slurm.formats import _compress_node_ids, _fmt_duration, sacct, sinfo, squeue
 from repro.slurm.manager import WorkloadManager
+from repro.snapshot.state import snapshot_bytes
 from repro.workload.trace import WorkloadTrace
 from tests.conftest import make_spec
 
@@ -70,6 +71,22 @@ class TestSqueue:
     def test_max_rows_truncates(self, paused_manager):
         text = squeue(paused_manager, max_rows=1)
         assert "more jobs" in text
+
+    def test_leaves_snapshot_bytes_alone(self, paused_manager):
+        # The last pass scored the pending jobs at an earlier time; a
+        # view ranking them now must not overwrite the stored values.
+        before = snapshot_bytes(paused_manager)
+        squeue(paused_manager)
+        assert snapshot_bytes(paused_manager) == before
+
+    def test_pending_rows_in_scheduling_order(self, paused_manager):
+        rows = [line for line in squeue(paused_manager).splitlines()
+                if " PD " in line]
+        now = paused_manager.sim.now
+        expected = paused_manager.queue.ordered(now)
+        assert [int(row.split()[0]) for row in rows] == [
+            job.job_id for job in expected
+        ]
 
 
 class TestSinfo:

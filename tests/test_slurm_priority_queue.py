@@ -1,11 +1,15 @@
 """Unit tests for multifactor priority and the pending queue."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError, SchedulingError
+from repro.slurm.job import Job
 from repro.slurm.priority import MultifactorPriority, PriorityWeights
 from repro.slurm.queue import PendingQueue
-from tests.conftest import make_job
+from tests.conftest import make_job, make_spec
+from tests.reference_engine import ReferencePriority
 
 
 class TestPriorityWeights:
@@ -179,7 +183,6 @@ class TestQos:
         priority = MultifactorPriority(weights, num_nodes=8)
         normal = make_job(job_id=1)
         urgent_spec = make_job(job_id=2).spec.with_(qos="high")
-        from repro.slurm.job import Job
         urgent = Job(urgent_spec)
         ordered = priority.order([normal, urgent], now=0.0)
         assert [j.job_id for j in ordered] == [2, 1]
@@ -187,7 +190,6 @@ class TestQos:
     def test_zero_qos_weight_is_inert(self):
         priority = MultifactorPriority(num_nodes=8)  # default weight 0
         normal = make_job(job_id=1, submit=0.0)
-        from repro.slurm.job import Job
         urgent = Job(make_job(job_id=2, submit=0.0).spec.with_(qos="high"))
         ordered = priority.order([normal, urgent], now=100.0)
         assert [j.job_id for j in ordered] == [1, 2]  # FIFO tie-break
@@ -198,3 +200,77 @@ class TestQos:
         )
         assert priority.qos_factor("premium") == 0.9
         assert priority.qos_factor("unknown") == 0.2
+
+
+USERS = ("ann", "bob", "cy", "dee", "eve")
+QOS = ("low", "normal", "high", "mystery")
+
+job_params = st.tuples(
+    st.integers(1, 20),                      # nodes (past the cluster's 16)
+    st.sampled_from(USERS),
+    st.sampled_from(QOS),                    # "mystery" is unknown
+    st.floats(min_value=0.0, max_value=3000.0),  # submit time
+    st.integers(0, 3),                       # requeues
+)
+pass_params = st.tuples(
+    st.floats(min_value=0.0, max_value=6000.0),  # now
+    st.lists(                                # charges before the pass
+        st.tuples(st.sampled_from(USERS),
+                  st.floats(min_value=0.0, max_value=1e6)),
+        max_size=3,
+    ),
+)
+
+
+def _jobs(params) -> list[Job]:
+    jobs = []
+    for job_id, (nodes, user, qos, submit, requeues) in enumerate(params, 1):
+        job = Job(make_spec(job_id=job_id, submit=submit, nodes=nodes,
+                            user=user).with_(qos=qos))
+        job.requeues = requeues
+        jobs.append(job)
+    return jobs
+
+
+class TestOrderMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        params=st.lists(job_params, max_size=40),
+        passes=st.lists(pass_params, min_size=1, max_size=5),
+        backoff=st.sampled_from([0.0, 25.0, 700.0]),
+        saturation=st.sampled_from([500.0, 7 * 86_400.0]),
+    )
+    def test_same_order_and_priority_bits(self, params, passes, backoff,
+                                          saturation):
+        # Waits pass the 500 s saturation; submits may lie after now.
+        weights = PriorityWeights(qos=40.0, age_saturation=saturation)
+        priority = MultifactorPriority(weights, num_nodes=16)
+        reference = ReferencePriority(weights, num_nodes=16)
+        priority.requeue_backoff = reference.requeue_backoff = backoff
+        queue = PendingQueue(priority)
+        jobs, ref_jobs = _jobs(params), _jobs(params)
+        for job in jobs:
+            queue.add(job)
+        for now, charges in passes:
+            for user, amount in charges:
+                priority.charge(user, amount)
+                reference.charge(user, amount)
+            ranked = [job.job_id for job in queue.ranked(now)]
+            ordered = queue.ordered(now)
+            expected = reference.order(list(ref_jobs), now)
+            assert [j.job_id for j in ordered] == [j.job_id for j in expected]
+            assert ranked == [j.job_id for j in expected]
+            assert [j.priority.hex() for j in jobs] == [
+                j.priority.hex() for j in ref_jobs
+            ]
+
+    def test_ranked_writes_nothing(self):
+        queue = PendingQueue(MultifactorPriority(num_nodes=8))
+        jobs = [make_job(job_id=i, submit=10.0 * i) for i in (1, 2, 3)]
+        for job in jobs:
+            queue.add(job)
+        ranked = queue.ranked(now=500.0)
+        assert [job.priority for job in jobs] == [0.0, 0.0, 0.0]
+        assert ranked == queue.ordered(now=500.0)
+        assert all(job.priority > 0.0 for job in jobs)
+
