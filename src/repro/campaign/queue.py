@@ -74,7 +74,7 @@ from repro.campaign.lease import (
     LeaseLost,
 )
 from repro.campaign.spec import RunSpec, run_id_of
-from repro.campaign.store import ResultStore, StoreLock
+from repro.campaign.store import ResultStore, StoreLock, result_record
 from repro.errors import CampaignError, ConfigError, SuspendRequested
 from repro.faultinject import backoff_delay
 from repro.snapshot import suspend as _suspend
@@ -667,10 +667,15 @@ DEFAULT_WORKER_CONFIG: dict[str, object] = {
 def queue_config_from_settings(
     settings: Mapping[str, object], store_dir: Path
 ) -> dict[str, object]:
-    """Translate campaign manifest settings into the queue's
-    ``config.json`` so bare ``repro queue work <store>`` workers pick
-    up the same retry/deadline/guard/sidecar behaviour the join parent
-    (or the HTTP service) was asked for."""
+    """Translate campaign manifest settings into executor settings:
+    the one reader of a campaign's execution settings.
+
+    A queue store records the result as its ``config.json``, so bare
+    ``repro queue work <store>`` workers pick up the same
+    retry/deadline/guard/sidecar behaviour the join parent (or the
+    HTTP service) was asked for; ``repro campaign`` builds its
+    :class:`~repro.campaign.runner.CampaignRunner` from it, plus the
+    runner-only ``quarantine_after``."""
     bundle_dir = Path(str(settings.get("bundle_dir") or store_dir / "bundles"))
     snapshot_dir = Path(
         str(settings.get("snapshot_dir") or store_dir / "snapshots")
@@ -680,7 +685,7 @@ def queue_config_from_settings(
     )
     return {
         "retries": int(settings.get("retries", 2) or 0),
-        "backoff": float(settings.get("backoff", 0.5) or 0.5),
+        "backoff": float(settings.get("backoff", 0.5)),
         # The campaign's per-run timeout becomes the queue's deadline
         # budget: a run that exceeds it is quarantined, not retried.
         "deadline_s": float(settings.get("timeout", 0.0) or 0.0),
@@ -720,12 +725,7 @@ def build_queue_store(
     land in one distributed trace.  Without it (the replay fan-out,
     whose items carry *extras* instead) no event is written.
     """
-    ResultStore(store_dir).write_manifest({
-        "manifest_version": 1,
-        "name": name,
-        "spec": spec,
-        "settings": dict(settings),
-    })
+    ResultStore(store_dir).write_manifest(name, spec, settings)
     queue = WorkQueue(store_dir)
     queue.write_config(
         config if config is not None
@@ -980,16 +980,7 @@ class QueueWorker:
             )
             self._note(f"run {item.run_id} fenced (token {token} stale)")
             return
-        # Identical record shape to CampaignRunner._record, so a
-        # queue-drained store is byte-identical to a runner-owned one.
-        record = {
-            "run_id": item.run_id,
-            "label": item.label,
-            "params": item.params,
-            "result": payload,
-            "meta": {"attempts": attempts},
-        }
-        self.store.save(item.run_id, record)
+        self.store.save(item.run_id, result_record(item, payload, attempts))
         self.queue.complete(item.run_id, token)
         outcome.completed += 1
         self._note(f"run {item.run_id} done")

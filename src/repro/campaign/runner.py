@@ -74,7 +74,7 @@ from repro.campaign.progress import (
     ProgressTracker,
 )
 from repro.campaign.spec import RunSpec
-from repro.campaign.store import ResultStore
+from repro.campaign.store import ResultStore, result_record
 from repro.diagnostics.bundle import bundle_path_for
 from repro.diagnostics.quarantine import QuarantinedRun
 from repro.errors import ConfigError, SuspendRequested, WatchdogError
@@ -83,6 +83,10 @@ from repro.snapshot.guards import ResourceGuards
 from repro.snapshot.state import snapshot_path_for
 
 Entry = Callable[[Mapping[str, object]], dict[str, object]]
+
+#: Seconds a graceful shutdown waits for in-flight workers to finish
+#: or checkpoint their runs before abandoning them.
+SUSPEND_GRACE_S = 30.0
 
 
 def _worker_lifeline(parent_pid: int) -> None:
@@ -200,7 +204,9 @@ class CampaignRunner:
     ----------
     store:
         Artifact store for caching/resume; ``None`` keeps results only
-        in memory (every run executes).
+        in memory (every run executes).  :meth:`run` holds the store's
+        advisory lock throughout, so a second campaign on the same
+        store fails fast.
     workers:
         Process count; ``1`` executes serially in-process (the
         bit-identical fallback).  Per-run ``timeout`` requires
@@ -238,17 +244,10 @@ class CampaignRunner:
     guards:
         Optional :class:`~repro.snapshot.guards.ResourceGuards`
         polled from the dispatch loop.
-    lock_store:
-        Acquire the store's advisory lock for the duration of
-        :meth:`run` (fail fast when another campaign shares the
-        store).  Ignored without a store.
     install_signal_handlers:
         Install SIGTERM/SIGINT → graceful-shutdown handlers for the
         duration of :meth:`run` (the CLI enables this; library callers
         usually trigger suspension programmatically).
-    suspend_grace:
-        Seconds to wait for in-flight workers to checkpoint during a
-        graceful shutdown before abandoning them.
     telemetry_dir:
         Directory for per-run telemetry sidecar files; arms the
         telemetry subsystem in the workers (result payloads stay
@@ -272,9 +271,7 @@ class CampaignRunner:
         snapshot_dir: str | Path | None = None,
         snapshot_every: str | None = None,
         guards: ResourceGuards | None = None,
-        lock_store: bool = True,
         install_signal_handlers: bool = False,
-        suspend_grace: float = 30.0,
         kill: Callable[[int, int], None] = os.kill,
         telemetry_dir: str | Path | None = None,
     ) -> None:
@@ -290,10 +287,6 @@ class CampaignRunner:
             raise ConfigError(
                 f"quarantine_after must be >= 1 or None, got {quarantine_after}"
             )
-        if suspend_grace <= 0:
-            raise ConfigError(
-                f"suspend_grace must be positive, got {suspend_grace}"
-            )
         self.store = store
         self.workers = workers
         self.timeout = timeout
@@ -306,9 +299,7 @@ class CampaignRunner:
         )
         self.snapshot_every = snapshot_every
         self.guards = guards
-        self.lock_store = lock_store
         self.install_signal_handlers = install_signal_handlers
-        self.suspend_grace = suspend_grace
         self.telemetry_dir = (
             Path(telemetry_dir) if telemetry_dir is not None else None
         )
@@ -351,11 +342,7 @@ class CampaignRunner:
             total=len(runs), clock=self._clock, sink=self.progress
         )
         result = CampaignResult(order=[r.run_id for r in runs], results={})
-        lock = (
-            self.store.lock()
-            if self.store is not None and self.lock_store
-            else None
-        )
+        lock = self.store.lock() if self.store is not None else None
         if lock is not None:
             lock.acquire()
         previous_handlers = (
@@ -392,13 +379,7 @@ class CampaignRunner:
     def _record(
         self, run: RunSpec, payload: dict[str, object], attempts: int
     ) -> dict[str, object]:
-        record = {
-            "run_id": run.run_id,
-            "label": run.label,
-            "params": run.params,
-            "result": payload,
-            "meta": {"attempts": attempts},
-        }
+        record = result_record(run, payload, attempts)
         if self.store is not None:
             self.store.save(run.run_id, record)
             record = self.store.load(run.run_id)
@@ -741,12 +722,12 @@ class CampaignRunner:
         """Graceful shutdown: checkpoint in-flight workers, park runs.
 
         Every worker is SIGTERMed (covering signals delivered only to
-        this process, not the group), then given ``suspend_grace``
-        seconds to finish or checkpoint.  Completed runs are recorded
-        normally; suspended and abandoned runs land in
-        :attr:`CampaignResult.suspended`.  Queued runs need no
-        bookkeeping — their results are simply missing, which is what
-        ``repro resume`` executes.
+        this process, not the group), then given
+        :data:`SUSPEND_GRACE_S` seconds to finish or checkpoint.
+        Completed runs are recorded normally; suspended and abandoned
+        runs land in :attr:`CampaignResult.suspended`.  Queued runs
+        need no bookkeeping — their results are simply missing, which
+        is what ``repro resume`` executes.
         """
         result.interrupted = True
         for pid in list(pool._processes or ()):
@@ -754,7 +735,7 @@ class CampaignRunner:
                 self._kill(pid, signal.SIGTERM)
             except (OSError, ProcessLookupError):
                 pass
-        done, not_done = wait(set(inflight), timeout=self.suspend_grace)
+        done, not_done = wait(set(inflight), timeout=SUSPEND_GRACE_S)
         for future in done:
             run, attempt, _ = inflight.pop(future)
             try:
@@ -780,7 +761,7 @@ class CampaignRunner:
             future.cancel()
             self._park(
                 run, tracker, result,
-                note=f"did not checkpoint within {self.suspend_grace:.0f}s grace",
+                note=f"did not checkpoint within {SUSPEND_GRACE_S:.0f}s grace",
             )
         inflight.clear()
         # Never block on workers that may be mid-snapshot or wedged.

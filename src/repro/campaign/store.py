@@ -32,6 +32,7 @@ import time
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
+from repro.campaign.lease import local_host, pid_alive
 from repro.errors import ConfigError
 from repro.storage.durable import write_atomic
 
@@ -62,23 +63,6 @@ STALE_LOCK_GRACE_S = 5.0
 
 #: Poll interval while waiting out a dead holder's descendants.
 STALE_LOCK_POLL_S = 0.1
-
-
-def _pid_alive(pid: int) -> bool:
-    """Best-effort liveness probe; unknown states count as alive."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except OSError:
-        return True  # e.g. EPERM: someone else's live process
-    return True
-
-
-def _local_host() -> str:
-    import socket
-
-    return socket.gethostname()
 
 
 class StoreLock:
@@ -139,8 +123,8 @@ class StoreLock:
             except OSError:
                 pid, host = self._read_holder(handle)
                 handle.close()
-                local = host is None or host == _local_host()
-                if pid is not None and local and not _pid_alive(pid):
+                local = host is None or host == local_host()
+                if pid is not None and local and not pid_alive(pid):
                     # The flock outlives a dead holder only while its
                     # descendants keep the shared open-file description
                     # alive (pool workers of a hard-killed campaign);
@@ -177,7 +161,7 @@ class StoreLock:
         try:
             handle.seek(0)
             handle.truncate()
-            handle.write(f"{os.getpid()} {_local_host()}\n")
+            handle.write(f"{os.getpid()} {local_host()}\n")
             handle.flush()
         except OSError:
             pass  # cosmetic only
@@ -223,9 +207,9 @@ class StoreLock:
                     host = parts[1] if len(parts) > 1 else None
                 except (OSError, ValueError, IndexError):
                     pass
-                foreign = host is not None and host != _local_host()
+                foreign = host is not None and host != local_host()
                 dead = (
-                    pid is not None and not foreign and not _pid_alive(pid)
+                    pid is not None and not foreign and not pid_alive(pid)
                 )
                 if attempt == 1 and pid is not None and (dead or foreign):
                     # A foreign-host record is stale by definition
@@ -257,7 +241,7 @@ class StoreLock:
                 ) from None
             try:
                 os.write(
-                    fd, f"{os.getpid()} {_local_host()}\n".encode("ascii")
+                    fd, f"{os.getpid()} {local_host()}\n".encode("ascii")
                 )
             finally:
                 os.close(fd)
@@ -287,6 +271,22 @@ class StoreLock:
 
     def __exit__(self, *exc_info: object) -> None:
         self.release()
+
+
+def result_record(
+    run, payload: Mapping[str, object], attempts: int
+) -> dict[str, object]:
+    """The stored record of *run* (a :class:`~repro.campaign.spec.
+    RunSpec` or a queue item: anything with ``run_id``, ``label`` and
+    ``params``), whichever executor ran it, so runner- and
+    queue-drained stores are byte-identical."""
+    return {
+        "run_id": run.run_id,
+        "label": run.label,
+        "params": run.params,
+        "result": payload,
+        "meta": {"attempts": attempts},
+    }
 
 
 class ResultStore:
@@ -338,14 +338,24 @@ class ResultStore:
         ``shared=True`` for a cooperating queue worker's claim."""
         return StoreLock(self.root, shared=shared)
 
-    def write_manifest(self, manifest: Mapping[str, object]) -> Path:
-        """Atomically record the owning campaign's spec and settings
-        (hidden file, excluded from :meth:`completed_ids`)."""
+    def write_manifest(
+        self,
+        name: str,
+        spec: Mapping[str, object] | None,
+        settings: Mapping[str, object],
+    ) -> Path:
+        """Atomically record the owning campaign's name, spec and
+        manifest settings (hidden file, excluded from
+        :meth:`completed_ids`): the one writer of ``.campaign.json``,
+        for the runner, the queue and the service alike."""
         path = self.root / MANIFEST_NAME
-        data = json.dumps(dict(manifest), sort_keys=True, indent=1).encode(
-            "utf-8"
-        )
-
+        manifest = {
+            "manifest_version": 1,
+            "name": name,
+            "spec": spec,
+            "settings": dict(settings),
+        }
+        data = json.dumps(manifest, sort_keys=True, indent=1).encode("utf-8")
         return write_atomic(
             path, data,
             write_fp="store.manifest.write", rename_fp="store.manifest.rename",

@@ -183,7 +183,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -596,20 +596,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(f"campaign error: {exc}", file=sys.stderr)
         return 2
     store_dir = Path(args.store) if args.store else Path("campaign_runs") / spec.name
+    settings = _campaign_settings_from_args(args)
     if args.join:
-        return _execute_campaign_join(
-            spec,
-            store_dir,
-            _campaign_settings_from_args(args),
-            workers=args.workers,
-            quiet=args.quiet,
-            jsonl=args.jsonl,
-            no_jsonl=args.no_jsonl,
-        )
+        settings["queue"] = True
     return _execute_campaign(
         spec,
         store_dir,
-        _campaign_settings_from_args(args),
+        settings,
         quiet=args.quiet,
         progress_log=args.progress_log,
         jsonl=args.jsonl,
@@ -672,19 +665,6 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     if args.telemetry:
         settings["telemetry"] = True
     print(f"resuming campaign {spec.name!r} from {store_dir}", file=sys.stderr)
-    if settings.get("queue"):
-        workers = (
-            args.workers if args.workers > 0 else max(1, os.cpu_count() or 1)
-        )
-        return _execute_campaign_join(
-            spec,
-            store_dir,
-            settings,
-            workers=workers,
-            quiet=args.quiet,
-            jsonl="",
-            no_jsonl=args.no_jsonl,
-        )
     return _execute_campaign(
         spec,
         store_dir,
@@ -694,6 +674,21 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         jsonl="",
         no_jsonl=args.no_jsonl,
     )
+
+
+class _Executed(NamedTuple):
+    """What a campaign executor hands the shared report."""
+
+    #: Stored records of the campaign's runs, in campaign order.
+    records: list
+    #: The executor's own status line (stdout).
+    status: str
+    #: Its FAILED, QUARANTINED and SUSPENDED lines (stderr).
+    notes: list[str]
+    #: ``drained``, ``suspended`` or ``stalled``.
+    end: str
+    #: Some run failed or was quarantined.
+    casualties: bool
 
 
 def _execute_campaign(
@@ -706,11 +701,17 @@ def _execute_campaign(
     jsonl: str,
     no_jsonl: bool,
 ) -> int:
-    """Shared campaign executor behind ``campaign`` and ``resume``."""
-    from repro.campaign import CampaignRunner, ResultStore
-    from repro.campaign.progress import JsonlProgressLog, tee
-    from repro.errors import ConfigError
-    from repro.snapshot import ResourceGuards
+    """The one campaign front end behind ``campaign`` and ``resume``.
+
+    ``settings["queue"]`` (``--join``, or a store recorded with it) is
+    the one choice of executor: the durable queue drained by warm
+    workers, else the runner's process pool.  Everything else is
+    shared: the settings reader (``queue_config_from_settings``), the
+    ``results.jsonl`` export, the results table, the Ctrl-C message
+    and the exit codes.
+    """
+    from repro.campaign import ResultStore
+    from repro.campaign.queue import queue_config_from_settings
 
     try:
         runs = spec.expand()
@@ -718,88 +719,30 @@ def _execute_campaign(
         print(f"campaign error: {exc}", file=sys.stderr)
         return 2
     store = ResultStore(store_dir)
-    workers = int(settings.get("workers", 1) or 1)  # type: ignore[arg-type]
-    timeout = float(settings.get("timeout", 0.0) or 0.0)  # type: ignore[arg-type]
-    quarantine_after = int(settings.get("quarantine_after", 2) or 0)  # type: ignore[arg-type]
-    bundle_dir = Path(str(settings.get("bundle_dir") or store_dir / "bundles"))
-    snapshot_dir = Path(
-        str(settings.get("snapshot_dir") or store_dir / "snapshots")
+    config = queue_config_from_settings(settings, store_dir)
+    # A queue manifest records no worker count, so a resumed drain
+    # sizes its fleet to this host.
+    workers = int(settings.get("workers", os.cpu_count() or 1) or 1)  # type: ignore[arg-type]
+    resume = f"`repro resume {store_dir}` continues it"
+    execute = _campaign_queue if settings.get("queue") else _campaign_pool
+    ran = execute(
+        spec, store, runs, settings, config, workers,
+        quiet=quiet, progress_log=progress_log, resume=resume,
     )
-    snapshot_every = str(settings.get("snapshot_every") or "")
-    rss_budget = float(settings.get("rss_budget_mb", 0.0) or 0.0)  # type: ignore[arg-type]
-    disk_min_free = float(settings.get("disk_min_free_mb", 0.0) or 0.0)  # type: ignore[arg-type]
-    telemetry_dir = (
-        store_dir / "telemetry" if settings.get("telemetry") else None
-    )
-    sinks = []
-    if not quiet:
-        sinks.append(lambda event: print(event.render(), file=sys.stderr))
-    if progress_log:
-        sinks.append(JsonlProgressLog(progress_log))
-    try:
-        guards = None
-        if rss_budget > 0 or disk_min_free > 0:
-            guards = ResourceGuards(
-                rss_budget_mb=rss_budget if rss_budget > 0 else None,
-                disk_min_free_mb=disk_min_free if disk_min_free > 0 else None,
-                watch_path=store_dir,
-            )
-        # The manifest is what `repro resume <store>` reconstructs the
-        # campaign from; refresh it before every execution.
-        store.write_manifest({
-            "manifest_version": 1,
-            "name": spec.name,
-            "spec": spec.to_dict(),
-            "settings": settings,
-        })
-        runner = CampaignRunner(
-            store=store,
-            workers=workers,
-            timeout=timeout if timeout > 0 else None,
-            retries=int(settings.get("retries", 2)),  # type: ignore[arg-type]
-            backoff=float(settings.get("backoff", 0.5)),  # type: ignore[arg-type]
-            progress=tee(*sinks) if sinks else None,
-            quarantine_after=(
-                quarantine_after if quarantine_after > 0 else None
-            ),
-            bundle_dir=bundle_dir,
-            snapshot_dir=snapshot_dir,
-            snapshot_every=snapshot_every or None,
-            telemetry_dir=telemetry_dir,
-            guards=guards,
-            install_signal_handlers=True,
-        )
-    except ReproError as exc:
-        print(f"campaign error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        outcome = runner.run(runs)
-    except ConfigError as exc:
-        # Most prominently: the store's advisory lock is held by a
-        # concurrent campaign.
-        print(f"campaign error: {exc}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        done = len(store.completed_ids() & {r.run_id for r in runs})
-        print(
-            f"\ninterrupted: {done} of {len(runs)} runs stored in "
-            f"{store_dir}; `repro resume {store_dir}` continues",
-            file=sys.stderr,
-        )
-        return EXIT_INTERRUPTED
+    if isinstance(ran, int):
+        return ran
     if not no_jsonl:
         jsonl_path = Path(jsonl) if jsonl else store_dir / "results.jsonl"
         written = store.export_jsonl(jsonl_path, run_ids=[r.run_id for r in runs])
         print(f"results: {written} records -> {jsonl_path}", file=sys.stderr)
-
     grid_rows = []
     experiment_lines = []
-    for record in outcome.records():
+    for record in ran.records:
         payload = record["result"]
         params = record["params"]
         if payload["kind"] == "simulate":
             workload = params.get("workload", {})
-            config = params.get("config", {})
+            scheduler = params.get("config", {})
             summary = payload["summary"]
             grid_rows.append({
                 "run": record["run_id"][:8],
@@ -807,7 +750,7 @@ def _execute_campaign(
                 "nodes": payload["num_nodes"],
                 "seed": workload.get("seed", ""),
                 "load": workload.get("offered_load", ""),
-                "theta": config.get("share_threshold", ""),
+                "theta": scheduler.get("share_threshold", ""),
                 "makespan_h": summary["makespan_h"],
                 "comp_eff": summary["comp_eff"],
                 "mean_wait_h": summary["mean_wait_h"],
@@ -822,6 +765,70 @@ def _execute_campaign(
         print(format_table(grid_rows, title=f"campaign: {spec.name}"))
     for line in experiment_lines:
         print(line)
+    print(ran.status)
+    return _conclude(ran, runs, store_dir, what="campaign", resume=resume)
+
+
+def _campaign_pool(
+    spec, store, runs, settings, config, workers, *, quiet, progress_log,
+    resume,
+) -> _Executed | int:
+    """``repro campaign``'s executor: the runner's process pool, which
+    owns the store (its lock) while it runs."""
+    from repro.campaign import CampaignRunner
+    from repro.campaign.progress import JsonlProgressLog, tee
+    from repro.errors import ConfigError
+    from repro.snapshot import ResourceGuards
+
+    sinks = []
+    if not quiet:
+        sinks.append(lambda event: print(event.render(), file=sys.stderr))
+    if progress_log:
+        sinks.append(JsonlProgressLog(progress_log))
+    timeout = config["deadline_s"]
+    rss_budget = config["rss_budget_mb"]
+    disk_min_free = config["disk_min_free_mb"]
+    quarantine_after = int(settings.get("quarantine_after", 2) or 0)
+    try:
+        guards = None
+        if rss_budget > 0 or disk_min_free > 0:
+            guards = ResourceGuards(
+                rss_budget_mb=rss_budget if rss_budget > 0 else None,
+                disk_min_free_mb=disk_min_free if disk_min_free > 0 else None,
+                watch_path=store.root,
+            )
+        # The manifest is what `repro resume <store>` reconstructs the
+        # campaign from; refresh it before every execution.
+        store.write_manifest(spec.name, spec.to_dict(), settings)
+        runner = CampaignRunner(
+            store=store,
+            workers=workers,
+            timeout=timeout if timeout > 0 else None,
+            retries=config["retries"],
+            backoff=config["backoff"],
+            progress=tee(*sinks) if sinks else None,
+            quarantine_after=(
+                quarantine_after if quarantine_after > 0 else None
+            ),
+            bundle_dir=config["bundle_dir"],
+            snapshot_dir=config["snapshot_dir"],
+            snapshot_every=config["snapshot_every"],
+            telemetry_dir=config["telemetry_dir"],
+            guards=guards,
+            install_signal_handlers=True,
+        )
+    except ReproError as exc:
+        print(f"campaign error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        outcome = runner.run(runs)
+    except ConfigError as exc:
+        # Most prominently: the store's advisory lock is held by a
+        # concurrent campaign.
+        print(f"campaign error: {exc}", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        return _interrupted(store, runs, resume)
     counts = (
         f"{outcome.completed} executed, {outcome.cached} cached, "
         f"{outcome.failed} failed"
@@ -833,94 +840,60 @@ def _execute_campaign(
     status = (
         f"{counts} of {len(runs)} runs "
         f"in {outcome.elapsed_s:.1f}s (workers={workers}, "
-        f"store={store_dir})"
+        f"store={store.root})"
     )
-    print(status)
-    if outcome.failures or outcome.quarantined:
-        for failure in outcome.failures:
-            print(
-                f"FAILED {failure.run_id} ({failure.label}) after "
-                f"{failure.attempts} attempts: {failure.error}",
-                file=sys.stderr,
-            )
-        if outcome.quarantined:
-            from repro.diagnostics import write_quarantine_manifest
+    notes = [
+        f"FAILED {failure.run_id} ({failure.label}) after "
+        f"{failure.attempts} attempts: {failure.error}"
+        for failure in outcome.failures
+    ]
+    if outcome.quarantined:
+        from repro.diagnostics import write_quarantine_manifest
 
-            manifest = write_quarantine_manifest(
-                store_dir / "quarantine.json", spec.name, outcome.quarantined
-            )
-            for poisoned in outcome.quarantined:
-                bundle_note = (
-                    f" (bundle: {poisoned.bundle})" if poisoned.bundle else ""
-                )
-                print(
-                    f"QUARANTINED {poisoned.run_id} ({poisoned.label}) "
-                    f"after {poisoned.incidents} incidents: "
-                    f"{poisoned.error}{bundle_note}",
-                    file=sys.stderr,
-                )
-            print(f"quarantine manifest: {manifest}", file=sys.stderr)
-    if outcome.interrupted or outcome.suspended:
-        for parked in outcome.suspended:
-            snap_note = (
-                f" (snapshot: {parked.snapshot})" if parked.snapshot else ""
-            )
-            print(
-                f"SUSPENDED {parked.run_id} ({parked.label}){snap_note}",
-                file=sys.stderr,
-            )
-        remaining = len(runs) - len(
-            store.completed_ids() & {r.run_id for r in runs}
+        manifest = write_quarantine_manifest(
+            store.root / "quarantine.json", spec.name, outcome.quarantined
         )
-        print(
-            f"campaign suspended with {remaining} runs outstanding; "
-            f"`repro resume {store_dir}` continues it",
-            file=sys.stderr,
-        )
-        return EXIT_SUSPENDED
-    if outcome.failures or outcome.quarantined:
-        # Partial success (some results, some casualties) is
-        # distinguishable from total failure for calling scripts.
-        if outcome.completed or outcome.cached:
-            return EXIT_PARTIAL
-        return 1
-    return 0
+        for poisoned in outcome.quarantined:
+            bundle_note = (
+                f" (bundle: {poisoned.bundle})" if poisoned.bundle else ""
+            )
+            notes.append(
+                f"QUARANTINED {poisoned.run_id} ({poisoned.label}) "
+                f"after {poisoned.incidents} incidents: "
+                f"{poisoned.error}{bundle_note}"
+            )
+        notes.append(f"quarantine manifest: {manifest}")
+    for parked in outcome.suspended:
+        snap_note = f" (snapshot: {parked.snapshot})" if parked.snapshot else ""
+        notes.append(f"SUSPENDED {parked.run_id} ({parked.label}){snap_note}")
+    return _Executed(
+        outcome.records(),
+        status,
+        notes,
+        "suspended" if outcome.interrupted or outcome.suspended else "drained",
+        bool(outcome.failures or outcome.quarantined),
+    )
 
 
-def _execute_campaign_join(
-    spec,
-    store_dir: Path,
-    settings: dict[str, object],
-    *,
-    workers: int,
-    quiet: bool,
-    jsonl: str,
-    no_jsonl: bool,
-) -> int:
-    """Queue-backed campaign executor behind ``campaign --join`` and a
-    queue-recorded ``resume``: enqueue the runs as durable items, then
-    drain them with a warm worker fleet."""
+def _campaign_queue(
+    spec, store, runs, settings, config, workers, *, quiet, progress_log,
+    resume,
+) -> _Executed | int:
+    """``campaign --join``'s executor: enqueue the runs as durable
+    items, then drain them with a warm worker fleet."""
     from repro.campaign.queue import build_queue_store
 
-    try:
-        runs = spec.expand()
-    except ReproError as exc:
-        print(f"campaign error: {exc}", file=sys.stderr)
-        return 2
     # The manifest drops the worker count: the fleet size is a property
     # of each invocation, not of the campaign, so joins with different
     # fleet sizes leave byte-identical stores.
     manifest_settings = {
         key: value for key, value in settings.items() if key != "workers"
     }
-    manifest_settings["queue"] = True
-    note = (
-        None if quiet else (lambda line: print(line, file=sys.stderr))
-    )
+    note = None if quiet else (lambda line: print(line, file=sys.stderr))
     try:
         queue, pending = build_queue_store(
-            store_dir, spec.name, spec.to_dict(), manifest_settings, runs,
-            source="cli",
+            store.root, spec.name, spec.to_dict(), manifest_settings, runs,
+            config=config, source="cli",
         )
     except ReproError as exc:
         print(f"campaign error: {exc}", file=sys.stderr)
@@ -928,133 +901,111 @@ def _execute_campaign_join(
     if note:
         note(
             f"queue: {pending} of {len(runs)} runs pending in "
-            f"{store_dir / '.queue'}"
+            f"{store.root / '.queue'}"
         )
-    store = queue.store
-
-    def render(outcome, done, failed, quarantined) -> None:
-        if not no_jsonl:
-            jsonl_path = Path(jsonl) if jsonl else store.root / "results.jsonl"
-            written = store.export_jsonl(
-                jsonl_path, run_ids=[r.run_id for r in runs]
-            )
-            print(
-                f"results: {written} records -> {jsonl_path}", file=sys.stderr
-            )
-        grid_rows = []
-        experiment_lines = []
-        for run_id in done:
-            record = store.load(run_id)
-            payload = record["result"]
-            params = record["params"]
-            if payload["kind"] == "simulate":
-                workload = params.get("workload", {})
-                config = params.get("config", {})
-                summary = payload["summary"]
-                grid_rows.append({
-                    "run": record["run_id"][:8],
-                    "strategy": payload["strategy"],
-                    "nodes": payload["num_nodes"],
-                    "seed": workload.get("seed", ""),
-                    "load": workload.get("offered_load", ""),
-                    "theta": config.get("share_threshold", ""),
-                    "makespan_h": summary["makespan_h"],
-                    "comp_eff": summary["comp_eff"],
-                    "mean_wait_h": summary["mean_wait_h"],
-                    "shared_nodes": summary["shared_nodes"],
-                })
-            elif payload["kind"] == "experiment":
-                experiment_lines.append(
-                    f"{payload['experiment']}: {len(payload['rows'])} rows "
-                    f"({record['run_id']}.json)"
-                )
-        if grid_rows:
-            print(format_table(grid_rows, title=f"campaign: {spec.name}"))
-        for line in experiment_lines:
-            print(line)
-        counts = f"{len(done)} stored, {len(failed)} failed"
-        if quarantined:
-            counts += f", {len(quarantined)} quarantined"
-        print(
-            f"{counts} of {len(runs)} runs (queue drain, "
-            f"workers={outcome.workers}, respawns={outcome.respawns}, "
-            f"store={store.root})"
-        )
-
-    return _drain_and_report(
-        queue, runs, max(1, int(workers)), note, render,
-        what="campaign", resume=f"`repro resume {store.root}` continues it",
-    )
+    return _drain(queue, runs, max(1, workers), note, resume)
 
 
-def _drain_and_report(
-    queue, runs, workers: int, note, render, *, what: str, resume: str
-) -> int:
-    """The tail of ``campaign --join`` and ``replay-trace --strategies``.
+def _drain(queue, runs, workers: int, note, resume: str) -> _Executed | int:
+    """The queue executor of ``campaign --join`` and ``replay-trace
+    --strategies``.
 
     Drains *queue* with *workers* warm workers under the suspend signal
-    handlers, reaps whatever the fleet left leased, has
-    ``render(outcome, done, failed, quarantined)`` print the stored
-    results, lists the FAILED and QUARANTINED runs from their terminal
-    documents, and maps the queue's end state onto the documented exit
-    codes.  *resume* tells the user how to continue a drain cut short.
+    handlers, reaps whatever the fleet left leased, and reports the
+    stored records, the queue's status line and the FAILED and
+    QUARANTINED runs from their terminal documents.  *resume* tells
+    the user how to continue a drain cut short.
     """
     from repro.campaign.queue import drain_with_workers
     from repro.snapshot import suspend as _suspend
 
     store = queue.store
-    run_ids = [r.run_id for r in runs]
     previous = _suspend.install_signal_handlers()
     try:
         outcome = drain_with_workers(store.root, workers, note=note)
     except KeyboardInterrupt:
-        done = len(store.completed_ids() & set(run_ids))
-        print(
-            f"\ninterrupted: {done} of {len(runs)} runs stored in "
-            f"{store.root}; {resume}",
-            file=sys.stderr,
-        )
-        return EXIT_INTERRUPTED
+        return _interrupted(store, runs, resume)
     finally:
         if previous is not None:
             _suspend.restore_signal_handlers(previous)
     # Final supervisor pass: reap anything the fleet left leased.
     queue.reclaim_stale()
-    done = [run_id for run_id in run_ids if store.has(run_id)]
+    records = [store.load(r.run_id) for r in runs if store.has(r.run_id)]
     failed = queue.terminal_ids("failed")
     quarantined = queue.terminal_ids("quarantined")
-    render(outcome, done, failed, quarantined)
+    counts = f"{len(records)} stored, {len(failed)} failed"
+    if quarantined:
+        counts += f", {len(quarantined)} quarantined"
+    notes = []
     for run_id in failed:
         doc = queue.read_terminal("failed", run_id)
-        print(
+        notes.append(
             f"FAILED {run_id} ({doc.get('label', '')}) after "
             f"{doc.get('deliveries', '?')} deliveries: "
-            f"{doc.get('error', '')}",
-            file=sys.stderr,
+            f"{doc.get('error', '')}"
         )
     for run_id in quarantined:
         doc = queue.read_terminal("quarantined", run_id)
-        print(
+        notes.append(
             f"QUARANTINED {run_id} ({doc.get('label', '')}): "
-            f"{doc.get('reason', '')}",
-            file=sys.stderr,
+            f"{doc.get('reason', '')}"
         )
-    if outcome.status == "suspended":
+    return _Executed(
+        records,
+        f"{counts} of {len(runs)} runs (queue drain, "
+        f"workers={outcome.workers}, respawns={outcome.respawns}, "
+        f"store={store.root})",
+        notes,
+        outcome.status,
+        bool(failed or quarantined),
+    )
+
+
+def _interrupted(store, runs, resume: str) -> int:
+    """A Ctrl-C past graceful shutdown: say how many runs are stored."""
+    done = len(store.completed_ids() & {r.run_id for r in runs})
+    print(
+        f"\ninterrupted: {done} of {len(runs)} runs stored in "
+        f"{store.root}; {resume}",
+        file=sys.stderr,
+    )
+    return EXIT_INTERRUPTED
+
+
+def _conclude(
+    ran: _Executed, runs, store_dir: Path, *, what: str, resume: str
+) -> int:
+    """Print an executor's notes and how it ended; return its exit code."""
+    for line in ran.notes:
+        print(line, file=sys.stderr)
+    if ran.end == "suspended":
         print(
-            f"{what} suspended with {len(runs) - len(done)} runs "
+            f"{what} suspended with {len(runs) - len(ran.records)} runs "
             f"outstanding; {resume}",
             file=sys.stderr,
         )
-        return EXIT_SUSPENDED
-    if outcome.status == "stalled":
+    elif ran.end == "stalled":
         print(
             f"queue drain stalled (respawn budget exhausted); "
-            f"`repro queue status {store.root}` for the census",
+            f"`repro queue status {store_dir}` for the census",
             file=sys.stderr,
         )
+    return _exit_status(
+        ran.end, casualties=ran.casualties, stored=bool(ran.records)
+    )
+
+
+def _exit_status(end: str, *, casualties: bool, stored: bool) -> int:
+    """The documented exit code of a campaign, fan-out or replay that
+    ended *end* (``drained``, ``suspended`` or ``stalled``)."""
+    if end == "suspended":
+        return EXIT_SUSPENDED
+    if end == "stalled":
         return 1
-    if failed or quarantined:
-        return EXIT_PARTIAL if done else 1
+    if casualties:
+        # Partial success (some results, some casualties) is
+        # distinguishable from total failure for calling scripts.
+        return EXIT_PARTIAL if stored else 1
     return 0
 
 
@@ -1446,41 +1397,40 @@ def _replay_trace_fanout(args: argparse.Namespace) -> int:
             f"({len(archive)} windows each), {workers} workers"
         )
 
-    def render(outcome, done, failed, quarantined) -> None:
-        rows = []
-        for run_id in done:
-            payload = queue.store.load(run_id)["result"]
-            stitched = payload.get("stitched", {})
-            rows.append({
-                "strategy": payload["strategy"],
-                "windows": payload["windows"],
-                "jobs": stitched.get("jobs", ""),
-                "completed": stitched.get("completed", ""),
-                "makespan_h": round(
-                    float(stitched.get("makespan_s", 0.0)) / 3600, 2
-                ),
-                "mean_wait_h": round(
-                    float(stitched.get("mean_wait_s", 0.0)) / 3600, 3
-                ),
-                "store": str(store_dir / str(payload["strategy"])),
-            })
-        if args.json:
-            print(format_json({
-                "archive": archive.archive_id,
-                "strategies": strategies,
-                "status": outcome.status,
-                "chains": rows,
-            }))
-        elif rows:
-            print(format_table(rows, title=f"replay fanout: {archive.name}"))
-
-    return _drain_and_report(
-        queue, runs, workers, note, render, what="fanout",
-        resume=(
-            "re-run the same command to continue it (completed windows "
-            "stay cached per strategy)"
-        ),
+    resume = (
+        "re-run the same command to continue it (completed windows "
+        "stay cached per strategy)"
     )
+    ran = _drain(queue, runs, workers, note, resume)
+    if isinstance(ran, int):
+        return ran
+    rows = []
+    for record in ran.records:
+        payload = record["result"]
+        stitched = payload.get("stitched", {})
+        rows.append({
+            "strategy": payload["strategy"],
+            "windows": payload["windows"],
+            "jobs": stitched.get("jobs", ""),
+            "completed": stitched.get("completed", ""),
+            "makespan_h": round(
+                float(stitched.get("makespan_s", 0.0)) / 3600, 2
+            ),
+            "mean_wait_h": round(
+                float(stitched.get("mean_wait_s", 0.0)) / 3600, 3
+            ),
+            "store": str(store_dir / str(payload["strategy"])),
+        })
+    if args.json:
+        print(format_json({
+            "archive": archive.archive_id,
+            "strategies": strategies,
+            "status": ran.end,
+            "chains": rows,
+        }))
+    elif rows:
+        print(format_table(rows, title=f"replay fanout: {archive.name}"))
+    return _conclude(ran, runs, store_dir, what="fanout", resume=resume)
 
 
 def _cmd_replay_trace(args: argparse.Namespace) -> int:
@@ -1554,16 +1504,18 @@ def _cmd_replay_trace(args: argparse.Namespace) -> int:
             f"FAILED {failure.run_id} ({failure.label}): {failure.error}",
             file=sys.stderr,
         )
-    if campaign.interrupted or campaign.suspended:
+    suspended = campaign.interrupted or bool(campaign.suspended)
+    if suspended:
         print(
             f"replay suspended; re-run the same command to continue "
             f"(completed windows are cached in {store_dir})",
             file=sys.stderr,
         )
-        return EXIT_SUSPENDED
-    if campaign.failures:
-        return EXIT_PARTIAL if (campaign.completed or campaign.cached) else 1
-    return 0
+    return _exit_status(
+        "suspended" if suspended else "drained",
+        casualties=bool(campaign.failures),
+        stored=bool(campaign.completed or campaign.cached),
+    )
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:

@@ -373,11 +373,11 @@ class TestStoreLock:
 
     # -- host identity -------------------------------------------------
     def test_lock_records_pid_and_host(self, tmp_path):
-        from repro.campaign.store import _local_host
+        from repro.campaign.lease import local_host
 
         with StoreLock(tmp_path):
             parts = (tmp_path / ".lock").read_text("ascii").split()
-            assert parts == [str(os.getpid()), _local_host()]
+            assert parts == [str(os.getpid()), local_host()]
 
     def test_foreign_host_record_is_never_probed_as_local(
         self, tmp_path, monkeypatch
@@ -411,9 +411,9 @@ class TestStoreLock:
         )
 
     def test_pidfile_fallback_respects_local_live_holder(self, tmp_path):
-        from repro.campaign.store import _local_host
+        from repro.campaign.lease import local_host
 
-        (tmp_path / ".lock").write_text(f"{os.getpid()} {_local_host()}\n")
+        (tmp_path / ".lock").write_text(f"{os.getpid()} {local_host()}\n")
         with pytest.raises(ConfigError, match="locked by another campaign"):
             StoreLock(tmp_path)._acquire_pidfile()
 
@@ -446,7 +446,7 @@ class TestStoreLock:
 class TestManifest:
     def test_round_trip(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        store.write_manifest({"manifest_version": 1, "name": "x", "spec": {}})
+        store.write_manifest("x", {}, {})
         assert store.read_manifest()["name"] == "x"
         # hidden: not mistaken for a result record
         assert store.completed_ids() == set()

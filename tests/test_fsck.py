@@ -41,7 +41,7 @@ def make_store(root, values=(1, 2)):
             "result": {"doubled": value * 2},
             "meta": {"attempts": 1},
         })
-    store.write_manifest({"manifest_version": 1, "name": "t", "spec": {}})
+    store.write_manifest("t", {}, {})
     store.export_jsonl(store.root / "results.jsonl")
     return store
 

@@ -120,10 +120,42 @@ class TestCampaignJoin:
         self, tmp_path, capsys
     ):
         assert join(tmp_path, store="joined") == 0
+        joined_out = capsys.readouterr().out.splitlines()
         assert join(tmp_path, store="joined2", workers="2") == 0
         fp1 = store_fingerprint(tmp_path / "joined")
         fp2 = store_fingerprint(tmp_path / "joined2")
         assert fp1 == fp2
+        capsys.readouterr()
+        assert main([
+            "campaign", *SMALL, "--workers", "1",
+            "--store", str(tmp_path / "direct"),
+        ]) == 0
+        direct_out = capsys.readouterr().out.splitlines()
+        direct = store_fingerprint(tmp_path / "direct")
+        # The executors record different settings in the manifest
+        # (``queue``, ``workers``); every result artifact is the same.
+        del fp1[".campaign.json"], direct[".campaign.json"]
+        run_ids = [
+            run.run_id for run in CampaignSpec(
+                jobs=25, cluster_sizes=(16,), seeds=(1,),
+                strategies=("fcfs", "easy_backfill"),
+            ).expand()
+        ]
+        assert set(direct) == {f"{rid}.json" for rid in run_ids} | {
+            "results.jsonl"
+        }
+        assert direct == fp1
+        # The same results table; only the status lines differ.
+        assert direct_out[:-1] == joined_out[:-1]
+        assert any("campaign:" in line for line in direct_out[:-1])
+        assert "2 executed" in direct_out[-1]
+        assert "2 stored" in joined_out[-1]
+
+    def test_join_keeps_an_explicit_zero_backoff(self, tmp_path):
+        assert join(tmp_path, "--backoff", "0") == 0
+        path = tmp_path / "store" / ".queue" / "config.json"
+        assert json.loads(path.read_text())["backoff"] == 0.0
+        assert '"backoff": 0.0' in path.read_text()
 
     def test_join_manifest_records_queue_mode(self, tmp_path):
         assert join(tmp_path) == 0
