@@ -23,8 +23,6 @@ repo root, plus the human table under ``benchmarks/results/``.
 
 import time
 
-from repro.faultinject import registry as _fp_registry
-from repro.faultinject.registry import failpoint
 from repro.metrics.report import format_table
 from repro.observability import TelemetryConfig
 from repro.slurm.config import SchedulerConfig
@@ -42,28 +40,6 @@ ASSERT_PCT = BUDGET_PCT * 3
 
 #: Interleaved timing rounds (minimum taken per variant).
 ROUNDS = 5
-
-#: Disarmed failpoint hooks sit on the durable-write paths; the whole
-#: design rests on them costing nothing when no plan is armed.  One
-#: hook is a global load plus an identity check — tens of ns — so this
-#: bound is generous enough for a loaded shared host while still
-#: catching any accidental dict lookup or allocation on the fast path.
-FAILPOINT_DISARMED_BUDGET_NS = 1500.0
-
-#: Calls per timing round for the failpoint measurement.
-FAILPOINT_CALLS = 200_000
-
-
-def _failpoint_disarmed_ns_per_call() -> float:
-    assert _fp_registry._PLAN is None, "failpoints must be disarmed"
-    best = float("inf")
-    for _ in range(3):
-        start = time.process_time()
-        for _ in range(FAILPOINT_CALLS):
-            failpoint("store.result.write")
-        elapsed = time.process_time() - start
-        best = min(best, elapsed)
-    return 1e9 * best / FAILPOINT_CALLS
 
 VARIANTS = {
     "off": None,
@@ -165,19 +141,6 @@ def test_telemetry_overhead(benchmark, campaign, eval_nodes, record_artifact,
     assert (tmp_path / "full+jsonl.decisions.jsonl").is_file()
     profile = managers["full"].hot_profiler.as_dict()
     assert profile["events"], "profiler attributed no event wall-clock"
-
-    # Fault-injection hooks ride the same disarmed-costs-nothing
-    # contract as telemetry: measure and budget them alongside it.
-    disarmed_ns = _failpoint_disarmed_ns_per_call()
-    assert disarmed_ns < FAILPOINT_DISARMED_BUDGET_NS, (
-        f"disarmed failpoint hook costs {disarmed_ns:.0f} ns/call "
-        f"(budget {FAILPOINT_DISARMED_BUDGET_NS:.0f} ns)"
-    )
-    bench["failpoints"] = {
-        "disarmed_ns_per_call": round(disarmed_ns, 1),
-        "budget_ns_per_call": FAILPOINT_DISARMED_BUDGET_NS,
-        "calls": FAILPOINT_CALLS,
-    }
 
     record_bench("telemetry", bench)
     record_bench("profile", {

@@ -1227,15 +1227,3 @@ def drain_with_workers(
             fleet.wait(poll_s)
     finally:
         fleet.stop(SUSPEND_GRACE_S)
-
-
-#: Claim-cycle microbenchmark hook (claim → renew → release), shared
-#: by the benchmark suite so the "<1% of run wall time" budget has one
-#: definition.
-def lease_cycle_once(queue: WorkQueue, run: RunSpec) -> None:
-    queue.enqueue([run])
-    claimed = queue.claim_next()
-    assert claimed is not None
-    item, token = claimed
-    queue.leases.renew(item.run_id)
-    queue.complete(item.run_id, token)

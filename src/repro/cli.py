@@ -1042,16 +1042,11 @@ def _render_queue_status(status: dict, *, as_json: bool, watching: bool) -> None
 def _cmd_queue_status(args: argparse.Namespace) -> int:
     import time as _time
 
-    from repro.campaign.queue import WorkQueue, has_queue
+    from repro.campaign.queue import WorkQueue
     from repro.errors import ConfigError
 
     store_dir = Path(args.store)
-    if not has_queue(store_dir):
-        print(
-            f"queue error: {store_dir} has no work queue "
-            f"(`repro campaign --join` creates one)",
-            file=sys.stderr,
-        )
+    if not _require_queue(store_dir):
         return 2
     queue = WorkQueue(store_dir)
     watching = args.watch > 0
@@ -1072,16 +1067,11 @@ def _cmd_queue_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_queue_work(args: argparse.Namespace) -> int:
-    from repro.campaign.queue import QueueWorker, has_queue
+    from repro.campaign.queue import QueueWorker
     from repro.errors import ConfigError
 
     store_dir = Path(args.store)
-    if not has_queue(store_dir):
-        print(
-            f"queue error: {store_dir} has no work queue "
-            f"(`repro campaign --join` creates one)",
-            file=sys.stderr,
-        )
+    if not _require_queue(store_dir):
         return 2
     note = (
         None if args.quiet else (lambda line: print(line, file=sys.stderr))
@@ -1138,6 +1128,15 @@ def _cmd_top(args: argparse.Namespace) -> int:
     from repro.observability.events import fleet_metrics
     from repro.observability.top import ANSI_REDRAW, render_dashboard
 
+    # One chained comparison also rejects NaN and inf; a day caps the
+    # value below what time.sleep() can take.
+    if not 0 < args.interval <= 86400:
+        print(
+            "top error: --interval must be above 0 and at most 86400 "
+            f"seconds, got {args.interval}",
+            file=sys.stderr,
+        )
+        return 2
     store_dir = Path(args.store)
     if not _require_queue(store_dir):
         return 2
@@ -1840,8 +1839,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_top.add_argument("store", help="a --join campaign's store directory")
     p_top.add_argument("--interval", type=float, default=1.0,
                        metavar="SECONDS",
-                       help="refresh period (default 1s); exits when "
-                            "the queue drains")
+                       help="refresh period, up to 86400 (default 1s); "
+                            "exits when the queue drains")
     p_top.add_argument("--once", action="store_true",
                        help="print a single frame and exit")
     p_top.add_argument("--json", action="store_true",

@@ -17,9 +17,9 @@ The header carries the format version, the payload codec, the run's
 params), the simulated time and event count at capture, and the
 SHA-256 of the on-disk payload bytes (compressed form — checksum
 verification never has to inflate a corrupt file).  Version 1 wrote
-the pickle uncompressed; BENCH_snapshot.json measured 20–40% size
-overhead versus the work saved, which compression at zlib level 6
-more than recovers.  Version-1 files are *not* readable by this
+the pickle uncompressed; this version compresses it at zlib level 6
+(perfbench's replay-windows reports the bytes written per snapshot as
+``snapshot.bytes_mean``).  Version-1 files are *not* readable by this
 build — by design: the version check makes stale snapshots restart
 fresh rather than resuming subtly wrong.
 :func:`read_snapshot` refuses version mismatches, checksum failures

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import errno
 import json
+import time
 
 import numpy as np
 import pytest
@@ -121,6 +122,23 @@ class TestPlanLanguage:
 class TestFiring:
     def test_disarmed_is_a_no_op(self):
         failpoint("store.result.write")  # must not raise
+
+    def test_disarmed_hook_costs_under_1500_ns(self):
+        # Disarmed hooks sit on every durable-write path.  One is a
+        # global load plus an identity check, tens of ns, so the bound
+        # leaves room for a loaded shared host while still catching a
+        # fast path that does real work.
+        calls = 200_000
+        best = float("inf")
+        for _ in range(3):
+            start = time.process_time()
+            for _ in range(calls):
+                failpoint("store.result.write")
+            best = min(best, time.process_time() - start)
+        ns_per_call = 1e9 * best / calls
+        assert ns_per_call < 1500.0, (
+            f"disarmed failpoint hook costs {ns_per_call:.0f} ns/call"
+        )
 
     def test_nth_hit_fires_once(self):
         plan = FaultPlan(parse_plan("bundle.write=eio:3"))

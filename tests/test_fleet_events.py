@@ -7,6 +7,7 @@ import pytest
 
 from repro.campaign.queue import WorkQueue
 from repro.campaign.spec import RunSpec
+from repro.cli import main
 from repro.faultinject import CATALOG
 from repro.observability.events import (
     METRIC_NAMES,
@@ -255,6 +256,19 @@ class TestPrometheusText:
             assert name.startswith("repro_")
             assert kind in ("counter", "gauge", "histogram")
             assert help_text
+
+
+class TestTopCli:
+    @pytest.mark.parametrize("interval", ["-1", "0", "nan", "inf", "1e10"])
+    def test_out_of_range_interval_exits_2_before_a_frame(
+        self, tmp_path, capsys, interval
+    ):
+        WorkQueue(tmp_path).enqueue(_runs(1))
+        assert main(["top", str(tmp_path), "--interval", interval]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("top error:")
 
 
 class TestStatusCensus:

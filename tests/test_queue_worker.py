@@ -113,6 +113,32 @@ class TestClaim:
         doc = queue.read_terminal("quarantined", runs[0].run_id)
         assert "delivery budget exhausted" in doc["reason"]
 
+    def test_lease_cycle_costs_under_1pct_of_an_e8_run(self, tmp_path):
+        # Joining a campaign through the queue must cost nothing next
+        # to the simulation: the e8 share-fraction sweep is the run the
+        # paper-evaluation campaign leans on.
+        from repro.slurm.entry import execute_run
+
+        started = time.perf_counter()
+        execute_run({"kind": "experiment", "experiment": "e8"})
+        run_s = time.perf_counter() - started
+
+        queue = WorkQueue(tmp_path)
+        runs = _runs(200)
+        started = time.perf_counter()
+        for run in runs:
+            queue.enqueue([run])
+            item, token = queue.claim_next()
+            queue.leases.renew(item.run_id)
+            queue.complete(item.run_id, token)
+        lease_s = (time.perf_counter() - started) / len(runs)
+        assert queue.drained()
+        overhead_pct = 100.0 * lease_s / run_s
+        assert overhead_pct < 1.0, (
+            f"lease path costs {overhead_pct:.2f}% of an e8 run "
+            f"({lease_s * 1000:.1f}ms per cycle vs {run_s:.2f}s per run)"
+        )
+
 
 class TestWorkerDrain:
     def test_drain_executes_everything(self, tmp_path):

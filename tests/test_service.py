@@ -365,6 +365,30 @@ def _wait_for(predicate, timeout: float = 10.0, interval: float = 0.02):
     return False
 
 
+def _occupy_slot(handle) -> tuple[threading.Event, threading.Thread]:
+    """Start a submission and wait until it holds an admission slot; it
+    keeps the slot until the returned event is set, and the caller
+    joins the returned thread."""
+    release = threading.Event()
+    original = handle.service.registry.submit
+
+    def gated(spec_data, key=None):
+        release.wait(30)
+        return original(spec_data, key)
+
+    handle.service.registry.submit = gated
+    occupier = threading.Thread(
+        target=client.post_json,
+        args=("127.0.0.1", handle.port, "/v1/campaigns", SPEC_A),
+    )
+    occupier.start()
+    if not _wait_for(lambda: handle.service._sem.locked()):
+        release.set()
+        occupier.join(timeout=10)
+        pytest.fail("the occupying submission never took an admission slot")
+    return release, occupier
+
+
 class TestServerEndpoints:
     def test_submit_poll_list_and_health(self, serve):
         handle = serve()
@@ -418,6 +442,10 @@ class TestServerEndpoints:
         assert status1 == 201 and status2 == 200
         assert doc2["replayed"] is True
         assert doc1["submission"] == doc2["submission"]
+        # The replay is counted as a replay, never as a second creation.
+        _, health = client.get_json("127.0.0.1", port, "/healthz")
+        assert health["admission"]["submissions_created"] == 1
+        assert health["admission"]["submissions_replayed"] == 1
 
     def test_key_conflict_is_409(self, serve):
         port = serve().port
@@ -518,22 +546,9 @@ class TestAdmissionControl:
             port=0, max_inflight=1, accept_backlog=0, deadline_s=30.0,
         ))
         port = handle.port
-        release = threading.Event()
-        original = handle.service.registry.submit
-
-        def gated(spec_data, key=None):
-            release.wait(30)
-            return original(spec_data, key)
-
-        handle.service.registry.submit = gated
         # A slow submission occupies the single inflight slot...
-        occupier = threading.Thread(
-            target=client.post_json,
-            args=("127.0.0.1", port, "/v1/campaigns", SPEC_A),
-        )
-        occupier.start()
+        release, occupier = _occupy_slot(handle)
         try:
-            assert _wait_for(lambda: handle.service._sem.locked())
             # ...so the next request is shed immediately, not queued.
             status, headers, body = client.request(
                 "127.0.0.1", port, "GET", "/v1/campaigns"
@@ -549,6 +564,42 @@ class TestAdmissionControl:
         finally:
             release.set()
             occupier.join(timeout=10)
+
+    def test_burst_beyond_backlog_is_shed_and_accounted(self, serve):
+        clients, backlog = 20, 2
+        handle = serve(ServiceConfig(
+            port=0, max_inflight=1, accept_backlog=backlog, deadline_s=30.0,
+        ))
+        port = handle.port
+        release, occupier = _occupy_slot(handle)
+        statuses: list[int] = []
+        probes = [
+            threading.Thread(target=lambda: statuses.append(
+                client.request("127.0.0.1", port, "GET", "/v1/campaigns")[0]
+            ))
+            for _ in range(clients)
+        ]
+        try:
+            for probe in probes:
+                probe.start()
+            # Every probe has been shed or has joined the backlog.
+            assert _wait_for(
+                lambda: handle.service.metrics["requests"] == clients + 1
+            )
+        finally:
+            release.set()
+            for probe in probes:
+                probe.join(timeout=30)
+            occupier.join(timeout=30)
+        assert len(statuses) == clients
+        assert set(statuses) <= {200, 429}
+        assert statuses.count(429) >= clients - backlog - 1
+        _, health = client.get_json("127.0.0.1", port, "/healthz")
+        admission = health["admission"]
+        assert admission["requests"] == (
+            admission["accepted"] + admission["shed"]
+            + admission["rejected_draining"]
+        )
 
     def test_backlog_waiter_is_shed_503_at_deadline(self, serve):
         handle = serve(ServiceConfig(
@@ -586,20 +637,7 @@ class TestAdmissionControl:
             port=0, max_inflight=1, accept_backlog=4, deadline_s=30.0,
         ))
         port = handle.port
-        release = threading.Event()
-        original = handle.service.registry.submit
-
-        def gated(spec_data, key=None):
-            release.wait(30)
-            return original(spec_data, key)
-
-        handle.service.registry.submit = gated
-        occupier = threading.Thread(
-            target=client.post_json,
-            args=("127.0.0.1", port, "/v1/campaigns", SPEC_A),
-        )
-        occupier.start()
-        assert _wait_for(lambda: handle.service._sem.locked())
+        release, occupier = _occupy_slot(handle)
         results: list[int] = []
         waiter = threading.Thread(
             target=lambda: results.append(

@@ -245,16 +245,21 @@ class TestSnapshotFile:
 # ----------------------------------------------------------------------
 class TestAutoSnapshotter:
     def test_event_trigger_writes_periodically(self, tmp_path):
+        baseline = fingerprint(build(jobs=40).run())
         manager = build(jobs=40)
         path = tmp_path / "auto.snap"
         snapper = AutoSnapshotter(
             manager, path, spec_hash="x", every_events=50
         ).install()
-        manager.run()
+        # Snapshotting must not perturb the run, and the last periodic
+        # snapshot must finish with the same accounting.
+        assert fingerprint(manager.run()) == baseline
         assert snapper.written >= 2
         assert snapper.write_failures == 0
         restored = read_snapshot(path, expect_spec_hash="x")
         assert isinstance(restored, WorkloadManager)
+        assert restored.sim.heap, "the last periodic snapshot is mid-run"
+        assert fingerprint(restored.run()) == baseline
 
     def test_wall_clock_trigger(self, tmp_path):
         manager = build(jobs=20)
