@@ -47,7 +47,8 @@ class ProgressEvent:
     elapsed_s: float
     #: Executed (non-cached) terminal runs per second so far.
     throughput_rps: float
-    #: Estimated seconds to campaign completion (NaN while unknown).
+    #: Estimated seconds to campaign completion (NaN while unknown;
+    #: null in :meth:`as_dict`).
     eta_s: float
     attempt: int = 1
     error: str | None = None
@@ -58,6 +59,9 @@ class ProgressEvent:
 
     def as_dict(self) -> dict[str, object]:
         data = asdict(self)
+        if self.eta_s != self.eta_s:
+            # An unknown ETA is null: strict JSON has no NaN.
+            data["eta_s"] = None
         if not data["quarantined"]:
             # Quarantine-free campaigns keep the pre-diagnostics JSONL
             # schema byte for byte.

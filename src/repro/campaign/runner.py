@@ -381,8 +381,7 @@ class CampaignRunner:
     ) -> dict[str, object]:
         record = result_record(run, payload, attempts)
         if self.store is not None:
-            self.store.save(run.run_id, record)
-            record = self.store.load(run.run_id)
+            record = self.store.save(run.run_id, record)
         return record
 
     def _backoff_delay(self, attempt: int) -> float:
@@ -566,6 +565,7 @@ class CampaignRunner:
         )
         inflight: dict[Future, tuple[RunSpec, int, float]] = {}
         paused = False
+        submit_broken = False
         pool = _make_pool(self.workers)
         try:
             while queue or inflight:
@@ -577,39 +577,15 @@ class CampaignRunner:
                 paused = self._dispatch_paused(
                     tracker, list(pool._processes or ()), paused
                 )
-                # Top up the pool: at most `workers` runs in flight so
-                # per-run deadlines start ticking at true start time.
-                requeued: list[tuple[RunSpec, int, float]] = []
-                submit_broken = False
-                while queue and len(inflight) < self.workers and not paused:
-                    run, attempt, ready_at = queue.popleft()
-                    if ready_at > now:
-                        requeued.append((run, attempt, ready_at))
-                        continue
-                    try:
-                        future = pool.submit(self.entry, run.params)
-                    except BrokenProcessPool:
-                        # A worker crash can surface at submit time,
-                        # before any in-flight future reports it.  The
-                        # submitted run is blameless: requeue it without
-                        # an attempt penalty and rebuild below.
-                        requeued.append((run, attempt, 0.0))
-                        submit_broken = True
-                        break
-                    deadline = (
-                        now + self.timeout if self.timeout is not None
-                        else float("inf")
-                    )
-                    inflight[future] = (run, attempt, deadline)
-                    self._run_started.setdefault(run.run_id, now)
-                    if attempt == 1:
-                        tracker.emit(STARTED, run.run_id, run.label)
-                queue.extend(requeued)
+                submit_broken |= self._top_up(
+                    pool, queue, inflight, tracker, paused
+                )
                 if submit_broken and not inflight:
                     # Crash with nothing to harvest: rebuild right away
                     # (the dead pool joins quickly).
                     pool.shutdown(wait=True, cancel_futures=True)
                     pool = _make_pool(self.workers)
+                    submit_broken = False
                     continue
                 if not inflight:
                     if paused:
@@ -626,7 +602,11 @@ class CampaignRunner:
                     set(inflight), timeout=wait_budget,
                     return_when=FIRST_COMPLETED,
                 )
-                pool_broken = submit_broken
+                pool_broken, submit_broken = submit_broken, False
+                #: Successful (run, payload, attempt), recorded only once
+                #: the pool is topped up again so no worker waits on the
+                #: parent's store writes.
+                finished: list[tuple[RunSpec, dict[str, object], int]] = []
                 for future in done:
                     run, attempt, _ = inflight.pop(future)
                     try:
@@ -660,12 +640,7 @@ class CampaignRunner:
                             poison=isinstance(exc, WatchdogError),
                         )
                     else:
-                        result.results[run.run_id] = self._record(
-                            run, payload, attempt
-                        )
-                        tracker.emit(
-                            COMPLETED, run.run_id, run.label, attempt=attempt
-                        )
+                        finished.append((run, payload, attempt))
                 # Enforce per-run deadlines on whatever is still out.
                 now = self._clock()
                 expired = [
@@ -690,13 +665,7 @@ class CampaignRunner:
                     for future, (run, attempt, _) in inflight.items():
                         future.cancel()
                         if future.done() and future.exception() is None:
-                            payload = future.result()
-                            result.results[run.run_id] = self._record(
-                                run, payload, attempt
-                            )
-                            tracker.emit(
-                                COMPLETED, run.run_id, run.label, attempt=attempt
-                            )
+                            finished.append((run, future.result(), attempt))
                         else:
                             queue.append((run, attempt, 0.0))
                     inflight.clear()
@@ -706,11 +675,68 @@ class CampaignRunner:
                     # a timed-out task.
                     pool.shutdown(wait=not expired, cancel_futures=True)
                     pool = _make_pool(self.workers)
+                submit_broken = self._top_up(
+                    pool, queue, inflight, tracker, paused
+                )
+                for run, payload, attempt in finished:
+                    result.results[run.run_id] = self._record(
+                        run, payload, attempt
+                    )
+                    tracker.emit(
+                        COMPLETED, run.run_id, run.label, attempt=attempt
+                    )
         except BaseException:
             pool.shutdown(wait=False, cancel_futures=True)
             raise
         else:
             pool.shutdown(wait=True, cancel_futures=True)
+
+    def _top_up(
+        self,
+        pool: ProcessPoolExecutor,
+        queue: deque[tuple[RunSpec, int, float]],
+        inflight: dict[Future, tuple[RunSpec, int, float]],
+        tracker: ProgressTracker,
+        paused: bool,
+    ) -> bool:
+        """Submit queued runs until `workers` are in flight.
+
+        At most `workers` runs are out at once, so a run's deadline
+        starts ticking when a worker can take it.  Runs still backing
+        off stay queued; nothing is submitted while a shutdown is
+        requested or the disk guard pauses dispatch.  Returns True when
+        the pool turned out broken at submit: the run that hit it is
+        blameless and goes back on the queue with no attempt penalty,
+        and the caller rebuilds the pool.
+        """
+        if paused or _suspend.suspend_requested():
+            return False
+        now = self._clock()
+        waiting: list[tuple[RunSpec, int, float]] = []
+        broken = False
+        while queue and len(inflight) < self.workers:
+            run, attempt, ready_at = queue.popleft()
+            if ready_at > now:
+                waiting.append((run, attempt, ready_at))
+                continue
+            try:
+                future = pool.submit(self.entry, run.params)
+            except BrokenProcessPool:
+                # A worker crash can surface at submit time, before any
+                # in-flight future reports it.
+                waiting.append((run, attempt, 0.0))
+                broken = True
+                break
+            deadline = (
+                now + self.timeout if self.timeout is not None
+                else float("inf")
+            )
+            inflight[future] = (run, attempt, deadline)
+            self._run_started.setdefault(run.run_id, now)
+            if attempt == 1:
+                tracker.emit(STARTED, run.run_id, run.label)
+        queue.extend(waiting)
+        return broken
 
     def _shutdown_parallel(
         self,

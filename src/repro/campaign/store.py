@@ -305,18 +305,22 @@ class ResultStore:
     def has(self, run_id: str) -> bool:
         return self.path_for(run_id).exists()
 
-    def save(self, run_id: str, record: Mapping[str, object]) -> Path:
+    def save(self, run_id: str, record: Mapping[str, object]) -> dict[str, object]:
         """Atomically persist *record* as the result of *run_id*
         (:func:`~repro.storage.durable.write_atomic`: a crash leaves
-        the old state or the complete new file, never a torn one)."""
+        the old state or the complete new file, never a torn one).
+
+        Returns the record decoded from the bytes written, so it equals
+        what :meth:`load` would read back, without reading the file."""
         final = self.path_for(run_id)
         payload = dict(record)
         payload.setdefault("store_version", STORE_VERSION)
         data = json.dumps(payload, sort_keys=True, indent=1).encode("utf-8")
-        return write_atomic(
+        write_atomic(
             final, data,
             write_fp="store.result.write", rename_fp="store.result.rename",
         )
+        return json.loads(data)
 
     def load(self, run_id: str) -> dict[str, object]:
         path = self.path_for(run_id)

@@ -61,6 +61,23 @@ class TestCampaignCommand:
         assert kinds.count("completed") == 2
         assert events[-1]["done"] == events[-1]["total"] == 2
 
+    def test_progress_log_is_strict_json(self, tmp_path):
+        """No NaN, Infinity or -Infinity in any line: an ETA not yet
+        known is written as null."""
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant} in progress log")
+
+        log = tmp_path / "progress.jsonl"
+        assert campaign(tmp_path, "--progress-log", str(log), "--quiet") == 0
+        events = [
+            json.loads(line, parse_constant=reject)
+            for line in log.read_text().splitlines()
+        ]
+        assert len(events) == 4
+        assert events[0]["kind"] == "started"
+        assert events[0]["eta_s"] is None
+
     def test_quiet_suppresses_progress(self, tmp_path, capsys):
         assert campaign(tmp_path, "--quiet", "--no-jsonl") == 0
         assert capsys.readouterr().err == ""

@@ -73,6 +73,28 @@ def sleepy_entry(params):
     return {"value": "slept"}
 
 
+def stamped_entry(params):
+    """Reports when its worker started it (a system-wide clock)."""
+    started = time.monotonic()
+    time.sleep(params["sleep_s"])
+    return {"value": params["value"], "started": started}
+
+
+class SlowSaveStore(ResultStore):
+    """A store whose writes take a while; notes when each one returns."""
+
+    def __init__(self, root, delay_s):
+        super().__init__(root)
+        self.delay_s = delay_s
+        self.saved_at: list[float] = []
+
+    def save(self, run_id, record):
+        time.sleep(self.delay_s)
+        stored = super().save(run_id, record)
+        self.saved_at.append(time.monotonic())
+        return stored
+
+
 def watchdog_entry(params):
     from repro.errors import WatchdogError
 
@@ -337,6 +359,35 @@ class TestParallel:
         assert "timed out" in result.failures[0].error
         # The timed-out run left no artifact.
         assert not store.has(slow.run_id)
+
+    def test_pool_refills_before_the_parent_records_a_run(
+        self, tmp_path, monkeypatch
+    ):
+        """A finished run's slow store write does not hold up the next
+        run: the pool is topped up first, and still never holds more
+        than `workers` runs."""
+        import repro.campaign.runner as runner_mod
+
+        real_wait = runner_mod.wait
+        sizes = []
+
+        def counting_wait(fs, **kwargs):
+            sizes.append(len(fs))
+            return real_wait(fs, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "wait", counting_wait)
+        store = SlowSaveStore(tmp_path / "s", delay_s=0.2)
+        runs = [
+            RunSpec.from_params({"kind": "test", "value": v, "sleep_s": 0.05})
+            for v in range(4)
+        ]
+        result = CampaignRunner(
+            store=store, workers=2, entry=stamped_entry
+        ).run(runs)
+        assert result.ok and result.completed == 4
+        third_started = result.results[runs[2].run_id]["result"]["started"]
+        assert third_started < store.saved_at[0]
+        assert max(sizes) == 2
 
     def test_parallel_caching(self, tmp_path):
         store = ResultStore(tmp_path / "s")

@@ -22,9 +22,10 @@ RECORD = {
 class TestRoundtrip:
     def test_save_load(self, tmp_path):
         store = ResultStore(tmp_path / "runs")
-        path = store.save(RECORD["run_id"], RECORD)
-        assert path.exists()
+        saved = store.save(RECORD["run_id"], RECORD)
+        assert store.path_for(RECORD["run_id"]).exists()
         loaded = store.load(RECORD["run_id"])
+        assert saved == loaded
         assert loaded["params"] == RECORD["params"]
         assert loaded["result"] == RECORD["result"]
         assert loaded["store_version"] == STORE_VERSION
@@ -106,8 +107,8 @@ class TestAtomicity:
 
     def test_result_files_are_valid_json(self, tmp_path):
         store = ResultStore(tmp_path)
-        path = store.save(RECORD["run_id"], RECORD)
-        json.loads(path.read_text())
+        store.save(RECORD["run_id"], RECORD)
+        json.loads(store.path_for(RECORD["run_id"]).read_text())
 
 
 class TestEnumeration:

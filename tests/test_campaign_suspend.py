@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign.progress import ProgressTracker
+from repro.campaign.progress import RETRY, STARTED, ProgressTracker
 from repro.campaign.runner import CampaignRunner, SuspendedRun
 from repro.campaign.spec import RunSpec
 from repro.campaign.store import ResultStore, StoreLock
@@ -57,6 +57,14 @@ def double_entry(params):
 def sleepy_entry(params):
     time.sleep(params["sleep_s"])
     return {"slept": params["sleep_s"]}
+
+
+def zero_fails_entry(params):
+    """Value 0 fails at once; every other value takes a little while."""
+    if params["value"] == 0:
+        raise ValueError("zero")
+    time.sleep(0.05)
+    return {"doubled": params["value"] * 2}
 
 
 def suspending_entry(params):
@@ -179,6 +187,79 @@ class TestParallelSuspend:
         assert outcome.payloads()[0] == {"resumed": True}
         sheds = [e for e in events if e.kind == "retry" and "shed" in (e.error or "")]
         assert len(sheds) == 1
+
+    def test_flag_raised_in_harvest_blocks_the_refill(self):
+        """A shutdown requested while finished runs are harvested (here
+        by the retry event of a failed run) submits nothing more."""
+        events = []
+        flag_at = []
+
+        def sink(event):
+            events.append(event)
+            if event.kind == RETRY and not flag_at:
+                flag_at.append(len(events))
+                suspend.request_suspend()
+
+        runner = CampaignRunner(
+            workers=2, entry=zero_fails_entry, retries=1, backoff=0.0,
+            progress=sink, kill=lambda pid, sig: None,
+        )
+        outcome = runner.run(runs_of(range(6)))
+        assert outcome.interrupted
+        assert flag_at, "the failed run was never harvested"
+        started = {e.run_id for e in events[:flag_at[0]] if e.kind == STARTED}
+        assert len(started) < 6, "the flag must land while runs are queued"
+        assert STARTED not in [e.kind for e in events[flag_at[0]:]]
+        assert set(outcome.results) <= started
+
+    def test_suspend_during_harvest_starts_nothing_more(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A shutdown requested while the parent records a finished run
+        (the pool already topped up) starts no queued run, parks or
+        records what is in flight, and resumes byte-identically."""
+        grid = [
+            "campaign", "--jobs", "25", "--sizes", "16",
+            "--seeds", "1", "2", "3", "4",
+            "--strategies", "fcfs", "easy_backfill",
+            "--workers", "2", "--quiet",
+        ]
+        baseline = tmp_path / "baseline"
+        assert main([*grid, "--store", str(baseline)]) == 0
+        store = tmp_path / "interrupted"
+        log = tmp_path / "progress.jsonl"
+        lines_at_flag = []
+        save = ResultStore.save
+
+        def save_then_suspend(self, run_id, record):
+            stored = save(self, run_id, record)
+            if not lines_at_flag:
+                lines_at_flag.append(len(log.read_text().splitlines()))
+                suspend.request_suspend()
+            return stored
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ResultStore, "save", save_then_suspend)
+            code = main([*grid, "--store", str(store),
+                         "--progress-log", str(log)])
+        assert code == EXIT_SUSPENDED
+        events = [json.loads(line) for line in log.read_text().splitlines()]
+        before, after = events[:lines_at_flag[0]], events[lines_at_flag[0]:]
+        assert [e["kind"] for e in before].count("started") < 8, (
+            "the flag must land while runs are still queued"
+        )
+        assert "started" not in [e["kind"] for e in after]
+        stored = [p for p in store.glob("*.json") if not p.name.startswith(".")]
+        assert [e["kind"] for e in events].count("completed") == len(stored)
+        err = capsys.readouterr().err
+        assert (
+            f"campaign suspended with {8 - len(stored)} runs outstanding"
+            in err
+        )
+        assert not suspend.suspend_requested()
+
+        assert main(["resume", str(store), "--quiet"]) == 0
+        assert _store_fingerprint(store) == _store_fingerprint(baseline)
 
 
 # ----------------------------------------------------------------------

@@ -255,8 +255,8 @@ class TestInstrumentedPaths:
         record = {"run_id": run_id, "label": "t", "params": params,
                   "result": {"x": 1}}
         with armed(FaultPlan(parse_plan("store.result.write=eio"))):
-            path = store.save(run_id, record)
-        assert json.loads(path.read_text())["result"] == {"x": 1}
+            store.save(run_id, record)
+        assert json.loads(store.path_for(run_id).read_text())["result"] == {"x": 1}
         # No temp residue from the failed first attempt.
         assert not list(tmp_path.glob(".*.tmp"))
 
