@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -58,7 +58,10 @@ class ProgressEvent:
     suspended: int = 0
 
     def as_dict(self) -> dict[str, object]:
-        data = asdict(self)
+        # Every field is a str, a number or None, so a shallow copy of
+        # the fields (declaration order) is what ``asdict`` would build
+        # by deep copy.
+        data = dict(vars(self))
         if self.eta_s != self.eta_s:
             # An unknown ETA is null: strict JSON has no NaN.
             data["eta_s"] = None

@@ -18,6 +18,7 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.errors import ConfigError
 from repro.slurm.job import Job
@@ -48,7 +49,15 @@ DEFAULT_QOS_LEVELS: dict[str, float] = {"low": 0.0, "normal": 0.5, "high": 1.0}
 
 
 class MultifactorPriority:
-    """Computes job priorities and tracks fairshare usage."""
+    """Computes job priorities and tracks fairshare usage.
+
+    A job's priority is scored from its *terms*
+    (:meth:`terms`): what cannot change while it waits, built once
+    when it is queued.  Each user's weighted fairshare term is kept
+    too, set the first time the user is seen and recomputed by
+    :meth:`charge`.  A pass then evaluates only the age term and the
+    requeue backoff.  The kept fairshare terms are not pickled.
+    """
 
     def __init__(
         self,
@@ -69,6 +78,21 @@ class MultifactorPriority:
         self.qos_levels = dict(
             DEFAULT_QOS_LEVELS if qos_levels is None else qos_levels
         )
+        #: Weighted fairshare term per user seen (derived from
+        #: ``usage``; not pickled).
+        self._user_terms: dict[str, float] = {}
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_user_terms"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # setattr interns the names as pickle's default restore does,
+        # so a restored priority pickles to the same bytes.
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._user_terms = {user: self._user_term(user) for user in self.usage}
 
     def qos_factor(self, qos: str) -> float:
         """Normalised QoS factor in [0, 1] (unknown classes = normal)."""
@@ -84,35 +108,55 @@ class MultifactorPriority:
         if node_seconds < 0:
             raise ConfigError(f"cannot charge negative usage {node_seconds}")
         self.usage[user] = self.usage.get(user, 0.0) + node_seconds
+        self._user_terms[user] = self._user_term(user)
 
     def fairshare_factor(self, user: str) -> float:
         """SLURM's classic curve: 2^(-usage/norm), in (0, 1]."""
         usage = self.usage.get(user, 0.0)
         return 2.0 ** (-usage / self.share_norm)
 
+    def _user_term(self, user: str) -> float:
+        return self.weights.fairshare * self.fairshare_factor(user)
+
     # ------------------------------------------------------------------
     # Priority
     # ------------------------------------------------------------------
+    def terms(self, job: Job) -> tuple[float, float, str, float, int, Job]:
+        """``(submit_time, size_term, user, qos_term, job_id, job)``:
+        the parts of *job*'s priority that cannot change while it
+        waits, the size and QoS terms already weighted."""
+        spec = job.spec
+        user = spec.user
+        if user not in self._user_terms:
+            self._user_terms[user] = self._user_term(user)
+        w = self.weights
+        size = spec.num_nodes / self.num_nodes
+        return (
+            spec.submit_time,
+            w.size * (size if size < 1.0 else 1.0),
+            user,
+            w.qos * self.qos_factor(spec.qos),
+            spec.job_id,
+            job,
+        )
+
     def priority(self, job: Job, now: float) -> float:
         """Priority of *job* at time *now* (higher runs first)."""
-        return -self._keys([job], now)[0][0]
+        return -self._keys([self.terms(job)], now)[0][0]
 
     def refresh(self, jobs: list[Job], now: float) -> None:
         """Recompute and store priorities on the given jobs."""
-        for key in self._keys(jobs, now):
+        for key in self._keys(map(self.terms, jobs), now):
             key[3].priority = -key[0]
-
-    def rank(self, jobs: list[Job], now: float) -> list[Job]:
-        """Jobs sorted by descending priority, FIFO on ties.  Writes
-        nothing to the jobs, so read-only views can rank a live queue."""
-        keys = self._keys(jobs, now)
-        keys.sort()
-        return [key[3] for key in keys]
 
     def order(self, jobs: list[Job], now: float) -> list[Job]:
         """Jobs sorted by descending priority, FIFO on ties; stores
         each job's priority on it."""
-        keys = self._keys(jobs, now)
+        return self.order_terms(map(self.terms, jobs), now)
+
+    def order_terms(self, terms: Iterable[tuple], now: float) -> list[Job]:
+        """:meth:`order` of the jobs whose :meth:`terms` are given."""
+        keys = self._keys(terms, now)
         keys.sort()
         ordered: list[Job] = []
         for key in keys:
@@ -121,50 +165,42 @@ class MultifactorPriority:
             ordered.append(job)
         return ordered
 
-    def _keys(
-        self, jobs: list[Job], now: float
-    ) -> list[tuple[float, float, int, Job]]:
-        """Unsorted ``(-priority, submit_time, job_id, job)`` of *jobs*
-        at time *now*.
+    def rank_terms(self, terms: Iterable[tuple], now: float) -> list[Job]:
+        """The order :meth:`order_terms` returns, writing nothing to the
+        jobs, so read-only views can rank a live queue."""
+        keys = self._keys(terms, now)
+        keys.sort()
+        return [key[3] for key in keys]
 
-        One loop evaluates the textbook sum in its operand order; the
-        conditional expressions are ``max(0.0, x)`` and ``min(1.0, x)``
-        spelled out (same result for -0.0 and NaN).  Each user's
-        weighted fairshare term and each QoS class's weighted term are
-        computed once per call rather than once per job.
+    def _keys(
+        self, terms: Iterable[tuple], now: float
+    ) -> list[tuple[float, float, int, Job]]:
+        """Unsorted ``(-priority, submit_time, job_id, job)`` at time
+        *now* of the jobs whose :meth:`terms` are given.
+
+        The textbook sum in its operand order, ``((age + size) +
+        fairshare) + qos``, each term weighted; only the age term is
+        evaluated here.  The conditional expressions are ``max(0.0,
+        x)`` and ``min(1.0, x)`` spelled out (same result for -0.0 and
+        NaN).
         """
         w = self.weights
-        age_w, size_w, age_saturation = w.age, w.size, w.age_saturation
-        fairshare_w, qos_w = w.fairshare, w.qos
-        num_nodes = self.num_nodes
+        age_w, age_saturation = w.age, w.age_saturation
+        user_terms = self._user_terms
         backoff = self.requeue_backoff
-        usages, norm = self.usage, self.share_norm
-        fairshare: dict[str, float] = {}
-        qos: dict[str, float] = {}
+        backing_off = backoff > 0.0
         keys: list[tuple[float, float, int, Job]] = []
         append = keys.append
-        for job in jobs:
-            spec = job.spec
-            user = spec.user
-            user_term = fairshare.get(user)
-            if user_term is None:
-                user_term = fairshare[user] = (
-                    fairshare_w * 2.0 ** (-usages.get(user, 0.0) / norm)
-                )
-            qos_term = qos.get(spec.qos)
-            if qos_term is None:
-                qos_term = qos[spec.qos] = qos_w * self.qos_factor(spec.qos)
-            submit = spec.submit_time
+        for submit, size_term, user, qos_term, job_id, job in terms:
             wait = now - submit
             age = (wait if wait > 0.0 else 0.0) / age_saturation
-            size = spec.num_nodes / num_nodes
             value = (
                 age_w * (age if age < 1.0 else 1.0)
-                + size_w * (size if size < 1.0 else 1.0)
-                + user_term
+                + size_term
+                + user_terms[user]
                 + qos_term
             )
-            if backoff > 0.0 and job.requeues > 0:
+            if backing_off and job.requeues > 0:
                 value -= backoff * job.requeues
-            append((-value, submit, spec.job_id, job))
+            append((-value, submit, job_id, job))
         return keys

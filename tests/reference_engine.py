@@ -100,9 +100,18 @@ class ReferenceAvailabilityView(AvailabilityView):
 
 
 class ReferencePriority(MultifactorPriority):
-    """Scores each job on its own with the textbook formula (no
-    fairshare term shared across jobs) and sorts with a per-job key
-    function."""
+    """Scores each job on its own with the textbook formula (no kept
+    fairshare or static terms) and sorts with a per-job key function.
+
+    It overrides :meth:`order_terms`, the method
+    :meth:`PendingQueue.ordered` calls on every scheduler pass, and
+    reads nothing from the terms but the job.  ``orders`` records the
+    job ids of every order it returned, so a test can check that the
+    reference scoring ran on every pass."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.orders: list[list[int]] = []
 
     def score(self, job, now) -> float:
         w = self.weights
@@ -118,12 +127,15 @@ class ReferencePriority(MultifactorPriority):
             value -= self.requeue_backoff * job.requeues
         return value
 
-    def order(self, jobs, now):
+    def order_terms(self, terms, now):
+        jobs = [entry[-1] for entry in terms]
         for job in jobs:
             job.priority = self.score(job, now)
-        return sorted(
+        ordered = sorted(
             jobs, key=lambda j: (-j.priority, j.spec.submit_time, j.job_id)
         )
+        self.orders.append([job.job_id for job in ordered])
+        return ordered
 
 
 class ReferenceCollector(MetricsCollector):

@@ -5,6 +5,8 @@ The entry functions live at module level so ProcessPoolExecutor can
 pickle them into worker processes.
 """
 
+import dataclasses
+import json
 import os
 import time
 from pathlib import Path
@@ -14,8 +16,14 @@ import pytest
 from repro.campaign.progress import (
     CACHED,
     COMPLETED,
+    FAILED,
+    GUARD,
+    QUARANTINED,
     RETRY,
     STARTED,
+    SUSPENDED,
+    JsonlProgressLog,
+    ProgressTracker,
 )
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import (
@@ -421,6 +429,47 @@ class TestProgressEvents:
             store=store, entry=double_entry, progress=events.append
         ).run(runs)
         assert [e.kind for e in events] == [CACHED]
+
+
+def _asdict_form(event):
+    """``as_dict`` built by ``dataclasses.asdict``, as it once was."""
+    data = dataclasses.asdict(event)
+    if event.eta_s != event.eta_s:
+        data["eta_s"] = None
+    if not data["quarantined"]:
+        del data["quarantined"]
+    if not data["suspended"]:
+        del data["suspended"]
+    return data
+
+
+class TestProgressEventDict:
+    def test_matches_asdict_for_every_kind(self, tmp_path):
+        ticks = iter(range(100))
+        log = JsonlProgressLog(tmp_path / "progress.jsonl")
+        tracker = ProgressTracker(
+            total=9, clock=lambda: float(next(ticks)), sink=log
+        )
+        tracker.emit(STARTED, "r1", label="first")  # NaN ETA
+        tracker.emit(COMPLETED, "r1", label="first")
+        tracker.emit(RETRY, "r2", attempt=2, error="worker died")
+        tracker.emit(FAILED, "r2", attempt=3, error="always broken")
+        tracker.emit(CACHED, "r3")
+        tracker.emit(QUARANTINED, "r4", error="poison")
+        tracker.emit(SUSPENDED, "r5")
+        tracker.emit(GUARD, "", error="rss budget")
+        events = tracker.events
+        assert events[0].eta_s != events[0].eta_s
+        assert events[-1].quarantined and events[-1].suspended
+        for event in events:
+            assert list(event.as_dict().items()) == list(
+                _asdict_form(event).items()
+            )
+        lines = (tmp_path / "progress.jsonl").read_text().splitlines()
+        assert lines == [
+            json.dumps(_asdict_form(event), sort_keys=True)
+            for event in events
+        ]
 
 
 class TestSerialParallelIdentity:

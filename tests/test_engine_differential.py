@@ -63,6 +63,7 @@ class Scenario:
     predicted: bool = False
     #: Priority points per requeue (with failures armed).
     requeue_backoff: float = 0.0
+    offered_load: float = 1.5
 
 
 def _cluster(scenario: Scenario, cls: type[Cluster] = Cluster) -> Cluster:
@@ -93,7 +94,7 @@ def scenario_trace(scenario: Scenario) -> WorkloadTrace:
     return TrinityWorkloadGenerator(
         share_obeys_app=False,
         share_fraction=scenario.share_fraction,
-        offered_load=1.5,
+        offered_load=scenario.offered_load,
     ).generate(scenario.num_jobs, scenario.nodes,
                np.random.default_rng(scenario.seed))
 
@@ -101,8 +102,9 @@ def scenario_trace(scenario: Scenario) -> WorkloadTrace:
 def run_engine(scenario: Scenario, reference: bool,
                trace: WorkloadTrace | None = None):
     """Run *scenario* (on *trace* instead of its own, if given);
-    returns (manager, result, per-pass placements, whether each pass
-    reserved against release bounds)."""
+    returns (manager, result, per-pass ``(pending job ids in order,
+    placements)``, whether each pass reserved against release
+    bounds)."""
     if trace is None:
         trace = scenario_trace(scenario)
     cluster = _cluster(scenario, ReferenceCluster if reference else Cluster)
@@ -133,9 +135,10 @@ def run_engine(scenario: Scenario, reference: bool,
     def recording_schedule(ctx):
         indexed.append(ctx.release_bounds is not None)
         placements = schedule(ctx)
-        passes.append([
-            (p.job.job_id, p.node_ids, p.kind) for p in placements
-        ])
+        passes.append((
+            [job.job_id for job in ctx.pending],
+            [(p.job.job_id, p.node_ids, p.kind) for p in placements],
+        ))
         return placements
 
     manager.strategy.schedule = recording_schedule
@@ -154,12 +157,18 @@ def assert_engines_agree(scenario: Scenario):
     manager, result, passes, indexed = run_engine(scenario, reference=False)
     assert type(ref_manager.priority) is ReferencePriority
     assert ref_manager.queue.priority is ref_manager.priority
+    # Every pass has a non-empty queue, and the reference scored each
+    # one from scratch: its orders are exactly the passes' queues.
+    assert ref_passes
+    assert ref_manager.priority.orders == [
+        pending for pending, _ in ref_passes
+    ]
     # The reference always scans; the indexed engine scans exactly
     # when the walltime predictor moves the predicted ends.
     assert not any(ref_indexed)
     assert indexed == [not scenario.predicted] * len(indexed)
     for index, (expected, actual) in enumerate(zip(ref_passes, passes)):
-        assert actual == expected, f"pass {index} placed differently"
+        assert actual == expected, f"pass {index} ordered or placed differently"
     assert len(passes) == len(ref_passes)
     assert list(result.accounting) == list(ref.accounting)
     for name in SERIES:
@@ -231,6 +240,27 @@ def test_requeue_backoff_matches_reference(strategy):
         failures=True, requeue_backoff=400.0,
     ))
     assert manager.jobs_requeued > 0
+
+
+#: The four backfill strategies.
+BACKFILL_STRATEGIES = (
+    "easy_backfill", "conservative", "shared_backfill", "shared_conservative",
+)
+
+
+@pytest.mark.parametrize("strategy", BACKFILL_STRATEGIES)
+def test_deep_queue_matches_reference(strategy):
+    # A queue tens of jobs deep under failures, requeue backoff and
+    # drains: the kept priority terms see many adds, removes (starts
+    # and cancellations), requeues and fairshare charges between
+    # passes.
+    manager = assert_engines_agree(Scenario(
+        seed=0, strategy=strategy, num_jobs=360, nodes=16,
+        share_fraction=0.9, failures=True, requeue_backoff=150.0,
+        offered_load=8.0,
+    ))
+    assert manager.jobs_requeued >= 20
+    assert max(manager.collector.queue_lengths) >= 40
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

@@ -232,6 +232,32 @@ def _jobs(params) -> list[Job]:
     return jobs
 
 
+def assert_order_matches_reference(params, passes, backoff, saturation):
+    """Queue *params* jobs and run *passes*: the queue's order, rank and
+    stored priority bits must equal :class:`ReferencePriority`'s."""
+    # Waits pass the 500 s saturation; submits may lie after now.
+    weights = PriorityWeights(qos=40.0, age_saturation=saturation)
+    priority = MultifactorPriority(weights, num_nodes=16)
+    reference = ReferencePriority(weights, num_nodes=16)
+    priority.requeue_backoff = reference.requeue_backoff = backoff
+    queue = PendingQueue(priority)
+    jobs, ref_jobs = _jobs(params), _jobs(params)
+    for job in jobs:
+        queue.add(job)
+    for now, charges in passes:
+        for user, amount in charges:
+            priority.charge(user, amount)
+            reference.charge(user, amount)
+        ranked = [job.job_id for job in queue.ranked(now)]
+        ordered = queue.ordered(now)
+        expected = reference.order(list(ref_jobs), now)
+        assert [j.job_id for j in ordered] == [j.job_id for j in expected]
+        assert ranked == [j.job_id for j in expected]
+        assert [j.priority.hex() for j in jobs] == [
+            j.priority.hex() for j in ref_jobs
+        ]
+
+
 class TestOrderMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -242,27 +268,7 @@ class TestOrderMatchesReference:
     )
     def test_same_order_and_priority_bits(self, params, passes, backoff,
                                           saturation):
-        # Waits pass the 500 s saturation; submits may lie after now.
-        weights = PriorityWeights(qos=40.0, age_saturation=saturation)
-        priority = MultifactorPriority(weights, num_nodes=16)
-        reference = ReferencePriority(weights, num_nodes=16)
-        priority.requeue_backoff = reference.requeue_backoff = backoff
-        queue = PendingQueue(priority)
-        jobs, ref_jobs = _jobs(params), _jobs(params)
-        for job in jobs:
-            queue.add(job)
-        for now, charges in passes:
-            for user, amount in charges:
-                priority.charge(user, amount)
-                reference.charge(user, amount)
-            ranked = [job.job_id for job in queue.ranked(now)]
-            ordered = queue.ordered(now)
-            expected = reference.order(list(ref_jobs), now)
-            assert [j.job_id for j in ordered] == [j.job_id for j in expected]
-            assert ranked == [j.job_id for j in expected]
-            assert [j.priority.hex() for j in jobs] == [
-                j.priority.hex() for j in ref_jobs
-            ]
+        assert_order_matches_reference(params, passes, backoff, saturation)
 
     def test_ranked_writes_nothing(self):
         queue = PendingQueue(MultifactorPriority(num_nodes=8))

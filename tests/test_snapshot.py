@@ -8,13 +8,16 @@ strategy, with and without the resilience layer.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pickle
 import signal
+import sys
 
 import numpy as np
 import pytest
 
+from repro.analysis.experiments import default_campaign
 from repro.core.strategy import all_strategy_names
 from repro.engine.events import EventKind
 from repro.engine.simulator import Simulator
@@ -100,6 +103,88 @@ class TestRoundTripProperty:
 # ----------------------------------------------------------------------
 # Engine-level snapshot hooks
 # ----------------------------------------------------------------------
+#: ``(len, sha256)`` of ``snapshot_bytes`` per Python minor version,
+#: recorded before the pending queue kept its priority terms: of
+#: :func:`deep_manager` run to t=20000, of that manager pickled and
+#: restored, and of the restored manager run on to t=30000.  Kept
+#: caches must not reach the bytes, and a restore must rebuild the
+#: state as pickle's default restore does (its attribute names
+#: interned), or a restored manager's next snapshot differs.
+SNAPSHOT_PINS = {
+    (3, 11): {
+        "mid_run": (
+            123_495,
+            "18ad4461def6de53bccdefe07f668f481483aeecca021e54253d87e8024806d3",
+        ),
+        "restored": (
+            123_552,
+            "4f5059e28ec13f080f657cdfbd6879646b84018a2617df1214b2da9a56305664",
+        ),
+        "restored_run_on": (
+            132_281,
+            "76984871cf84d0fa5b3ab0cf107a1fc41ec3b2451552cee25bdb5dfc45dc3d3e",
+        ),
+    },
+}
+
+
+def deep_manager():
+    """A deep-queue shared-backfill manager: 200 jobs at load 1.5 on
+    128 nodes."""
+    trace = default_campaign(
+        num_jobs=200, cluster_nodes=128, offered_load=1.5, seed=7
+    )
+    return build_manager(trace, num_nodes=128, strategy="shared_backfill")
+
+
+def _pin(data: bytes) -> tuple[int, str]:
+    return len(data), hashlib.sha256(data).hexdigest()
+
+
+class TestSnapshotBytesPinned:
+    def _mid_run(self):
+        manager = deep_manager()
+        manager.run(until=20_000.0)
+        assert len(manager.queue) > 0
+        return manager
+
+    def test_bytes_match_pin(self):
+        pins = SNAPSHOT_PINS.get(sys.version_info[:2])
+        if pins is None:
+            pytest.skip(f"no snapshot pin recorded for Python {sys.version_info[:2]}")
+        data = snapshot_bytes(self._mid_run())
+        assert _pin(data) == pins["mid_run"]
+        restored = pickle.loads(data)
+        assert _pin(snapshot_bytes(restored)) == pins["restored"]
+        restored.run(until=30_000.0)
+        assert _pin(snapshot_bytes(restored)) == pins["restored_run_on"]
+
+    def test_restore_rebuilds_caches_and_runs_on_identically(self):
+        manager = self._mid_run()
+        restored = pickle.loads(snapshot_bytes(manager))
+        # The kept priority terms are rebuilt bit for bit.
+        assert [terms[:-1] for terms in restored.queue._terms.values()] == [
+            terms[:-1] for terms in manager.queue._terms.values()
+        ]
+        kept = manager.priority._user_terms
+        assert restored.priority._user_terms
+        for user, term in restored.priority._user_terms.items():
+            assert term.hex() == kept[user].hex()
+        # A pause at ``until`` adds an end-of-run metrics sample, so
+        # the summary matches the same pause without the pickle; the
+        # accounting and every stored priority match a run never
+        # paused at all.
+        assert fingerprint(restored.run()) == fingerprint(manager.run())
+        uninterrupted = deep_manager()
+        uninterrupted.run()
+        assert [repr(record) for record in restored.accounting] == [
+            repr(record) for record in uninterrupted.accounting
+        ]
+        assert [job.priority.hex() for job in restored.jobs.values()] == [
+            job.priority.hex() for job in uninterrupted.jobs.values()
+        ]
+
+
 def _noop_handler(sim, event):
     """Module-level so a simulator holding it stays picklable."""
 
