@@ -9,8 +9,11 @@ Occupancy queries run every scheduler pass, every metrics sample and
 every job start and end, so the cluster keeps them as indexes updated
 by :meth:`Cluster.allocate`, :meth:`Cluster.release` and the health
 transitions (``mark_*``) instead of rescanning the nodes.  Allocate
-and release each make one walk over the job's nodes, changing node
-and indexes together.  Node state must therefore change through the
+and release do per-node work only on each node's lane and mode: a
+request is checked in full before anything changes (a joinable
+resident's whole group in one step), and the busy and shared counts,
+the sorted idle list and the co-runner maps then change once per job
+or once per resident.  Node state must therefore change through the
 cluster, never through a member :class:`Node` directly;
 :meth:`Cluster.check_indexes` compares the indexes with a full scan.
 The indexes are derived state: they are left out of pickles and
@@ -19,14 +22,44 @@ rebuilt on restore.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, insort
 from itertools import repeat
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 from repro.cluster.allocation import Allocation, AllocationKind
-from repro.cluster.node import SMT_LANES, Node, NodeMode
+from repro.cluster.node import SMT_LANES, Node, NodeHealth, NodeMode
 from repro.cluster.topology import Topology
 from repro.errors import AllocationError
+
+#: The free lane of a two-lane node whose one occupant holds lane i.
+_OTHER_LANE = (1, 0)
+_mode_of = attrgetter("mode")
+_health_of = attrgetter("health")
+
+
+def _all_idle(nodes: list[Node]) -> bool:
+    """Whether every node is healthy and unoccupied, tested in C by
+    counting their modes and health states."""
+    count = len(nodes)
+    return (
+        list(map(_mode_of, nodes)).count(NodeMode.IDLE) == count
+        and list(map(_health_of, nodes)).count(NodeHealth.HEALTHY) == count
+    )
+
+
+def _refuse_exclusive(nodes: list[Node]) -> None:
+    """Raise for the first node that cannot be taken whole: one that is
+    down or occupied, checked in that order."""
+    for node in nodes:
+        if node.health is not NodeHealth.HEALTHY:
+            raise AllocationError(f"node {node.node_id} is down")
+        if node.mode is not NodeMode.IDLE:
+            raise AllocationError(
+                f"node {node.node_id} is {node.mode.value}; "
+                f"exclusive allocation requires an idle node"
+            )
 
 
 class Cluster:
@@ -60,7 +93,7 @@ class Cluster:
     #: pickled, rebuilt by :meth:`_build_indexes`.
     _INDEXES = (
         "_running_ids", "_idle_ids", "_busy", "_shared", "_co_runners",
-        "min_memory_mb",
+        "min_memory_mb", "_uniform_memory",
     )
 
     def _scan_indexes(self) -> dict[str, object]:
@@ -84,6 +117,9 @@ class Cluster:
             },
             # Smallest installed memory of any node (admission control).
             "min_memory_mb": min((n.memory_mb for n in nodes), default=0),
+            # Whether every node has the same memory, so that any set of
+            # nodes has min_memory_mb as its smallest.
+            "_uniform_memory": len({n.memory_mb for n in nodes}) <= 1,
         }
 
     def _scan_co_runners(self, allocation: Allocation) -> dict[int, int]:
@@ -120,7 +156,12 @@ class Cluster:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
+        # setattr interns the names as pickle's default restore does,
+        # and the label is interned as a literal name is, so a restored
+        # cluster pickles to the same bytes.
+        for name, value in state.items():
+            setattr(self, name, value)
+        self.name = sys.intern(self.name)
         self._build_indexes()
 
     # ------------------------------------------------------------------
@@ -210,6 +251,15 @@ class Cluster:
     def nodes_of(self, job_id: int) -> list[Node]:
         return [self.nodes[i] for i in self.allocation_of(job_id).node_ids]
 
+    def min_memory_of(self, node_ids: Iterable[int]) -> int:
+        """Smallest installed memory among *node_ids*: the
+        ``min_memory_mb`` index, with no walk, when all nodes have the
+        same memory."""
+        if self._uniform_memory:
+            return self.min_memory_mb
+        nodes = self.nodes
+        return min(nodes[node_id].memory_mb for node_id in node_ids)
+
     def jobs_sharing_with(self, job_id: int) -> set[int]:
         """Distinct co-runner job ids across all of a job's nodes.
 
@@ -243,118 +293,156 @@ class Cluster:
     def allocate(self, allocation: Allocation) -> Allocation:
         """Apply *allocation*, enforcing occupancy invariants.
 
-        One walk over the nodes grants each one and updates the indexes
-        beside it.  A shared job takes the lowest free lane of each
-        node, and the returned record holds those ``lanes``, so callers
-        build the request with :meth:`build_shared` /
-        :meth:`build_exclusive` instead of hand-rolling lane indices.
-        A failure on any node undoes the grants made before it, so a
-        failed allocation leaves nodes and indexes untouched.
+        Every node is checked first, in node order, so a refused
+        request raises before anything changes and leaves nodes and
+        indexes untouched.  The grant then sets each node's lane and
+        mode, and updates each index once for the whole job.  A shared
+        job takes the free lane of each node, and the returned record
+        holds those ``lanes``, so callers build the request with
+        :meth:`build_shared` / :meth:`build_exclusive` instead of
+        hand-rolling lane indices.
         """
         job_id = allocation.job_id
         if job_id in self._allocations:
             raise AllocationError(f"job {job_id} is already allocated")
         node_ids = allocation.node_ids
-        shared = allocation.is_shared
-        lanes: list[int] = []
-        # Registered before the walk, so that a failure part-way rolls
-        # its grants back through release().
+        granted = list(map(self.nodes.__getitem__, node_ids))
+        if allocation.is_shared:
+            allocation = self._grant_shared(job_id, node_ids, granted)
+        else:
+            if not _all_idle(granted):
+                _refuse_exclusive(granted)
+            exclusive = NodeMode.EXCLUSIVE
+            for node in granted:
+                node._occupants[0] = job_id
+                node.mode = exclusive
+            self._busy += len(node_ids)
+            self._cut_idle(node_ids)
         self._allocations[job_id] = allocation
         insort(self._running_ids, job_id)
-        try:
-            if shared:
-                self._grant_shared(job_id, node_ids, lanes)
-            else:
-                self._grant_exclusive(job_id, node_ids, lanes)
-        except AllocationError:
-            self._allocations[job_id] = Allocation(
-                job_id=job_id,
-                node_ids=node_ids[:len(lanes)],
-                kind=allocation.kind,
-                lanes=tuple(lanes) if shared else (),
-            )
-            self.release(job_id)
-            raise
-        if shared:
-            allocation = Allocation(
-                job_id=job_id,
-                node_ids=node_ids,
-                kind=AllocationKind.SHARED,
-                lanes=tuple(lanes),
-            )
-            self._allocations[job_id] = allocation
         return allocation
 
-    def _grant_exclusive(
-        self, job_id: int, node_ids: tuple[int, ...], lanes: list[int]
-    ) -> None:
-        """Take each node whole for *job_id*, appending lane 0 per
-        granted node to *lanes*."""
-        idle = self._idle_ids
-        for node_id in node_ids:
-            self.nodes[node_id].allocate_exclusive(job_id)
-            lanes.append(0)
-            self._busy += 1
-            del idle[bisect_left(idle, node_id)]
-
     def _grant_shared(
-        self, job_id: int, node_ids: tuple[int, ...], lanes: list[int]
-    ) -> None:
-        """Open or join each node for shared *job_id*, appending each
-        granted lane to *lanes*.  A node refuses when it is down,
-        exclusively allocated, already hosts the job or has both lanes
-        taken, checked in that order."""
-        nodes = self.nodes
-        idle = self._idle_ids
+        self, job_id: int, node_ids: tuple[int, ...], granted: list[Node]
+    ) -> Allocation:
+        """Open or join *granted*, the nodes *node_ids*, for shared
+        *job_id*; returns the allocation record with the lanes taken."""
+        if _all_idle(granted):
+            lanes: tuple[int, ...] = (0,) * len(node_ids)
+            opened: tuple[int, ...] | list[int] = node_ids
+            mine: dict[int, int] = {}
+        else:
+            lanes, opened, mine = self._check_shared(job_id, node_ids, granted)
+        shared = NodeMode.SHARED
+        for node, lane in zip(granted, lanes):
+            node._occupants[lane] = job_id
+            node.mode = shared
+        self._busy += len(opened)
+        self._shared += len(node_ids) - len(opened)
+        self._cut_idle(opened)
+        # Each resident gains the joiner once, for all the nodes they
+        # now share.  A resident's map meets its co-runners in node
+        # order: the joiner goes last unless the resident already had
+        # a co-runner, which may sit on a later node.
         co_runners = self._co_runners
-        mine: dict[int, int] = {}
+        for resident, count in mine.items():
+            theirs = co_runners[resident]
+            theirs[job_id] = count
+            if len(theirs) > 1:
+                co_runners[resident] = self._scan_co_runners(
+                    self._allocations[resident]
+                )
         co_runners[job_id] = mine
-        reorder: list[int] = []
-        for node_id in node_ids:
-            node = nodes[node_id]
-            if node.down:
+        return Allocation(
+            job_id=job_id,
+            node_ids=node_ids,
+            kind=AllocationKind.SHARED,
+            lanes=tuple(lanes),
+        )
+
+    def _check_shared(
+        self, job_id: int, node_ids: tuple[int, ...], granted: list[Node]
+    ) -> tuple[list[int], list[int], dict[int, int]]:
+        """Check a shared request in node order, raising for the first
+        node that refuses: one that is down, exclusively allocated,
+        already hosts the job or has both lanes taken, checked in that
+        order.  Returns the lane to take on each node, the idle nodes
+        to open, and each joined resident's count of shared nodes, in
+        the order the nodes first meet it.
+
+        A joinable resident (one with no co-runner, so alone on one
+        lane of every node it holds) whose whole node list appears in
+        the request is checked and joined in one step."""
+        allocations = self._allocations
+        co_runners = self._co_runners
+        healthy, idle = NodeHealth.HEALTHY, NodeMode.IDLE
+        lanes: list[int] = []
+        opened: list[int] = []
+        mine: dict[int, int] = {}
+        index, count = 0, len(node_ids)
+        while index < count:
+            node = granted[index]
+            node_id = node_ids[index]
+            if node.health is not healthy:
                 raise AllocationError(f"node {node_id} is down")
-            occupants = node._occupants
-            if node.mode is NodeMode.IDLE:
-                occupants[0] = job_id
-                node.mode = NodeMode.SHARED
+            mode = node.mode
+            if mode is idle:
                 lanes.append(0)
-                self._busy += 1
-                del idle[bisect_left(idle, node_id)]
+                opened.append(node_id)
+                index += 1
                 continue
-            if node.mode is NodeMode.EXCLUSIVE:
+            if mode is NodeMode.EXCLUSIVE:
                 raise AllocationError(
                     f"node {node_id} is exclusively allocated; cannot share"
                 )
-            if job_id in occupants.values():
+            occupants = node._occupants
+            if len(occupants) >= SMT_LANES:
+                if job_id in occupants.values():
+                    raise AllocationError(
+                        f"job {job_id} already occupies node {node_id}"
+                    )
+                raise AllocationError(f"node {node_id} shared lanes are full")
+            # A shared node always has an occupant; with two lanes, one
+            # occupant leaves exactly the other lane free.
+            ((lane, resident),) = occupants.items()
+            if resident == job_id:
                 raise AllocationError(
                     f"job {job_id} already occupies node {node_id}"
                 )
-            if len(occupants) >= SMT_LANES:
-                raise AllocationError(f"node {node_id} shared lanes are full")
-            # Join the resident: its last free lane is now taken.
-            resident = next(iter(occupants.values()))
-            lane = 0
-            while lane in occupants:
-                lane += 1
-            occupants[lane] = job_id
-            lanes.append(lane)
-            self._shared += 1
+            group = allocations[resident]
+            size = len(group.node_ids)
+            if not co_runners[resident] and (
+                node_ids[index:index + size] == group.node_ids
+            ):
+                lanes.extend(map(_OTHER_LANE.__getitem__, group.lanes))
+                mine[resident] = mine.get(resident, 0) + size
+                index += size
+                continue
+            lanes.append(_OTHER_LANE[lane])
             mine[resident] = mine.get(resident, 0) + 1
-            theirs = co_runners[resident]
-            count = theirs.get(job_id)
-            if count is None:
-                if theirs:
-                    reorder.append(resident)
-                theirs[job_id] = 1
-            else:
-                theirs[job_id] = count + 1
-        # A resident that gained a second co-runner keys its map in
-        # node order, which the join order need not follow.
-        for resident in reorder:
-            co_runners[resident] = self._scan_co_runners(
-                self._allocations[resident]
-            )
+            index += 1
+        return lanes, opened, mine
+
+    def _cut_idle(self, node_ids: list[int] | tuple[int, ...]) -> None:
+        """Remove *node_ids*, all idle, from the sorted idle index in
+        one step: a slice when they are the run of idle ids starting at
+        their first (first-fit placements take such runs), else a
+        rebuild."""
+        if not node_ids:
+            return
+        idle = self._idle_ids
+        start = bisect_left(idle, node_ids[0])
+        stop = start + len(node_ids)
+        if idle[start:stop] == list(node_ids):
+            del idle[start:stop]
+        else:
+            idle[:] = sorted(set(idle).difference(node_ids))
+
+    def _merge_idle(self, node_ids: list[int] | tuple[int, ...]) -> None:
+        """Add freed *node_ids* to the sorted idle index in one step."""
+        idle = self._idle_ids
+        idle.extend(node_ids)
+        idle.sort()
 
     def build_exclusive(self, job_id: int, node_ids: Iterable[int]) -> Allocation:
         return Allocation(
@@ -368,44 +456,73 @@ class Cluster:
             job_id=job_id,
             node_ids=ids,
             kind=AllocationKind.SHARED,
-            lanes=tuple(0 for _ in ids),
+            lanes=(0,) * len(ids),
         )
 
-    def release(self, job_id: int) -> list[int | None]:
-        """Free every node held by *job_id* in one walk over them.
+    def shared_node_ids(self, job_id: int, other_id: int) -> tuple[int, ...]:
+        """The nodes co-runners *job_id* and *other_id* share: one
+        job's whole node list when it lies under the other's."""
+        count = self._co_runners[job_id][other_id]
+        mine = self._allocations[job_id].node_ids
+        if count == len(mine):
+            return mine
+        theirs = self._allocations[other_id].node_ids
+        if count == len(theirs):
+            return theirs
+        common = set(theirs)
+        return tuple(node_id for node_id in mine if node_id in common)
 
-        Returns the job left on each node (None where the node is now
-        empty), parallel to the allocation's ``node_ids``.
+    def release(self, job_id: int) -> dict[int, tuple[int, ...]]:
+        """Free every node held by *job_id*.
+
+        Each node loses the job's lane, and a node left empty becomes
+        idle; the indexes change once for the whole job, and each
+        co-runner's map once.  Returns each co-runner the job leaves
+        behind, mapped to the nodes they shared, where the co-runner is
+        now alone.
         """
         allocation = self.allocation_of(job_id)
-        nodes = self.nodes
-        idle = self._idle_ids
+        node_ids = allocation.node_ids
         co_runners = self._co_runners
-        # An exclusive job holds lane 0 of each node.
-        lanes = allocation.lanes if allocation.is_shared else repeat(0)
-        left: list[int | None] = []
-        for node_id, lane in zip(allocation.node_ids, lanes):
-            node = nodes[node_id]
-            occupants = node._occupants
-            del occupants[lane]
-            if occupants:
-                # A shared lane freed beside the remaining resident.
-                resident = next(iter(occupants.values()))
-                self._shared -= 1
-                theirs = co_runners[resident]
-                if theirs[job_id] == 1:
-                    del theirs[job_id]
-                else:
-                    theirs[job_id] -= 1
-                left.append(resident)
-            else:
-                # Occupied nodes are healthy, so an emptied one is idle.
-                node.mode = NodeMode.IDLE
-                self._busy -= 1
-                insort(idle, node_id)
-                left.append(None)
+        if allocation.is_shared:
+            mine = co_runners[job_id]
+            lanes: Iterable[int] = allocation.lanes
+        else:
+            # An exclusive job holds lane 0 of each node, alone.
+            mine = {}
+            lanes = repeat(0)
+        left = {
+            other_id: self.shared_node_ids(job_id, other_id)
+            for other_id in mine
+        }
+        shared = sum(mine.values())
+        granted = map(self.nodes.__getitem__, node_ids)
+        idle = NodeMode.IDLE
+        # Occupied nodes are healthy, so an emptied one is idle.
+        if not shared:
+            for node, lane in zip(granted, lanes):
+                del node._occupants[lane]
+                node.mode = idle
+            self._merge_idle(node_ids)
+        elif shared == len(node_ids):
+            # A co-runner stays on every node.
+            for node, lane in zip(granted, lanes):
+                del node._occupants[lane]
+        else:
+            freed: list[int] = []
+            for node_id, node, lane in zip(node_ids, granted, lanes):
+                occupants = node._occupants
+                del occupants[lane]
+                if not occupants:
+                    node.mode = idle
+                    freed.append(node_id)
+            self._merge_idle(freed)
+        for other_id in mine:
+            del co_runners[other_id][job_id]
         if allocation.is_shared:
             del co_runners[job_id]
+        self._shared -= shared
+        self._busy -= len(node_ids) - shared
         del self._allocations[job_id]
         del self._running_ids[bisect_left(self._running_ids, job_id)]
         return left

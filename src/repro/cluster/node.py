@@ -1,15 +1,21 @@
 """A single compute node with 2-way SMT occupancy semantics.
 
 Invariants (enforced by :meth:`Cluster.allocate` and
-:meth:`Cluster.release`, which grant and free lanes inline, and
+:meth:`Cluster.release`, which check a whole request before granting,
+then set and clear each node's lane and mode inline, and
 property-tested in the suite):
 
-* An ``EXCLUSIVE`` node hosts exactly one job.
-* A ``SHARED`` node hosts one or two jobs, on distinct SMT lanes.
+* An ``EXCLUSIVE`` node hosts exactly one job, on lane 0.
+* A ``SHARED`` node hosts one or two jobs, on distinct SMT lanes; with
+  one job, the other lane is the free one a joiner takes.
+* Only a ``HEALTHY`` node is occupied.
 * A job never occupies the same node twice.
 * Releasing the last occupant returns the node to ``IDLE`` and clears
   its sharing mode — a node's mode is a property of its *current*
   occupancy, not sticky state.
+
+The cluster relies on these to grant a joinable resident's nodes, and
+to free a job's lanes, without re-checking each node.
 """
 
 from __future__ import annotations
@@ -160,18 +166,6 @@ class Node:
         """Return a repaired (or drained) node to service."""
         if self.health is not NodeHealth.HEALTHY:
             self._health_transition(NodeHealth.HEALTHY)
-
-    def allocate_exclusive(self, job_id: int) -> None:
-        """Grant the whole node to *job_id*."""
-        if self.down:
-            raise AllocationError(f"node {self.node_id} is down")
-        if self.mode is not NodeMode.IDLE:
-            raise AllocationError(
-                f"node {self.node_id} is {self.mode.value}; "
-                f"exclusive allocation requires an idle node"
-            )
-        self._occupants[0] = job_id
-        self.mode = NodeMode.EXCLUSIVE
 
     def __str__(self) -> str:
         occ = ",".join(map(str, self.occupant_ids)) or "-"

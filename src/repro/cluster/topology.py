@@ -38,7 +38,7 @@ class Topology:
 
     def racks_spanned(self, node_ids: Iterable[int]) -> int:
         """Number of distinct racks a node set touches."""
-        return len({self.rack_of[i] for i in node_ids})
+        return len(set(map(self.rack_of.__getitem__, node_ids)))
 
     def locality_score(self, node_ids: Sequence[int]) -> float:
         """Score in (0, 1]; 1.0 means the set fits a single rack.

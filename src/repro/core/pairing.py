@@ -15,6 +15,7 @@ than from sharing as such.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
@@ -69,7 +70,11 @@ class PairingPolicy:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
+        # The policy is frozen, so the names are interned by hand, as
+        # pickle's default restore does: a restored policy then
+        # pickles to the same bytes.
+        for name, value in state.items():
+            self.__dict__[sys.intern(name)] = value
         self.__dict__["_verdicts"] = {}
 
     def _verdict(self, a: ResourceProfile, b: ResourceProfile) -> tuple[bool, float]:

@@ -35,9 +35,9 @@ class ResidentGroup:
     job: Job
     profile: ResourceProfile
     node_ids: tuple[int, ...]
-    #: Smallest installed memory across ``node_ids``, computed once
-    #: when the view builds the group (what a joiner must fit beside
-    #: the resident).
+    #: Smallest installed memory across ``node_ids``, read once from
+    #: the cluster when the view builds the group (what a joiner must
+    #: fit beside the resident).
     min_memory_mb: int = 0
 
     @property
@@ -197,10 +197,9 @@ class AvailabilityView:
     def _add_group(
         self, job: Job, profile: ResourceProfile, node_ids: tuple[int, ...]
     ) -> None:
-        nodes = self._ctx.cluster.nodes
         self.groups[job.job_id] = ResidentGroup(
             job=job,
             profile=profile,
             node_ids=node_ids,
-            min_memory_mb=min(nodes[i].memory_mb for i in node_ids),
+            min_memory_mb=self._ctx.cluster.min_memory_of(node_ids),
         )

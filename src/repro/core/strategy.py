@@ -112,6 +112,10 @@ def raise_release_bounds(
 ) -> None:
     """Raise each node's release bound in *bounds* to at least *end*:
     a shared node frees only when the later of its occupants does."""
+    if bounds.keys().isdisjoint(node_ids):
+        # No node has a bound yet (the common case: idle nodes).
+        bounds.update(dict.fromkeys(node_ids, end))
+        return
     for node_id in node_ids:
         prev = bounds.get(node_id)
         bounds[node_id] = end if prev is None else max(prev, end)

@@ -9,6 +9,7 @@ event, so it is safe to leave enabled in production runs.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from typing import TYPE_CHECKING
 
@@ -27,6 +28,11 @@ def _payload_label(payload: object) -> str:
     if isinstance(payload, str):
         return payload
     return type(payload).__name__
+
+
+def _own_label(label: str) -> str:
+    """*label*, as a new string when it is one digit."""
+    return str(int(label)) if len(label) == 1 and label.isdigit() else label
 
 
 class FlightRecorder:
@@ -48,6 +54,29 @@ class FlightRecorder:
                 "seq": event.seq,
                 "label": _payload_label(event.payload),
             }
+        )
+
+    def __setstate__(self, state: dict) -> None:
+        # setattr interns the names as pickle's default restore does.
+        for name, value in state.items():
+            setattr(self, name, value)
+        # Each record is rebuilt as record() built it, so that a
+        # restored recorder pickles to the same bytes: under record()'s
+        # interned keys, with the event kind's interned name, and with
+        # a one-digit job-id label as a string of its own, as
+        # str(job_id) made it (unpickling shares one-character
+        # strings).
+        self._ring = deque(
+            (
+                {
+                    "time": entry["time"],
+                    "kind": sys.intern(entry["kind"]),
+                    "seq": entry["seq"],
+                    "label": _own_label(entry["label"]),
+                }
+                for entry in self._ring
+            ),
+            maxlen=self._ring.maxlen,
         )
 
     @property

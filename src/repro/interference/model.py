@@ -70,7 +70,10 @@ class InterferenceModel:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
+        # setattr interns the names as pickle's default restore does,
+        # so a restored model pickles to the same bytes.
+        for name, value in state.items():
+            setattr(self, name, value)
         self._speeds = {}
 
     def speed(

@@ -75,6 +75,14 @@ class MetricsCollector:
     def on_sim_end(self, now: float, manager: "WorkloadManager") -> None:
         self._sample(now, manager)
 
+    def drop_last_sample(self) -> None:
+        """Forget the most recent sample (a paused run's end sample,
+        when the run continues)."""
+        for series in (self.times, self.busy_nodes, self.shared_nodes,
+                       self.queue_lengths, self.work_rates):
+            del series[-1]
+        self._timeline = None
+
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------

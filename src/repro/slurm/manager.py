@@ -271,17 +271,17 @@ class WorkloadManager:
         return self._release_bounds if self.predictor is None else None
 
     def _release(self, job: Job) -> None:
-        """Free *job*'s nodes; a node it shared keeps its co-runner's
-        bound."""
-        node_ids = job.allocation.node_ids
+        """Free *job*'s nodes; the nodes it shared keep each co-runner's
+        bound, restored once per co-runner."""
         left = self.cluster.release(job.job_id)
         bounds = self._release_bounds
-        for node_id, other_id in zip(node_ids, left):
-            if other_id is None:
-                del bounds[node_id]
-            else:
-                other = self.jobs[other_id]
-                bounds[node_id] = other.start_time + other.effective_limit
+        for node_id in job.allocation.node_ids:
+            del bounds[node_id]
+        for other_id, node_ids in left.items():
+            other = self.jobs[other_id]
+            bounds.update(dict.fromkeys(
+                node_ids, other.start_time + other.effective_limit
+            ))
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -292,7 +292,10 @@ class WorkloadManager:
         # Older snapshots also held the metrics hub in a manager slot;
         # their decision trace carries the same hub object.
         state.pop("hub", None)
-        self.__dict__.update(state)
+        # setattr interns the names as pickle's default restore does,
+        # so a restored manager pickles to the same bytes.
+        for name, value in state.items():
+            setattr(self, name, value)
         self._release_bounds = self._scan_release_bounds()
 
     # ------------------------------------------------------------------
@@ -1113,11 +1116,21 @@ class WorkloadManager:
             job.effective_limit = job.spec.walltime_req * self.config.walltime_grace
         else:
             job.effective_limit = job.spec.walltime_req
-        raise_release_bounds(
-            self._release_bounds, allocation.node_ids, now + job.effective_limit
-        )
         # Rate under the co-runners present right now.
         co_runners = self.cluster.jobs_sharing_with(job.job_id)
+        # Every node's bound is now the job's, except where a resident
+        # it joined holds a later one: set outright, then raised once
+        # per such resident.
+        end = now + job.effective_limit
+        bounds = self._release_bounds
+        bounds.update(dict.fromkeys(allocation.node_ids, end))
+        for other_id in co_runners:
+            other = self.jobs[other_id]
+            bound = other.start_time + other.effective_limit
+            if bound > end:
+                bounds.update(dict.fromkeys(
+                    self.cluster.shared_node_ids(job.job_id, other_id), bound
+                ))
         job.sharing_now = bool(co_runners)
         job.corun_job_ids |= co_runners
         job.rate = self._job_rate(job, co_runners)
@@ -1190,11 +1203,25 @@ class WorkloadManager:
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
+    def _drop_pause_sample(self) -> None:
+        """A run paused at ``until`` ends with a metrics sample taken
+        after the last event, which splits the interval it falls in;
+        a run that continues drops it, so that its series and summary
+        equal those of a run never paused.  The flight recorder's last
+        event tells the pause sample from an event's sample."""
+        collector, recorder = self.collector, self.recorder
+        if collector is None or recorder is None or not collector.times:
+            return
+        last = recorder.last()
+        if last is not None and collector.times[-1] > last["time"]:
+            collector.drop_last_sample()
+
     def run(self, until: float | None = None) -> SimulationResult:
         """Run the simulation to completion and summarise it."""
         from repro.metrics.resilience import resilience_report
 
         started = _wallclock.perf_counter()
+        self._drop_pause_sample()
         try:
             self.sim.run(until=until)
             unfinished = len(self.jobs) - self._terminal_jobs

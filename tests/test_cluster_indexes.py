@@ -43,7 +43,7 @@ from tests.test_core_pairing_selector import make_ctx, profile, start_shared
 
 INDEXES = (
     "_running_ids", "_idle_ids", "_busy", "_shared", "_co_runners",
-    "min_memory_mb",
+    "min_memory_mb", "_uniform_memory",
 )
 
 
@@ -193,13 +193,14 @@ class TestCoRunnerIndex:
         cluster.check_indexes()
 
     def test_release_reports_the_job_left_on_each_node(self):
+        # Each co-runner left behind, with the nodes it now holds alone.
         cluster = Cluster.homogeneous(4)
         cluster.allocate(cluster.build_shared(1, [0, 1]))
         cluster.allocate(cluster.build_shared(2, [1, 2]))
-        assert cluster.release(2) == [1, None]
-        assert cluster.release(1) == [None, None]
+        assert cluster.release(2) == {1: (1,)}
+        assert cluster.release(1) == {}
         cluster.allocate(cluster.build_exclusive(3, [3, 0]))
-        assert cluster.release(3) == [None, None]
+        assert cluster.release(3) == {}
         cluster.check_indexes()
 
     def test_second_co_runner_is_keyed_in_node_order(self):
@@ -218,6 +219,22 @@ class TestCoRunnerIndex:
         cluster.check_indexes()
         cluster.release(3)
         assert list(cluster.jobs_sharing_with(1)) == [11]
+        cluster.check_indexes()
+
+    def test_release_keeps_the_remaining_co_runners_in_node_order(self):
+        # Job 1's co-runners joined in the order 11, 3, 5 and sit on
+        # its nodes 2, 0 and 1.  Releasing 5 deletes it from job 1's
+        # map and leaves the others in node order, not join order.
+        cluster = Cluster.homogeneous(4)
+        cluster.allocate(cluster.build_shared(1, [0, 1, 2]))
+        for job_id, node in ((11, 2), (3, 0), (5, 1)):
+            cluster.allocate(cluster.build_shared(job_id, [node]))
+        assert list(cluster._co_runners[1]) == [3, 5, 11]
+        assert cluster.release(5) == {1: (1,)}
+        assert list(cluster._co_runners[1]) == [3, 11]
+        assert list(cluster.jobs_sharing_with(1)) == list(
+            scanned_co_runners(cluster, 1)
+        )
         cluster.check_indexes()
 
     def test_stale_co_runner_count_is_detected(self):
@@ -361,7 +378,8 @@ class TestIndexesAcrossSnapshots:
             manager.sim.step()
         assert manager._release_bounds, "snapshot point must be mid-run"
         blob = snapshot_bytes(manager)
-        for name in (b"_release_bounds", b"_co_runners", b"min_memory_mb"):
+        for name in (b"_release_bounds", b"_co_runners", b"min_memory_mb",
+                     b"_uniform_memory"):
             assert name not in blob, name
         del manager.__dict__["_release_bounds"]
         for name in INDEXES:
@@ -456,6 +474,46 @@ class TestReleaseBounds:
         manager.strategy.schedule = checking_schedule
         manager.run()
         assert compared and joined and opened
+
+
+class TestGroupMemory:
+    def test_uniform_nodes_read_the_index(self):
+        cluster = Cluster.homogeneous(4, memory_mb=96_000)
+        assert cluster._uniform_memory
+        assert cluster.min_memory_of((0, 3)) == 96_000
+
+    def test_groups_match_the_reference_view_on_mixed_memory(self):
+        # On nodes of three memory sizes, every resident group's
+        # smallest memory, read from the cluster, must equal a walk of
+        # its nodes, at every pass of a sharing run.
+        cluster = Cluster(
+            Node(node_id=i, memory_mb=(128_000, 96_000, 64_000)[i // 4])
+            for i in range(12)
+        )
+        assert not cluster._uniform_memory
+        trace = TrinityWorkloadGenerator(
+            share_obeys_app=False, share_fraction=0.9, offered_load=1.5
+        ).generate(60, 12, np.random.default_rng(21))
+        manager = WorkloadManager(
+            cluster, config=SchedulerConfig(strategy="shared_backfill"),
+        )
+        manager.load(trace)
+        schedule = manager.strategy.schedule
+        above_minimum = 0
+
+        def checking_schedule(ctx):
+            nonlocal above_minimum
+            groups = AvailabilityView(ctx).groups
+            assert groups == ReferenceAvailabilityView(ctx).groups
+            above_minimum += any(
+                group.min_memory_mb > cluster.min_memory_mb
+                for group in groups.values()
+            )
+            return schedule(ctx)
+
+        manager.strategy.schedule = checking_schedule
+        manager.run()
+        assert above_minimum
 
 
 class TestJoinMask:

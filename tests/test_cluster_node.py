@@ -1,20 +1,15 @@
 """Unit tests for single-node occupancy semantics.
 
 The cluster grants and frees nodes (:meth:`Cluster.allocate` and
-:meth:`Cluster.release`), so the shared and release cases drive a
+:meth:`Cluster.release`), so the grant and release cases drive a
 one-node cluster and read the node it changed.
 """
 
 import pytest
 
 from repro.cluster.machine import Cluster
-from repro.cluster.node import SMT_LANES, Node, NodeMode
+from repro.cluster.node import SMT_LANES, NodeMode
 from repro.errors import AllocationError
-
-
-@pytest.fixture
-def node() -> Node:
-    return Node(node_id=0, cores=16)
 
 
 @pytest.fixture
@@ -33,24 +28,25 @@ def exclusive(cluster: Cluster, job_id: int) -> None:
 
 
 class TestExclusive:
-    def test_allocate_exclusive(self, node):
-        node.allocate_exclusive(7)
+    def test_allocate_exclusive(self, cluster):
+        exclusive(cluster, 7)
+        node = cluster.node(0)
         assert node.mode is NodeMode.EXCLUSIVE
         assert node.occupant_ids == (7,)
 
-    def test_exclusive_rejects_second_exclusive(self, node):
-        node.allocate_exclusive(1)
+    def test_exclusive_rejects_second_exclusive(self, cluster):
+        exclusive(cluster, 1)
         with pytest.raises(AllocationError, match="requires an idle node"):
-            node.allocate_exclusive(2)
+            exclusive(cluster, 2)
 
     def test_exclusive_rejects_shared_join(self, cluster):
         exclusive(cluster, 1)
         with pytest.raises(AllocationError, match="cannot share"):
             share(cluster, 2)
 
-    def test_exclusive_has_no_free_lane(self, node):
-        node.allocate_exclusive(1)
-        assert not node.has_free_lane
+    def test_exclusive_has_no_free_lane(self, cluster):
+        exclusive(cluster, 1)
+        assert not cluster.node(0).has_free_lane
 
 
 class TestShared:
@@ -117,7 +113,7 @@ class TestShared:
 class TestRelease:
     def test_release_returns_to_idle(self, cluster):
         exclusive(cluster, 1)
-        assert cluster.release(1) == [None]
+        assert cluster.release(1) == {}
         node = cluster.node(0)
         assert node.is_idle
         assert node.mode is NodeMode.IDLE
@@ -125,7 +121,7 @@ class TestRelease:
     def test_release_one_of_two_keeps_shared(self, cluster):
         share(cluster, 1)
         share(cluster, 2)
-        assert cluster.release(1) == [2]
+        assert cluster.release(1) == {2: (0,)}
         node = cluster.node(0)
         assert node.mode is NodeMode.SHARED
         assert node.occupant_ids == (2,)

@@ -14,7 +14,9 @@ indexes and caches: node and rack failures with flaky-node
 blacklisting (the placement's ``avoid_nodes``) and requeue priority
 backoff, topology-aware selection, memory-constrained joins on nodes
 of mixed memory, time-sliced sharing, and walltime prediction (whose
-passes scan in both engines).
+passes scan in both engines).  A failure-free, deep, all-shareable
+scenario makes most starts joins and most ends releases beside a
+co-runner, and checks every index after every event.
 
 The same scenario space carries a causality property: a job that
 arrives after the last finish changes no earlier accounting record.
@@ -64,6 +66,8 @@ class Scenario:
     #: Priority points per requeue (with failures armed).
     requeue_backoff: float = 0.0
     offered_load: float = 1.5
+    #: Check every index against a full scan after every event.
+    checked: bool = False
 
 
 def _cluster(scenario: Scenario, cls: type[Cluster] = Cluster) -> Cluster:
@@ -142,6 +146,15 @@ def run_engine(scenario: Scenario, reference: bool,
         return placements
 
     manager.strategy.schedule = recording_schedule
+    if scenario.checked:
+        step = manager.sim.step
+
+        def checked_step():
+            event = step()
+            manager.check_indexes()
+            return event
+
+        manager.sim.step = checked_step
     if reference:
         with reference_views():
             result = manager.run()
@@ -261,6 +274,51 @@ def test_deep_queue_matches_reference(strategy):
     ))
     assert manager.jobs_requeued >= 20
     assert max(manager.collector.queue_lengths) >= 40
+
+
+#: The sharing strategies, and shared backfill under time-sliced
+#: sharing.
+JOIN_CASES = (
+    ("shared_first_fit", False),
+    ("shared_backfill", False),
+    ("shared_conservative", False),
+    ("shared_backfill", True),
+)
+
+
+@pytest.mark.parametrize("strategy, time_sliced", JOIN_CASES)
+def test_mostly_joins_matches_reference(strategy, time_sliced, monkeypatch):
+    # No failures, a queue over a hundred jobs deep and every job
+    # shareable: most starts join resident groups, and most ends free
+    # lanes beside a co-runner, some on only part of the job's nodes.
+    # Both engines check every index against a scan after every event.
+    grants = {"join": 0, "release_beside": 0, "release_partial": 0}
+    allocate, release = Cluster.allocate, Cluster.release
+
+    def counting_allocate(self, allocation):
+        granted = allocate(self, allocation)
+        grants["join"] += bool(self._co_runners.get(allocation.job_id))
+        return granted
+
+    def counting_release(self, job_id):
+        size = self.allocation_of(job_id).num_nodes
+        left = release(self, job_id)
+        grants["release_beside"] += bool(left)
+        grants["release_partial"] += 0 < sum(map(len, left.values())) < size
+        return left
+
+    monkeypatch.setattr(Cluster, "allocate", counting_allocate)
+    monkeypatch.setattr(Cluster, "release", counting_release)
+    manager = assert_engines_agree(Scenario(
+        seed=1, strategy=strategy, num_jobs=300, nodes=32,
+        share_fraction=1.0, offered_load=6.0, time_sliced=time_sliced,
+        checked=True,
+    ))
+    assert max(manager.collector.queue_lengths) >= 100
+    # Counted over both engines' runs.
+    assert grants["join"] >= 400
+    assert grants["release_beside"] >= 400
+    assert grants["release_partial"] >= 4
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

@@ -25,20 +25,17 @@ class TestNodeDownState:
         assert node.is_idle
 
     def test_down_node_rejects_allocation(self):
-        node = Node(node_id=0)
-        node.mark_down()
-        with pytest.raises(AllocationError, match="down"):
-            node.allocate_exclusive(1)
         cluster = Cluster.homogeneous(1)
         cluster.mark_down(0)
-        with pytest.raises(AllocationError, match="down"):
-            cluster.allocate(cluster.build_shared(1, [0]))
+        for build in (cluster.build_exclusive, cluster.build_shared):
+            with pytest.raises(AllocationError, match="down"):
+                cluster.allocate(build(1, [0]))
 
     def test_cannot_down_occupied_node(self):
-        node = Node(node_id=0)
-        node.allocate_exclusive(1)
+        cluster = Cluster.homogeneous(1)
+        cluster.allocate(cluster.build_exclusive(1, [0]))
         with pytest.raises(AllocationError, match="evict"):
-            node.mark_down()
+            cluster.node(0).mark_down()
 
     def test_cluster_idle_excludes_down(self):
         cluster = Cluster.homogeneous(4)

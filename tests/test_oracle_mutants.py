@@ -16,8 +16,10 @@ from typing import Callable
 
 import pytest
 
+from repro.cluster.machine import Cluster
+from repro.errors import SimulationError
 from repro.slurm.priority import MultifactorPriority
-from tests import test_snapshot
+from tests import test_cluster_indexes, test_snapshot
 from tests.test_engine_differential import Scenario, assert_engines_agree
 from tests.test_slurm_priority_queue import QOS, USERS, assert_order_matches_reference
 
@@ -43,6 +45,33 @@ def _uninterned_setstate(self, state):
     self._user_terms = {user: self._user_term(user) for user in self.usage}
 
 
+def _join_order_release(release):
+    # After the release, each co-runner left behind keys its map in the
+    # order its co-runners were granted, not the order its nodes meet
+    # them.
+    def mutant(self, job_id):
+        left = release(self, job_id)
+        granted = list(self._allocations)
+        for other_id in left:
+            theirs = self._co_runners[other_id]
+            self._co_runners[other_id] = {
+                joiner: theirs[joiner] for joiner in granted if joiner in theirs
+            }
+        return left
+
+    return mutant
+
+
+def _unsorted_merge(self, node_ids):
+    # Appends the freed nodes to the idle index without sorting it.
+    self._idle_ids.extend(node_ids)
+
+
+def _cluster_minimum(self, node_ids):
+    # Reads the cluster-wide minimum even when node memories differ.
+    return self.min_memory_mb
+
+
 def differential_oracle() -> None:
     """The indexed engine against the reference engine, which scores
     every pending job from scratch on every pass."""
@@ -51,6 +80,30 @@ def differential_oracle() -> None:
             seed=3, strategy=strategy, num_jobs=50, nodes=16,
             share_fraction=0.9, failures=True, requeue_backoff=400.0,
         ))
+
+
+def validated_exclusive_oracle() -> None:
+    """An exclusive run under the validating collector, which compares
+    every cluster index with a scan at every sample, against the
+    reference engine."""
+    try:
+        assert_engines_agree(Scenario(seed=3, strategy="easy_backfill"))
+    except SimulationError as exc:
+        raise AssertionError(str(exc)) from exc
+
+
+def group_memory_oracle() -> None:
+    """Resident groups on nodes of mixed memory against the reference
+    view, which walks each group's nodes for its smallest memory."""
+    test_cluster_indexes.TestGroupMemory(
+    ).test_groups_match_the_reference_view_on_mixed_memory()
+
+
+def node_order_oracle() -> None:
+    """A resident's remaining co-runners stay in node order after a
+    release."""
+    test_cluster_indexes.TestCoRunnerIndex(
+    ).test_release_keeps_the_remaining_co_runners_in_node_order()
 
 
 def order_oracle() -> None:
@@ -71,10 +124,11 @@ def order_oracle() -> None:
         assert_order_matches_reference(params, passes, 25.0, saturation)
 
 
-def snapshot_pin_oracle() -> None:
-    """Pinned snapshot bytes of a mid-run manager, of it restored, and
-    of the restored manager run on."""
-    test_snapshot.TestSnapshotBytesPinned().test_bytes_match_pin()
+def snapshot_restore_oracle() -> None:
+    """A restored mid-run manager pickles to the bytes it came from,
+    and run on, to those of a manager never restored."""
+    test_snapshot.TestSnapshotBytesPinned(
+    ).test_restored_manager_pickles_to_the_same_bytes()
 
 
 @dataclass(frozen=True)
@@ -110,7 +164,27 @@ MUTANTS = (
         lambda mp: mp.setattr(
             MultifactorPriority, "__setstate__", _uninterned_setstate
         ),
-        snapshot_pin_oracle,
+        snapshot_restore_oracle,
+    ),
+    Mutant(
+        "join-order-release",
+        "a release re-keys a resident's co-runner map in join order",
+        lambda mp: mp.setattr(
+            Cluster, "release", _join_order_release(Cluster.release)
+        ),
+        node_order_oracle,
+    ),
+    Mutant(
+        "unsorted-idle-merge",
+        "a release leaves the idle index unsorted",
+        lambda mp: mp.setattr(Cluster, "_merge_idle", _unsorted_merge),
+        validated_exclusive_oracle,
+    ),
+    Mutant(
+        "uniform-group-memory",
+        "a group's memory is the cluster minimum on mixed-memory nodes",
+        lambda mp: mp.setattr(Cluster, "min_memory_of", _cluster_minimum),
+        group_memory_oracle,
     ),
 )
 

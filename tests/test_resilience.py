@@ -194,12 +194,12 @@ class TestNodeHealthLifecycle:
             node.mark_down()
 
     def test_drained_node_rejects_allocation(self):
-        node = Node(node_id=0)
-        node.mark_down()
-        node.mark_repairing()
-        node.mark_drained()
+        cluster = Cluster.homogeneous(1)
+        cluster.mark_down(0)
+        cluster.mark_repairing(0)
+        cluster.mark_drained(0)
         with pytest.raises(AllocationError, match="down"):
-            node.allocate_exclusive(1)
+            cluster.allocate(cluster.build_exclusive(1, [0]))
 
 
 class TestNodeHealthTracker:
@@ -285,7 +285,7 @@ class TestCorrelatedTargeting:
 
     def test_eligible_nodes_skip_phantom_holders(self):
         cluster = Cluster.homogeneous(4, nodes_per_rack=4)
-        cluster.node(0).allocate_exclusive(99)
+        cluster.allocate(cluster.build_exclusive(99, [0]))
         nodes = eligible_rack_nodes(cluster, 0, real_job_ids={1, 2})
         assert [n.node_id for n in nodes] == [1, 2, 3]
         nodes = eligible_rack_nodes(cluster, 0, real_job_ids={99})

@@ -105,24 +105,13 @@ class TestRoundTripProperty:
 # ----------------------------------------------------------------------
 #: ``(len, sha256)`` of ``snapshot_bytes`` per Python minor version,
 #: recorded before the pending queue kept its priority terms: of
-#: :func:`deep_manager` run to t=20000, of that manager pickled and
-#: restored, and of the restored manager run on to t=30000.  Kept
-#: caches must not reach the bytes, and a restore must rebuild the
-#: state as pickle's default restore does (its attribute names
-#: interned), or a restored manager's next snapshot differs.
+#: :func:`deep_manager` run to t=20000.  Kept caches must not reach the
+#: bytes.
 SNAPSHOT_PINS = {
     (3, 11): {
         "mid_run": (
             123_495,
             "18ad4461def6de53bccdefe07f668f481483aeecca021e54253d87e8024806d3",
-        ),
-        "restored": (
-            123_552,
-            "4f5059e28ec13f080f657cdfbd6879646b84018a2617df1214b2da9a56305664",
-        ),
-        "restored_run_on": (
-            132_281,
-            "76984871cf84d0fa5b3ab0cf107a1fc41ec3b2451552cee25bdb5dfc45dc3d3e",
         ),
     },
 }
@@ -152,12 +141,24 @@ class TestSnapshotBytesPinned:
         pins = SNAPSHOT_PINS.get(sys.version_info[:2])
         if pins is None:
             pytest.skip(f"no snapshot pin recorded for Python {sys.version_info[:2]}")
-        data = snapshot_bytes(self._mid_run())
-        assert _pin(data) == pins["mid_run"]
+        assert _pin(snapshot_bytes(self._mid_run())) == pins["mid_run"]
+
+    def test_restored_manager_pickles_to_the_same_bytes(self):
+        # A restore must rebuild the state as pickle's default restore
+        # does (its attribute names interned), or a restored manager's
+        # next snapshot differs from the one it came from, and a chain
+        # resumed from a snapshot writes later snapshots unlike an
+        # uninterrupted chain.
+        manager = self._mid_run()
+        data = snapshot_bytes(manager)
         restored = pickle.loads(data)
-        assert _pin(snapshot_bytes(restored)) == pins["restored"]
+        assert snapshot_bytes(restored) == data
         restored.run(until=30_000.0)
-        assert _pin(snapshot_bytes(restored)) == pins["restored_run_on"]
+        manager.run(until=30_000.0)
+        never_paused = deep_manager()
+        never_paused.run(until=30_000.0)
+        assert snapshot_bytes(restored) == snapshot_bytes(manager)
+        assert snapshot_bytes(restored) == snapshot_bytes(never_paused)
 
     def test_restore_rebuilds_caches_and_runs_on_identically(self):
         manager = self._mid_run()
@@ -170,19 +171,39 @@ class TestSnapshotBytesPinned:
         assert restored.priority._user_terms
         for user, term in restored.priority._user_terms.items():
             assert term.hex() == kept[user].hex()
-        # A pause at ``until`` adds an end-of-run metrics sample, so
-        # the summary matches the same pause without the pickle; the
-        # accounting and every stored priority match a run never
-        # paused at all.
-        assert fingerprint(restored.run()) == fingerprint(manager.run())
+        # The accounting, every stored priority and the summary match
+        # a run never paused at all.
         uninterrupted = deep_manager()
-        uninterrupted.run()
+        expected = fingerprint(uninterrupted.run())
+        assert fingerprint(restored.run()) == expected
+        assert fingerprint(manager.run()) == expected
         assert [repr(record) for record in restored.accounting] == [
             repr(record) for record in uninterrupted.accounting
         ]
         assert [job.priority.hex() for job in restored.jobs.values()] == [
             job.priority.hex() for job in uninterrupted.jobs.values()
         ]
+
+    def test_paused_run_summarises_like_one_never_paused(self):
+        # A pause ends with a metrics sample at t=20000, after the last
+        # event; the continued run drops it, so no interval is split
+        # and every series and summary float matches bit for bit.
+        paused = self._mid_run()
+        assert paused.collector.times[-1] == 20_000.0
+        continued = paused.run()
+        never_paused = deep_manager()
+        baseline = never_paused.run()
+        for name in ("times", "busy_nodes", "shared_nodes",
+                     "queue_lengths", "work_rates"):
+            assert getattr(paused.collector, name) == getattr(
+                never_paused.collector, name
+            ), name
+        assert 20_000.0 not in paused.collector.times
+        summary = summarize(continued).as_dict()
+        expected = summarize(baseline).as_dict()
+        for name in ("utilization", "comp_eff", "shared_nodes"):
+            assert summary[name].hex() == expected[name].hex(), name
+        assert summary == expected
 
 
 def _noop_handler(sim, event):
