@@ -848,6 +848,10 @@ class QueueWorker:
         finally:
             self._keeper.stop()
             lock.release()
+            if self.queue.events is not None:
+                # A warm worker keeps no handle into a store it is done
+                # with; a later emit reopens the sidecar.
+                self.queue.events.close()
             if previous is not None:
                 _suspend.restore_signal_handlers(previous)
         return outcome

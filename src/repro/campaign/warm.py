@@ -1,20 +1,40 @@
 """Warm drain workers: both ends of one protocol.
 
-**Worker end** (``python -m repro.campaign.warm``).  One long-lived
-process drains the queue stores its supervisor hands it, one at a
-time, so a store no longer pays an interpreter start and its imports
-per drain.  The protocol is one line each way:
+**Worker end** (:func:`main`).  One long-lived process drains the
+queue stores its supervisor hands it, one at a time, so a store no
+longer pays a process start per drain.  The protocol is one line each
+way:
 
-* the supervisor writes a store path and a newline to stdin;
+* the supervisor writes a store path and a newline to the worker's
+  fd 0;
 * the worker runs ``QueueWorker(store).drain()`` on it, exactly as
   ``repro queue work <store>`` would, and answers with one JSON line
-  ``{"store": ..., "status": ...}`` on stdout.
+  ``{"store": ..., "status": ...}`` on its fd 1.
 
 The worker keeps nothing from one store to the next.  It exits 4 on
 SIGTERM or SIGINT (mid-drain, the drain first parks its lease), and
 after answering for a drain that ended other than ``drained`` (an RSS
 trip recycles the process).  A store it cannot open ends it with a
-traceback.  It exits 0 at stdin EOF: its supervisor is done with it.
+traceback in its log, exit 1.  It exits 0 at stdin EOF: its
+supervisor is done with it.
+
+A worker is a fork of its supervisor (:func:`fork_worker`), which has
+already imported the whole drain path, so its first drain starts at
+once instead of after an interpreter start and its imports.  The
+child keeps only what a fresh interpreter would have: fds 0, 1 and 2
+(its request pipe, its answer pipe and its log), fresh ``sys.std*``
+objects on them, default SIGTERM, SIGINT and SIGCHLD handling, the
+failpoint plan re-armed from ``REPRO_FAILPOINTS`` with no hits, no
+suspend request and no ambient trace.  Every other inherited fd is
+closed: a listening socket, an event loop's epoll fd, a store lock,
+and above all a sibling worker's stdin write end, which would keep
+that sibling from ever seeing EOF.  The parent freezes its objects
+in the garbage collector across the fork, and the child leaves only
+through :func:`os._exit`, so the child never finalises an object of
+the parent (the parent's ``sys.stdout``, say, whose unflushed bytes
+would land in the answer pipe).  Module locks that another thread of
+the parent may hold at the fork are made anew in the child by
+:func:`os.register_at_fork` hooks where they are defined.
 
 **Supervisor end** (:class:`WarmFleet`).  Every front end of the
 queue runs its workers through one fleet.  ``repro serve`` hands each
@@ -23,16 +43,19 @@ queue-store ``resume`` and ``replay-trace --strategies``
 (:func:`~repro.campaign.queue.drain_with_workers`) hand their one
 store to up to N workers and close their stdin once the queue is
 drained.  The fleet starts a worker with a thread that reads its
-answers and then its exit, reports each of them through one callback
+answers and then reaps it, reports each of them through one callback
 on the supervisor's own thread, and stops the whole fleet under one
 shared grace deadline.
 
 It lives here rather than under :mod:`repro.service`, whose package
-imports the server, so that a worker loads no server code.
+imports the server, so that a join's supervisor, and every worker it
+forks, loads no server code.
 """
 
 from __future__ import annotations
 
+import fcntl
+import gc
 import json
 import os
 import queue
@@ -41,15 +64,32 @@ import subprocess
 import sys
 import threading
 import time
+import traceback
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NoReturn
 
 from repro.campaign.queue import QueueWorker
+from repro.faultinject import registry as _failpoints
+from repro.observability.events import set_current_trace
 from repro.snapshot import suspend as _suspend
 
 #: Exit status of a worker stopped by a signal or recycled; the same
 #: value ``repro queue work`` exits with when suspended.
 EXIT_SUSPENDED = 4
+
+#: The signals a child resets to a fresh interpreter's handling; the
+#: parent blocks them across the fork, so one sent to a new worker
+#: waits for that handling instead of reaching the parent's handler.
+_CHILD_SIGNALS = {
+    signal.SIGTERM: signal.SIG_DFL,
+    signal.SIGINT: signal.default_int_handler,
+    signal.SIGCHLD: signal.SIG_DFL,
+}
+
+#: The parent's ``sys.std*`` objects, held in a child so that they are
+#: never finalised there: closing one would flush bytes it buffered in
+#: the parent onto the child's fds 0-2.
+_inherited_stdio: list[object] = []
 
 
 def _exit_suspended(signum, frame) -> None:
@@ -73,10 +113,9 @@ def drain(store: str) -> str:
 
 
 def main() -> int:
-    # Answers get a private copy of stdout; anything else that writes
-    # to stdout lands in the log with stderr instead of in the protocol.
-    answers = os.fdopen(os.dup(1), "w", buffering=1, encoding="utf-8")
-    os.dup2(2, 1)
+    """The worker's protocol loop over ``sys.stdin`` and fd 1; returns
+    the exit status."""
+    answers = open(1, "w", buffering=1, encoding="utf-8", closefd=False)
     # Idle, a signal ends the worker at once; during a drain the
     # QueueWorker's own handlers take over and park the lease first.
     for signum in (signal.SIGTERM, signal.SIGINT):
@@ -94,23 +133,129 @@ def main() -> int:
             return EXIT_SUSPENDED
 
 
-def worker_environment() -> dict[str, str]:
-    """The environment for a worker child process: this process's
-    own, with ``PYTHONPATH`` adjusted.
+def _close_inherited_fds() -> None:
+    os.closerange(3, os.sysconf("SC_OPEN_MAX"))
 
-    The child's ``PYTHONPATH`` leads with the root of this ``repro``
-    package, so the worker runs the same code as its parent even when
-    the parent found the package some other way than the environment.
+
+def _become_worker(
+    stdin_fd: int, answer_fd: int, log_fd: int, mask: set
+) -> NoReturn:
+    """Run in a freshly forked child: shed the parent's state, run
+    :func:`main` and leave through :func:`os._exit` whatever happens."""
+    code, log = 1, None
+    try:
+        signal.set_wakeup_fd(-1)
+        for signum, handler in _CHILD_SIGNALS.items():
+            signal.signal(signum, handler)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        # Lifted above 2 first, so that no dup2 overwrites a source.
+        fds = [fcntl.fcntl(fd, fcntl.F_DUPFD, 3)
+               for fd in (stdin_fd, answer_fd, log_fd)]
+        for target, fd in enumerate(fds):
+            os.dup2(fd, target)
+        _close_inherited_fds()
+        _inherited_stdio.extend((sys.stdin, sys.stdout, sys.stderr))
+        sys.stdin = open(0, encoding="utf-8", closefd=False)
+        # Whatever else prints goes to the log, never into the answers.
+        log = open(2, "w", buffering=1, encoding="utf-8",
+                   errors="backslashreplace", closefd=False)
+        sys.stdout = sys.stderr = log
+        _failpoints.arm_from_env()
+        _suspend.reset()
+        set_current_trace(None)
+        code = main()
+    except SystemExit as exc:
+        code = exc.code if isinstance(exc.code, int) else int(
+            exc.code is not None
+        )
+    except BaseException:
+        text = traceback.format_exc()
+        if log is not None:
+            log.write(text)
+        else:
+            os.write(2, text.encode("utf-8", "backslashreplace"))
+    finally:
+        if log is not None:
+            try:
+                log.flush()
+            except Exception:
+                pass
+        os._exit(code)
+
+
+class Worker:
+    """A forked warm worker, with the part of
+    :class:`subprocess.Popen`'s interface the fleet and its callers
+    use: ``pid``, ``stdin``, ``stdout``, ``returncode``, ``poll``,
+    ``wait``, ``send_signal`` and ``kill``.
+
+    Its fleet's reader thread is its one reaper (:meth:`reap`); every
+    other call only reads what that thread recorded, so a pid is
+    waited for exactly once and never signalled once reaped.
     """
-    import repro
 
-    environment = dict(os.environ)
-    pkg_root = str(Path(repro.__file__).resolve().parent.parent)
-    environment["PYTHONPATH"] = os.pathsep.join([pkg_root] + [
-        part for part in environment.get("PYTHONPATH", "").split(os.pathsep)
-        if part and part != pkg_root
-    ])
-    return environment
+    def __init__(self, pid: int, stdin_fd: int, answer_fd: int) -> None:
+        self.pid = pid
+        # Unbuffered: a hand-off is one write, and close never flushes.
+        self.stdin = open(stdin_fd, "wb", buffering=0)
+        self.stdout = open(answer_fd, "rb")
+        self.returncode: int | None = None
+        self._lock = threading.Lock()
+        self._reaped = threading.Event()
+
+    def reap(self) -> None:
+        """Wait for the process to end, then collect its status."""
+        # Waiting without reaping keeps the pid ours until the lock is
+        # held, so a concurrent send_signal can never hit a recycled pid.
+        os.waitid(os.P_PID, self.pid, os.WEXITED | os.WNOWAIT)
+        with self._lock:
+            _, status = os.waitpid(self.pid, 0)
+            self.returncode = os.waitstatus_to_exitcode(status)
+        self._reaped.set()
+
+    def poll(self) -> int | None:
+        return self.returncode
+
+    def wait(self, timeout: float | None = None) -> int:
+        if not self._reaped.wait(timeout):
+            raise subprocess.TimeoutExpired(f"worker {self.pid}", timeout)
+        return self.returncode
+
+    def send_signal(self, signum: int) -> None:
+        with self._lock:
+            if self.returncode is None:
+                os.kill(self.pid, signum)
+
+    def kill(self) -> None:
+        self.send_signal(signal.SIGKILL)
+
+
+def fork_worker(log_path: Path) -> Worker:
+    """Fork one idle warm worker, its stderr appended to *log_path*."""
+    stdin_r, stdin_w = os.pipe()
+    answer_r, answer_w = os.pipe()
+    log_fd = os.open(log_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, OSError, ValueError):
+            pass
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, _CHILD_SIGNALS.keys())
+    gc.freeze()
+    try:
+        pid = os.fork()
+        if pid == 0:
+            _become_worker(stdin_r, answer_w, log_fd, mask)
+    except BaseException:
+        os.close(stdin_w)
+        os.close(answer_r)
+        raise
+    finally:
+        gc.unfreeze()
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for fd in (stdin_r, answer_w, log_fd):
+            os.close(fd)
+    return Worker(pid, stdin_w, answer_r)
 
 
 class WarmFleet:
@@ -130,31 +275,21 @@ class WarmFleet:
 
     def __init__(
         self,
-        report: Callable[[subprocess.Popen, str | None, str], None],
+        report: Callable[[Worker, str | None, str], None],
         *,
         post: Callable[..., None] | None = None,
     ) -> None:
-        self.held: dict[subprocess.Popen, str | None] = {}
-        self.live: dict[subprocess.Popen, None] = {}
+        self.held: dict[Worker, str | None] = {}
+        self.live: dict[Worker, None] = {}
         self._report = report
         self._inbox: queue.SimpleQueue = queue.SimpleQueue()
         self._post = post or (lambda fn, *args: self._inbox.put((fn, args)))
 
-    def spawn(self, log_path: Path) -> subprocess.Popen:
-        """Start one idle warm worker, its stderr appended to
-        *log_path*, and the thread that reads its answers."""
+    def spawn(self, log_path: Path) -> Worker:
+        """Fork one idle warm worker, its stderr appended to
+        *log_path*, and start the thread that reads its answers."""
         log_path.parent.mkdir(parents=True, exist_ok=True)
-        with log_path.open("ab") as log:
-            # Closing this copy once the child has started is safe: the
-            # child holds its own inherited descriptor.
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "repro.campaign.warm"],
-                bufsize=0,  # a hand-off is one write; close never flushes
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=log,
-                env=worker_environment(),
-            )
+        proc = fork_worker(log_path)
         self.held[proc] = None
         self.live[proc] = None
         threading.Thread(
@@ -163,16 +298,16 @@ class WarmFleet:
         ).start()
         return proc
 
-    def _read(self, proc: subprocess.Popen) -> None:
+    def _read(self, proc: Worker) -> None:
         # Each answer, then the exit, reaches the supervisor in the
         # order it came.
         with proc.stdout:
             for line in proc.stdout:
-                self._post(self._answered, proc, json.loads(line)["status"])
-        proc.wait()
+                self._post(self._answered, proc, json.loads(line))
+        proc.reap()
         self._post(self._exited, proc)
 
-    def hand_off(self, proc: subprocess.Popen, store: Path, tag: str) -> None:
+    def hand_off(self, proc: Worker, store: Path, tag: str) -> None:
         """Ask idle *proc* to drain *store*, held under *tag*."""
         try:
             proc.stdin.write(f"{store}\n".encode())
@@ -181,7 +316,8 @@ class WarmFleet:
             return
         self.held[proc] = tag
 
-    def _answered(self, proc: subprocess.Popen, status: str) -> None:
+    def _answered(self, proc: Worker, answer: dict) -> None:
+        status = answer["status"]
         tag = self.held.get(proc)
         if tag is None:
             return
@@ -191,7 +327,7 @@ class WarmFleet:
             del self.held[proc]
         self._report(proc, tag, status)
 
-    def _exited(self, proc: subprocess.Popen) -> None:
+    def _exited(self, proc: Worker) -> None:
         tag = self.held.pop(proc, None)
         self.live.pop(proc, None)
         proc.stdin.close()
@@ -242,7 +378,3 @@ class WarmFleet:
             proc.stdin.close()
         self.held.clear()
         self.live.clear()
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -228,6 +228,13 @@ def disarm() -> None:
     _PLAN = None
 
 
+def arm_from_env() -> None:
+    """Arm the plan ``REPRO_FAILPOINTS`` names, with no hits yet, or
+    disarm when it names none."""
+    global _PLAN
+    _PLAN = FaultPlan.from_env()
+
+
 class armed:
     """``with armed(plan):`` — scoped arming for in-process tests."""
 
@@ -298,7 +305,4 @@ def iter_catalog() -> Iterator[tuple[str, str]]:
 # Arm from the environment at import so worker subprocesses (which
 # inherit the parent's environment under every start method) see the
 # plan without any explicit plumbing.
-_env_plan = FaultPlan.from_env()
-if _env_plan is not None:
-    arm(_env_plan)
-del _env_plan
+arm_from_env()

@@ -44,6 +44,16 @@ _count_lock = threading.Lock()
 _fsyncs = 0
 
 
+def _new_count_lock() -> None:
+    # Another thread may hold the lock when this process forks; the
+    # child, which has only the forking thread, starts with a free one.
+    global _count_lock
+    _count_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_new_count_lock)
+
+
 def fsyncs() -> int:
     """How many fsyncs this process has made through this module."""
     return _fsyncs

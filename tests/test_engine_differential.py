@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 from repro.archive.columnar import job_records_to_array
 from repro.cluster.machine import Cluster
 from repro.cluster.node import Node
+from repro.core import placement
 from repro.core.strategy import all_strategy_names, make_strategy
 from repro.metrics.validation import ValidatingCollector
 from repro.resilience.config import ResilienceConfig
@@ -71,10 +72,17 @@ class Scenario:
 
 
 def _cluster(scenario: Scenario, cls: type[Cluster] = Cluster) -> Cluster:
-    rng = np.random.default_rng(scenario.seed + 7)
+    # Memory-constrained, each rack of four nodes has one size, taken in
+    # turn from a seed-dependent start: a group within a rack that is
+    # not of the smallest size sits above the cluster minimum, and a
+    # group across racks is as small as its smallest rack.
     sizes = (128_000, 96_000, 64_000) if scenario.memory_constrained else (128_000,)
     return cls(
-        Node(node_id=i, memory_mb=int(rng.choice(sizes)), rack=i // 4)
+        Node(
+            node_id=i,
+            memory_mb=sizes[(scenario.seed + i // 4) % len(sizes)],
+            rack=i // 4,
+        )
         for i in range(scenario.nodes)
     )
 
@@ -319,6 +327,36 @@ def test_mostly_joins_matches_reference(strategy, time_sliced, monkeypatch):
     assert grants["join"] >= 400
     assert grants["release_beside"] >= 400
     assert grants["release_partial"] >= 4
+
+
+def memory_scenario(strategy: str) -> Scenario:
+    """A queue deep enough that joins are weighed against node memory,
+    on racks of three memory sizes."""
+    return Scenario(
+        seed=0, strategy=strategy, num_jobs=80, nodes=16,
+        share_fraction=0.9, memory_constrained=True, offered_load=3.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "strategy", ["shared_first_fit", "shared_backfill", "shared_conservative"]
+)
+def test_memory_constrained_joins_match_reference(strategy, monkeypatch):
+    # Some joins must fit a group's own smallest memory and not the
+    # cluster's, so that a group read at the cluster minimum places
+    # differently.
+    fits = placement._memory_fits
+    above_minimum = 0
+
+    def counting_fits(job, group):
+        nonlocal above_minimum
+        need = job.spec.memory_mb_per_node + group.job.spec.memory_mb_per_node
+        above_minimum += 64_000 < need <= group.min_memory_mb
+        return fits(job, group)
+
+    monkeypatch.setattr(placement, "_memory_fits", counting_fits)
+    assert_engines_agree(memory_scenario(strategy))
+    assert above_minimum > 0
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

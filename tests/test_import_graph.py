@@ -1,12 +1,13 @@
 """Import-graph contracts that keep process start-up cheap.
 
-Every drain worker of ``repro campaign --join`` and ``repro serve``
-is a fresh ``python -m repro.campaign.warm`` process, and every
-``repro queue work`` a fresh ``python -m repro.cli`` one, so whatever
-they import at module load is paid once per worker (for a served
-worker, on its first submission).  scipy alone used to cost more
-than a second of that.  Each check runs in its
-own interpreter: the test process has long since imported everything.
+Every ``repro`` command and every ``repro queue work`` is a fresh
+``python -m repro.cli`` process, so whatever it imports at module
+load is paid once per process; scipy alone used to cost more than a
+second of that.  The drain workers of ``repro campaign --join`` and
+``repro serve`` are forks of their supervisor and import nothing of
+their own, but they carry whatever the supervisor loaded.  Each
+check runs in its own interpreter: the test process has long since
+imported everything.
 """
 
 from __future__ import annotations
@@ -101,8 +102,10 @@ def test_service_server_does_not_load_cli():
 
 
 def test_warm_worker_loads_no_server_code():
-    # The server's modules (asyncio among them) would only add to the
-    # resident size of every warm worker.
+    # The queue front ends (campaign --join, a queue-store resume,
+    # replay-trace --strategies) import the fleet; the server's modules
+    # (asyncio among them) would only add to their resident size, and
+    # to that of every worker they fork.
     loaded = _loaded_after(
         "import repro.campaign.warm",
         "repro.service.server", "asyncio", "repro.cli",

@@ -1,26 +1,41 @@
 """Planted bugs that named oracles must catch.
 
 Each mutant is one ``monkeypatch`` of a function in ``src/repro``.  For
-each, the test names the oracle that must fail and runs it on a fixed,
-small example set: the mutant is killed when the oracle raises
-``AssertionError``.  The same oracle must pass on the same examples
+each, the test names the oracles that must fail and runs each on a
+fixed, small example set: the mutant is killed when every oracle raises
+``AssertionError``.  The same oracles must pass on the same examples
 without the mutant, so a kill is the mutant's doing.  A mutant that
-survives means the oracle has lost the power it was written for.
+survives means an oracle has lost the power it was written for.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import pytest
 
+from repro.campaign import warm
 from repro.cluster.machine import Cluster
 from repro.errors import SimulationError
+from repro.faultinject import registry
 from repro.slurm.priority import MultifactorPriority
-from tests import test_cluster_indexes, test_snapshot
-from tests.test_engine_differential import Scenario, assert_engines_agree
+from repro.storage import durable
+from tests import (
+    test_cluster_indexes,
+    test_faultinject,
+    test_snapshot,
+    test_warm_fork,
+)
+from tests.test_engine_differential import (
+    Scenario,
+    assert_engines_agree,
+    memory_scenario,
+)
 from tests.test_slurm_priority_queue import QOS, USERS, assert_order_matches_reference
 
 
@@ -72,6 +87,31 @@ def _cluster_minimum(self, node_ids):
     return self.min_memory_mb
 
 
+def _keep_count_lock() -> None:
+    # Leaves the lock as the fork found it, held or not.
+    pass
+
+
+def _stamp_checking_failpoint(name: str) -> None:
+    # Looks for the site's fired stamp before the disarmed check.  It
+    # runs as the body of ``failpoint``, so its names resolve in
+    # ``repro.faultinject.registry``.
+    if Path(os.environ.get(ENV_STAMP, os.curdir), f"{name}.fired").exists():  # noqa: F821
+        return
+    if _PLAN is None:  # noqa: F821
+        return
+    spec = _PLAN.check(name)  # noqa: F821
+    if spec is not None:
+        _trip(spec)  # noqa: F821
+
+
+def _replace_body(function, replacement) -> Callable[[pytest.MonkeyPatch], None]:
+    """Plants *replacement* as the body of *function* itself, so that
+    every holder of *function* (an imported name, a registered hook)
+    runs the mutant."""
+    return lambda mp: mp.setattr(function, "__code__", replacement.__code__)
+
+
 def differential_oracle() -> None:
     """The indexed engine against the reference engine, which scores
     every pending job from scratch on every pass."""
@@ -97,6 +137,41 @@ def group_memory_oracle() -> None:
     view, which walks each group's nodes for its smallest memory."""
     test_cluster_indexes.TestGroupMemory(
     ).test_groups_match_the_reference_view_on_mixed_memory()
+
+
+def memory_differential_oracle() -> None:
+    """Joins weighed against node memory, on racks of three memory
+    sizes, against the reference engine."""
+    assert_engines_agree(memory_scenario("shared_backfill"))
+
+
+def _in_tmp_dir(test: Callable[[Path], None]) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        test(Path(tmp))
+
+
+def idle_worker_fds_oracle() -> None:
+    """A forked worker holds only fds 0, 1 and 2 while its parent holds
+    a listening socket and a sibling worker's pipes."""
+    _in_tmp_dir(test_warm_fork.test_idle_worker_holds_only_fds_0_1_2)
+
+
+def held_count_lock_oracle() -> None:
+    """A worker forked while another thread holds the durable-write
+    counter's lock still drains a store."""
+    _in_tmp_dir(
+        test_warm_fork.test_spawn_while_another_thread_holds_the_count_lock_drains
+    )
+
+
+def disarmed_cost_oracle() -> None:
+    """A disarmed failpoint hook costs under 1500 ns a call."""
+    saved = registry._PLAN
+    registry.disarm()
+    try:
+        test_faultinject.TestFiring().test_disarmed_hook_costs_under_1500_ns()
+    finally:
+        registry._PLAN = saved
 
 
 def node_order_oracle() -> None:
@@ -138,8 +213,8 @@ class Mutant:
     summary: str
     #: Applies the mutant through the given ``monkeypatch``.
     plant: Callable[[pytest.MonkeyPatch], None]
-    #: The oracle that must fail with the mutant planted.
-    oracle: Callable[[], None]
+    #: The oracles that must each fail with the mutant planted.
+    oracles: tuple[Callable[[], None], ...]
 
 
 MUTANTS = (
@@ -147,7 +222,7 @@ MUTANTS = (
         "stale-fairshare",
         "charge leaves the kept fairshare term stale",
         lambda mp: mp.setattr(MultifactorPriority, "charge", _stale_charge),
-        differential_oracle,
+        (differential_oracle,),
     ),
     Mutant(
         "presummed-static-term",
@@ -156,7 +231,7 @@ MUTANTS = (
             MultifactorPriority, "terms",
             _presummed_terms(MultifactorPriority.terms),
         ),
-        order_oracle,
+        (order_oracle,),
     ),
     Mutant(
         "uninterned-restore",
@@ -164,7 +239,7 @@ MUTANTS = (
         lambda mp: mp.setattr(
             MultifactorPriority, "__setstate__", _uninterned_setstate
         ),
-        snapshot_restore_oracle,
+        (snapshot_restore_oracle,),
     ),
     Mutant(
         "join-order-release",
@@ -172,26 +247,46 @@ MUTANTS = (
         lambda mp: mp.setattr(
             Cluster, "release", _join_order_release(Cluster.release)
         ),
-        node_order_oracle,
+        (node_order_oracle,),
     ),
     Mutant(
         "unsorted-idle-merge",
         "a release leaves the idle index unsorted",
         lambda mp: mp.setattr(Cluster, "_merge_idle", _unsorted_merge),
-        validated_exclusive_oracle,
+        (validated_exclusive_oracle,),
     ),
     Mutant(
         "uniform-group-memory",
         "a group's memory is the cluster minimum on mixed-memory nodes",
         lambda mp: mp.setattr(Cluster, "min_memory_of", _cluster_minimum),
-        group_memory_oracle,
+        (group_memory_oracle, memory_differential_oracle),
+    ),
+    Mutant(
+        "fork-keeps-fds",
+        "a forked worker keeps every fd it inherits",
+        lambda mp: mp.setattr(warm, "_close_inherited_fds", lambda: None),
+        (idle_worker_fds_oracle,),
+    ),
+    Mutant(
+        "fork-keeps-count-lock",
+        "a forked worker keeps the counter lock another thread held",
+        _replace_body(durable._new_count_lock, _keep_count_lock),
+        (held_count_lock_oracle,),
+    ),
+    Mutant(
+        "disarmed-failpoint-works",
+        "a disarmed failpoint hook stats the site's fired stamp",
+        _replace_body(registry.failpoint, _stamp_checking_failpoint),
+        (disarmed_cost_oracle,),
     ),
 )
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
 def test_oracle_kills_mutant(mutant, monkeypatch):
-    mutant.oracle()
+    for oracle in mutant.oracles:
+        oracle()
     mutant.plant(monkeypatch)
-    with pytest.raises(AssertionError):
-        mutant.oracle()
+    for oracle in mutant.oracles:
+        with pytest.raises(AssertionError):
+            oracle()

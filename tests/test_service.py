@@ -911,28 +911,24 @@ class TestFleetSupervisor:
 
 class TestWarmWorker:
     def test_drains_a_handed_store_and_ends_at_stdin_eof(self, tmp_path):
-        import subprocess
-        import sys
-
-        from repro.campaign.warm import worker_environment
+        import queue
 
         registry = SubmissionRegistry(tmp_path)
         record, _, _ = registry.submit(SPEC_A, None)
         store = registry.store_dir(record["submission"])
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.campaign.warm"],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL, env=worker_environment(),
+        # What the reader thread reads, as it reads it.
+        inbox = queue.SimpleQueue()
+        fleet = WarmFleet(
+            lambda *report: None, post=lambda fn, *args: inbox.put(args)
         )
-        with proc.stdout:
-            proc.stdin.write(f"{store}\n".encode())
-            proc.stdin.flush()
-            answer = json.loads(proc.stdout.readline())
-            assert answer == {"store": str(store), "status": "drained"}
-            assert WorkQueue(store).drained()
-            proc.stdin.close()
-            assert proc.wait(timeout=30) == 0
-
+        proc = fleet.spawn(tmp_path / "workers.log")
+        proc.stdin.write(f"{store}\n".encode())
+        _, answer = inbox.get(timeout=30)
+        assert answer == {"store": str(store), "status": "drained"}
+        assert WorkQueue(store).drained()
+        proc.stdin.close()
+        assert inbox.get(timeout=30) == (proc,)
+        assert proc.wait(timeout=30) == 0
 
     def test_fleet_reports_the_answer_then_the_exit(self, tmp_path):
         registry = SubmissionRegistry(tmp_path / "svc")
