@@ -205,6 +205,12 @@ class WorkQueue:
         if self.events is not None:
             self.events.emit(kind, run_id, **fields)
 
+    def close_events(self) -> None:
+        """Close the event sidecar's file, if one is open; the queue
+        stays armed and a later event reopens it."""
+        if self.events is not None:
+            self.events.close()
+
     # ------------------------------------------------------------------
     # Config
     # ------------------------------------------------------------------
@@ -739,6 +745,7 @@ def build_queue_store(
         runs, extras={run.run_id: {"trace": trace} for run in runs}
     )
     queue.events.emit("submit", trace=trace, runs=len(runs), source=source)
+    queue.close_events()
     return queue, pending
 
 
@@ -848,10 +855,9 @@ class QueueWorker:
         finally:
             self._keeper.stop()
             lock.release()
-            if self.queue.events is not None:
-                # A warm worker keeps no handle into a store it is done
-                # with; a later emit reopens the sidecar.
-                self.queue.events.close()
+            # A warm worker keeps no handle into a store it is done
+            # with.
+            self.queue.close_events()
             if previous is not None:
                 _suspend.restore_signal_handlers(previous)
         return outcome
@@ -1231,3 +1237,4 @@ def drain_with_workers(
             fleet.wait(poll_s)
     finally:
         fleet.stop(SUSPEND_GRACE_S)
+        queue.close_events()

@@ -930,6 +930,7 @@ def _drain(queue, runs, workers: int, note, resume: str) -> _Executed | int:
             _suspend.restore_signal_handlers(previous)
     # Final supervisor pass: reap anything the fleet left leased.
     queue.reclaim_stale()
+    queue.close_events()
     records = [store.load(r.run_id) for r in runs if store.has(r.run_id)]
     failed = queue.terminal_ids("failed")
     quarantined = queue.terminal_ids("quarantined")

@@ -1,16 +1,17 @@
-"""Crash diagnostics: flight recorder, replay bundles, watchdogs.
+"""Crash diagnostics: crash reports, replay bundles, watchdogs.
 
 The diagnostics layer turns every simulator failure into a one-file
 deterministic reproducer and every hang into a structured error:
 
-* :class:`FlightRecorder` — bounded ring buffer of the last N
-  dispatched events, fed by the engine on every dispatch;
 * :class:`CrashInfo` / :func:`attach_crash_info` — the structured
   post-mortem pinned onto any :class:`~repro.errors.ReproError` that
-  escapes the event loop;
+  escapes the event loop: the simulator's flight ring (its last N
+  dispatched events, see :mod:`repro.engine.simulator`) as records
+  (:func:`flight_records`) and a cluster/queue/job state snapshot
+  (:func:`snapshot_manager`);
 * replay bundles (:func:`capture_bundle`, :func:`replay_bundle`) —
   canonical-JSON reproducers re-executed by ``repro replay``;
-* :class:`DiagnosticsConfig` — watchdog thresholds and recorder
+* :class:`DiagnosticsConfig` — watchdog thresholds and flight-ring
   settings, carried inside the scheduler config and campaign params;
 * :class:`AnomalyReport` — quarantine ledger for lenient trace
   ingestion;
@@ -32,7 +33,13 @@ from repro.diagnostics.bundle import (
     write_bundle,
 )
 from repro.diagnostics.config import DiagnosticsConfig
-from repro.diagnostics.crash import CrashInfo, attach_crash_info, crash_info_from
+from repro.diagnostics.crash import (
+    CrashInfo,
+    attach_crash_info,
+    crash_info_from,
+    flight_records,
+    snapshot_manager,
+)
 from repro.diagnostics.ingest import AnomalyReport, IngestAnomaly
 from repro.diagnostics.quarantine import (
     QUARANTINE_FORMAT,
@@ -40,7 +47,6 @@ from repro.diagnostics.quarantine import (
     load_quarantine_manifest,
     write_quarantine_manifest,
 )
-from repro.diagnostics.recorder import FlightRecorder, snapshot_manager
 
 __all__ = [
     "BUNDLE_FORMAT",
@@ -48,7 +54,6 @@ __all__ = [
     "AnomalyReport",
     "CrashInfo",
     "DiagnosticsConfig",
-    "FlightRecorder",
     "IngestAnomaly",
     "QuarantinedRun",
     "ReplayReport",
@@ -57,6 +62,7 @@ __all__ = [
     "bundle_path_for",
     "capture_bundle",
     "crash_info_from",
+    "flight_records",
     "load_bundle",
     "load_quarantine_manifest",
     "replay_bundle",

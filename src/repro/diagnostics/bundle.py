@@ -5,7 +5,7 @@ re-execute a crashed run to its exact failing event: the full campaign
 ``params`` dict (workload derivation + seed + scheduler config,
 including the diagnostics settings that were armed), plus the crash
 cursor — error type/message, simulated time, event count and the
-flight-recorder tail captured when the error escaped the event loop.
+flight-ring records captured when the error escaped the event loop.
 
 Because every simulation is driven by deterministic RNG streams keyed
 only by ``params``, re-running ``params`` reproduces the identical

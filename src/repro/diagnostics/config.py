@@ -1,14 +1,14 @@
 """Declarative configuration of the diagnostics layer.
 
 One frozen, JSON-round-trippable object describes everything the
-engine needs to arm crash diagnostics: whether the flight recorder
-runs, how many events its ring buffer retains, and the watchdog
+engine needs to arm crash diagnostics: whether the simulator keeps a
+flight ring, how many events it retains, and the watchdog
 thresholds.  The config travels inside :class:`~repro.slurm.config.
 SchedulerConfig` and therefore inside campaign ``params`` dicts, so a
 replay bundle re-executes with exactly the diagnostics that produced
 the original crash.
 
-Everything here is inert on the happy path: the flight recorder only
+Everything here is inert on the happy path: the flight ring only
 influences *outputs* when an error escapes the event loop, and both
 watchdogs are off (``None``) by default.
 """
@@ -32,11 +32,11 @@ class DiagnosticsConfig:
     Attributes
     ----------
     flight_recorder:
-        Keep a bounded ring buffer of the last ``ring_size`` dispatched
-        events, dumped into the crash report when a
+        Keep the simulator's flight ring, the last ``ring_size``
+        dispatched events, dumped into the crash report when a
         :class:`~repro.errors.ReproError` escapes the event loop.
     ring_size:
-        Events retained by the flight recorder.
+        Events retained by the flight ring.
     wall_clock_limit_s:
         Wall-clock budget for one :meth:`Simulator.run` call; exceeding
         it raises :class:`~repro.errors.WatchdogError` (kind

@@ -7,8 +7,9 @@ It is intentionally minimal — all batch-system semantics live in
 
 Diagnostics hooks (all inert unless armed):
 
-* an optional flight ``recorder`` receives every dispatched event
-  (one bounded-deque append), so crashes carry the recent history;
+* an optional flight ring keeps the last ``ring_size`` dispatched
+  :class:`~repro.engine.events.Event` objects (one bounded-deque
+  append each), so crashes carry the recent history;
 * a wall-clock watchdog bounds the real time one :meth:`run` call may
   consume before raising :class:`~repro.errors.WatchdogError`;
 * a simulated-time progress guard bounds how many events may dispatch
@@ -25,13 +26,15 @@ Preemption hooks (see :mod:`repro.snapshot`, both inert unless armed):
 
 Both hooks — and the transient run-loop fields — are excluded from
 pickling, so a :meth:`snapshot` taken mid-run restores to a clean,
-re-runnable simulator.
+re-runnable simulator.  So is what the flight ring holds: it pickles
+as an empty ring of the same capacity.
 """
 
 from __future__ import annotations
 
 import pickle
 import time as _wallclock
+from collections import deque
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.engine.events import Event, EventKind
@@ -44,7 +47,6 @@ from repro.errors import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.diagnostics.recorder import FlightRecorder
     from repro.observability.profiler import HotLoopProfiler
     from repro.snapshot.auto import AutoSnapshotter
 
@@ -63,9 +65,9 @@ class Simulator:
         Safety valve: raise :class:`~repro.errors.MaxEventsError` after
         this many dispatches (guards against livelock in faulty
         strategies).
-    recorder:
-        Optional :class:`~repro.diagnostics.FlightRecorder` fed every
-        dispatched event for crash reports.
+    ring_size:
+        Capacity of the flight ring, the last dispatched events kept
+        for crash reports; ``None`` keeps none.
     wall_clock_limit_s:
         Real-time budget for one :meth:`run` call; ``None`` disables
         the wall-clock watchdog.
@@ -82,15 +84,21 @@ class Simulator:
     def __init__(
         self,
         max_events: int = DEFAULT_MAX_EVENTS,
-        recorder: "FlightRecorder | None" = None,
+        ring_size: int | None = None,
         wall_clock_limit_s: float | None = None,
         stall_event_limit: int | None = None,
         profiler: "HotLoopProfiler | None" = None,
     ):
         self.now: float = 0.0
+        #: Time of the last dispatched event (``now`` may have moved
+        #: past it to a ``run(until=...)`` bound); None before any.
+        self.last_event_time: float | None = None
         self.heap = EventHeap()
         self.max_events = int(max_events)
-        self.recorder = recorder
+        #: The flight ring: the last dispatched events, oldest first.
+        self.flight_ring: deque[Event] | None = (
+            deque(maxlen=ring_size) if ring_size is not None else None
+        )
         self.wall_clock_limit_s = wall_clock_limit_s
         self.stall_event_limit = stall_event_limit
         self.profiler = profiler
@@ -176,13 +184,17 @@ class Simulator:
 
     def __getstate__(self) -> dict:
         """Pickle without the transient run-loop/hook state, so a
-        snapshot taken *inside* :meth:`run` restores re-runnable."""
+        snapshot taken *inside* :meth:`run` restores re-runnable, and
+        with the flight ring empty: a crash report's history is not
+        simulation state."""
         state = self.__dict__.copy()
         state["_running"] = False
         state["_stop_requested"] = False
         state["_wall_deadline"] = None
         state["_suspend_poll"] = None
         state["_autosnap"] = None
+        if self.flight_ring is not None:
+            state["flight_ring"] = deque(maxlen=self.flight_ring.maxlen)
         return state
 
     # ------------------------------------------------------------------
@@ -228,9 +240,11 @@ class Simulator:
             raise SimulationError(
                 f"time moved backwards: {event!r} while now={self.now:.6f}"
             )
-        self.now = event.time
+        self.now = self.last_event_time = event.time
         self.events_dispatched += 1
         if self.events_dispatched > self.max_events:
+            from repro.diagnostics.crash import flight_records
+
             raise MaxEventsError(
                 f"exceeded max_events={self.max_events} at t={self.now:.6f} "
                 f"({self.events_dispatched} dispatched, "
@@ -238,14 +252,12 @@ class Simulator:
                 sim_time=self.now,
                 events_dispatched=self.events_dispatched,
                 max_events=self.max_events,
-                flight_tail=(
-                    self.recorder.tail(32) if self.recorder is not None else None
-                ),
+                flight_tail=flight_records(self, last=32),
             )
         if self.stall_event_limit is not None:
             self._check_progress_guard()
-        if self.recorder is not None:
-            self.recorder.record(event)
+        if self.flight_ring is not None:
+            self.flight_ring.append(event)
         profiler = self.profiler
         if profiler is not None:
             started_ns = _wallclock.perf_counter_ns()

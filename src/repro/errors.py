@@ -31,7 +31,7 @@ class MaxEventsError(SimulationError):
     """The engine's ``max_events`` backstop fired (likely a livelock).
 
     Carries the simulated time, the dispatch counters and — when a
-    flight recorder was installed — the tail of recently dispatched
+    flight ring was kept — the tail of recently dispatched
     events, so a livelock is debuggable from the exception alone.
     Only ``message`` participates in ``args`` so instances survive
     pickling across campaign worker processes.

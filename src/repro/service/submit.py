@@ -215,6 +215,7 @@ class SubmissionRegistry:
             "submit", trace=sub_id, runs=runs, source="service",
             replayed=replayed or None,
         )
+        queue.close_events()
 
     # -- idempotency keys ----------------------------------------------
     def _key_path(self, key: str) -> Path:

@@ -92,7 +92,7 @@ class SchedulerConfig:
     #: resilience layer entirely.  A plain dict (e.g. from a campaign
     #: params payload) is converted via ResilienceConfig.from_dict.
     resilience: ResilienceConfig | None = None
-    #: Crash-diagnostics settings (flight recorder on, watchdogs off
+    #: Crash-diagnostics settings (flight ring on, watchdogs off
     #: by default — inert on the happy path).  A plain dict (e.g. from
     #: a campaign params payload) is converted via
     #: DiagnosticsConfig.from_dict.

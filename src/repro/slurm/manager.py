@@ -30,7 +30,6 @@ from repro.core.strategy import (
     raise_release_bounds,
 )
 from repro.diagnostics.crash import attach_crash_info
-from repro.diagnostics.recorder import FlightRecorder
 from repro.engine.events import Event, EventKind
 from repro.engine.simulator import Simulator
 from repro.errors import (
@@ -150,9 +149,6 @@ class WorkloadManager:
         self.workload_name: str = ""
         self.workload_jobs: int = 0
         diag = self.config.diagnostics
-        self.recorder: FlightRecorder | None = (
-            FlightRecorder(diag.ring_size) if diag.flight_recorder else None
-        )
         # Telemetry (all None when off — the zero-overhead contract).
         # The decision trace owns the run's metrics hub.
         telemetry = self.config.telemetry
@@ -169,7 +165,7 @@ class WorkloadManager:
         self.resume_count = 0
         self.restore_wall_s = 0.0
         sim_kwargs: dict = {
-            "recorder": self.recorder,
+            "ring_size": diag.ring_size if diag.flight_recorder else None,
             "wall_clock_limit_s": diag.wall_clock_limit_s,
             "stall_event_limit": diag.stall_event_limit,
             "profiler": self.hot_profiler,
@@ -1207,13 +1203,11 @@ class WorkloadManager:
         """A run paused at ``until`` ends with a metrics sample taken
         after the last event, which splits the interval it falls in;
         a run that continues drops it, so that its series and summary
-        equal those of a run never paused.  The flight recorder's last
-        event tells the pause sample from an event's sample."""
-        collector, recorder = self.collector, self.recorder
-        if collector is None or recorder is None or not collector.times:
-            return
-        last = recorder.last()
-        if last is not None and collector.times[-1] > last["time"]:
+        equal those of a run never paused.  The pause sample is the one
+        later than the last dispatched event."""
+        collector, last = self.collector, self.sim.last_event_time
+        if (collector is not None and collector.times and last is not None
+                and collector.times[-1] > last):
             collector.drop_last_sample()
 
     def run(self, until: float | None = None) -> SimulationResult:
@@ -1231,7 +1225,7 @@ class WorkloadManager:
                     f"jobs unfinished — scheduling deadlock"
                 )
         except ReproError as exc:
-            # Pin the flight-recorder dump and a state snapshot onto
+            # Pin the flight ring's records and a state snapshot onto
             # the escaping error so callers can serialise a replay
             # bundle (see repro.diagnostics).
             attach_crash_info(exc, manager=self)

@@ -7,7 +7,7 @@ allocation occupancy, the SLURM queue/manager/accounting state, and
 the metric collectors — as one atomic file, so a preempted run can be
 restored and continued **byte-identically** to an uninterrupted one.
 
-File format (version 2)::
+File format (version 3)::
 
     <header JSON, one line, utf-8>\\n
     <zlib-compressed pickle payload>
@@ -17,11 +17,15 @@ The header carries the format version, the payload codec, the run's
 params), the simulated time and event count at capture, and the
 SHA-256 of the on-disk payload bytes (compressed form — checksum
 verification never has to inflate a corrupt file).  Version 1 wrote
-the pickle uncompressed; this version compresses it at zlib level 6
+the pickle uncompressed; version 2 compresses it at zlib level 6
 (perfbench's replay-windows reports the bytes written per snapshot as
-``snapshot.bytes_mean``).  Version-1 files are *not* readable by this
-build — by design: the version check makes stale snapshots restart
-fresh rather than resuming subtly wrong.
+``snapshot.bytes_mean``).  Version 3 keeps that codec and changes the
+payload: the simulator's flight ring pickles empty (its records and
+the diagnostics class that held them are gone), and the simulator
+keeps the time of its last dispatched event.  Files of an older
+version are *not* readable by this build — by design: the header's
+version check makes stale snapshots restart fresh rather than
+resuming subtly wrong, before any of their payload is unpickled.
 :func:`read_snapshot` refuses version mismatches, checksum failures
 and spec-hash mismatches with a categorised :class:`SnapshotError`,
 so a stale snapshot (the run's parameters changed) invalidates itself
@@ -57,8 +61,8 @@ SNAPSHOT_MAGIC = "repro-snapshot"
 #: Bumped on any incompatible change to the payload or header schema;
 #: readers refuse other versions (the run simply restarts fresh).
 #: Version 2: payload is zlib-compressed; header gains ``codec`` and
-#: ``raw_bytes``.
-SNAPSHOT_VERSION = 2
+#: ``raw_bytes``.  Version 3: the payload holds no flight-ring records.
+SNAPSHOT_VERSION = 3
 
 #: Payload codec written by this build.
 SNAPSHOT_CODEC = "zlib"

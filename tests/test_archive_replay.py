@@ -10,8 +10,10 @@ region, depends_on edges reaching back across windows, and a mix of
 shareable/exclusive jobs.
 """
 
+import hashlib
 import json
 import os
+import zlib
 
 import numpy as np
 import pytest
@@ -118,6 +120,28 @@ def record_windows(monkeypatch):
 
     monkeypatch.setattr(replay, "execute_replay_window", recording)
     return calls
+
+
+def write_version_2_snapshot(path, spec_hash=None) -> None:
+    """A well-formed version-2 snapshot file whose payload, like every
+    version-2 payload, names a class this build no longer has: only
+    the header's version check can refuse it cleanly."""
+    raw = b"\x80\x04crepro.diagnostics.recorder\nFlightRecorder\n)\x81."
+    payload = zlib.compress(raw)
+    header = {
+        "format": snapshot_state.SNAPSHOT_MAGIC,
+        "version": 2,
+        "codec": "zlib",
+        "spec_hash": spec_hash,
+        "sim_time": 0.0,
+        "events_dispatched": 0,
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        "payload_bytes": len(payload),
+        "raw_bytes": len(raw),
+    }
+    path.write_bytes(
+        json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload
+    )
 
 
 class Killed(BaseException):
@@ -859,6 +883,48 @@ class TestWindowEntryErrors:
                 columnar_dir=str(tmp_path / COLUMNAR_DIR_NAME),
                 boundary_dir=str(tmp_path / BOUNDARY_DIR_NAME),
             )
+
+    def test_version_2_boundary_snapshot_fails_the_resume(
+        self, gap_archive, tmp_path, monkeypatch
+    ):
+        """A boundary snapshot of format 2 is refused by its header:
+        the resume fails its window with a version error naming both
+        versions, and nothing of the old payload is unpickled."""
+        store = tmp_path / "store"
+        original = replay.execute_replay_window
+        wrap_windows(monkeypatch, after=suspend_after(window=2))
+        try:
+            first = replay_archive(
+                gap_archive, store, strategy="easy_backfill", num_nodes=64
+            )
+        finally:
+            suspend.reset()
+        monkeypatch.setattr(replay, "execute_replay_window", original)
+        assert first.campaign.interrupted
+        snap = store / BOUNDARY_DIR_NAME / f"{first.chain}-w00003.snap"
+        spec_hash = snapshot_state.read_snapshot_header(snap)["spec_hash"]
+        write_version_2_snapshot(snap, spec_hash=spec_hash)
+
+        second = replay_archive(
+            gap_archive, store, strategy="easy_backfill", num_nodes=64
+        )
+        assert not second.ok
+        (failure,) = second.campaign.failures
+        assert failure.label == "window 3"
+        assert failure.error.startswith("SnapshotError: ")
+        with pytest.raises(SnapshotError) as excinfo:
+            execute_replay_window(
+                replay_window_params(
+                    load_archive(gap_archive).archive_id, 3, 5,
+                    "easy_backfill", 64,
+                ),
+                archive_dir=str(gap_archive),
+                columnar_dir=str(store / COLUMNAR_DIR_NAME),
+                boundary_dir=str(store / BOUNDARY_DIR_NAME),
+            )
+        assert excinfo.value.reason == "version"
+        assert "version 2 (this build reads version 3)" in str(excinfo.value)
+        assert str(excinfo.value) in failure.error
 
     def test_chain_id_ignores_window(self, gap_archive):
         a = self.params(gap_archive, window=0)

@@ -1,6 +1,6 @@
 """Unit tests for the crash-diagnostics subsystem.
 
-Covers the flight recorder, the watchdogs, the structured engine
+Covers the simulator's flight ring, the watchdogs, the structured engine
 errors, crash-info attachment, the quarantine manifest, and — most
 importantly — the inertness guarantee: diagnostics at default settings
 must not change any simulation output.
@@ -14,14 +14,14 @@ import pytest
 from repro.diagnostics import (
     CrashInfo,
     DiagnosticsConfig,
-    FlightRecorder,
     QuarantinedRun,
     attach_crash_info,
+    flight_records,
     load_quarantine_manifest,
     snapshot_manager,
     write_quarantine_manifest,
 )
-from repro.engine.events import Event, EventKind
+from repro.engine.events import EventKind
 from repro.engine.simulator import DEFAULT_MAX_EVENTS, Simulator
 from repro.errors import (
     ConfigError,
@@ -74,33 +74,64 @@ class TestDiagnosticsConfig:
         assert config.diagnostics.max_events == 10
 
 
+def _ran(sim, kind, times, payload=None):
+    for time in times:
+        sim.schedule(time, kind, payload)
+    sim.run()
+    return sim
+
+
+class _Holder:
+    """The one attribute of a manager a crash report reads first."""
+
+    def __init__(self, sim):
+        self.sim = sim
+
+
 class TestFlightRecorder:
+    """The simulator's flight ring and the records read from it."""
+
     def test_ring_is_bounded(self):
-        recorder = FlightRecorder(limit=4)
-        for i in range(10):
-            recorder.record(Event(time=float(i), kind=EventKind.JOB_SUBMIT))
-        assert recorder.recorded == 10
-        assert recorder.dropped == 6
-        tail = recorder.tail()
-        assert len(tail) == 4
+        sim = _ran(
+            Simulator(ring_size=4), EventKind.JOB_SUBMIT, range(10)
+        )
+        assert len(sim.flight_ring) == 4
+        tail = flight_records(sim)
         assert [e["time"] for e in tail] == [6.0, 7.0, 8.0, 9.0]
+        assert [e["seq"] for e in tail] == [6, 7, 8, 9]
+        info = CrashInfo.from_dict(
+            attach_crash_info(RuntimeError("x"), _Holder(sim)).as_dict()
+        )
+        assert info.flight_dropped == 6
+        assert info.last_event == tail[-1]
 
     def test_last_and_partial_tail(self):
-        recorder = FlightRecorder(limit=8)
-        assert recorder.last() is None
-        for i in range(3):
-            recorder.record(Event(time=float(i), kind=EventKind.JOB_FINISH))
-        assert recorder.last()["time"] == 2.0
-        assert len(recorder.tail(2)) == 2
+        sim = Simulator(ring_size=8)
+        assert flight_records(sim) == []
+        _ran(sim, EventKind.JOB_FINISH, [0.0, 1.0, 2.0])
+        assert flight_records(sim)[-1]["time"] == 2.0
+        assert [e["time"] for e in flight_records(sim, last=2)] == [1.0, 2.0]
 
     def test_event_entries_are_jsonable(self):
-        recorder = FlightRecorder(limit=2)
-        recorder.record(
-            Event(time=1.5, kind=EventKind.SCHEDULER_PASS, payload="tick")
+        sim = _ran(
+            Simulator(ring_size=2), EventKind.SCHEDULER_PASS, [1.5], "tick"
         )
-        entry = recorder.last()
-        assert entry["kind"] == "SCHEDULER_PASS"
-        assert entry["label"] == "tick"
+        assert sim.flight_ring[-1].kind is EventKind.SCHEDULER_PASS
+        (entry,) = flight_records(sim)
+        assert entry == {
+            "time": 1.5, "kind": "SCHEDULER_PASS", "seq": 0, "label": "tick",
+        }
+
+    def test_ring_off_records_nothing(self):
+        sim = _ran(Simulator(), EventKind.JOB_SUBMIT, [1.0])
+        assert sim.flight_ring is None
+        assert flight_records(sim) == []
+        assert sim.last_event_time == 1.0
+        info = attach_crash_info(RuntimeError("x"), _Holder(sim))
+        assert (info.last_event, info.flight_events, info.flight_dropped) == (
+            None, [], 0,
+        )
+
 
 
 class TestWatchdogs:
@@ -153,8 +184,7 @@ class TestMaxEvents:
         assert Simulator().max_events == DEFAULT_MAX_EVENTS
 
     def test_carries_structured_fields(self):
-        recorder = FlightRecorder(limit=8)
-        sim = Simulator(max_events=5, recorder=recorder)
+        sim = Simulator(max_events=5, ring_size=8)
         for i in range(10):
             sim.schedule(float(i), EventKind.JOB_SUBMIT)
         with pytest.raises(MaxEventsError, match="max_events=5") as info:
@@ -164,7 +194,8 @@ class TestMaxEvents:
         assert err.max_events == 5
         assert err.events_dispatched == 6
         assert err.sim_time == 5.0
-        assert err.flight_tail  # recorder context travels with the error
+        # The ring's context travels with the error.
+        assert [e["time"] for e in err.flight_tail] == [0.0, 1.0, 2.0, 3.0, 4.0]
 
     def test_through_manager_config(self):
         config = SchedulerConfig(diagnostics={"max_events": 30})
@@ -281,5 +312,4 @@ class TestInertness:
 
         config = SchedulerConfig(diagnostics={"flight_recorder": False})
         manager = WorkloadManager(Cluster.homogeneous(4), config=config)
-        assert manager.recorder is None
-        assert manager.sim.recorder is None
+        assert manager.sim.flight_ring is None

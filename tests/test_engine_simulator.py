@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.diagnostics.recorder import FlightRecorder
 from repro.engine.events import EventKind
 from repro.engine.simulator import Simulator
 from repro.errors import SimulationError
@@ -117,10 +116,9 @@ class TestHandlers:
         assert sim.run() == 1.0
 
     def test_trace_records_dispatches(self):
-        recorder = FlightRecorder()
-        sim = Simulator(recorder=recorder)
+        sim = Simulator(ring_size=256)
         sim.schedule(1.0, EventKind.CHECKPOINT)
         sim.schedule(2.0, EventKind.SIM_END)
         sim.run()
-        assert len(recorder) == 2
-        assert recorder.tail()[0]["kind"] == EventKind.CHECKPOINT.name
+        assert len(sim.flight_ring) == 2
+        assert sim.flight_ring[0].kind is EventKind.CHECKPOINT

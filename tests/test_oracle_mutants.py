@@ -21,8 +21,10 @@ import pytest
 
 from repro.campaign import warm
 from repro.cluster.machine import Cluster
+from repro.engine.simulator import Simulator
 from repro.errors import SimulationError
 from repro.faultinject import registry
+from repro.slurm.manager import WorkloadManager
 from repro.slurm.priority import MultifactorPriority
 from repro.storage import durable
 from tests import (
@@ -85,6 +87,24 @@ def _unsorted_merge(self, node_ids):
 def _cluster_minimum(self, node_ids):
     # Reads the cluster-wide minimum even when node memories differ.
     return self.min_memory_mb
+
+
+def _pickled_flight_ring(getstate):
+    # Pickles the flight ring with the events it holds.
+    def mutant(self):
+        state = getstate(self)
+        state["flight_ring"] = self.flight_ring
+        return state
+
+    return mutant
+
+
+def _ring_pause_sample(self):
+    # Tells the pause sample by the flight ring's last event.
+    collector, ring = self.collector, self.sim.flight_ring
+    if (collector is not None and collector.times and ring
+            and collector.times[-1] > ring[-1].time):
+        collector.drop_last_sample()
 
 
 def _keep_count_lock() -> None:
@@ -206,6 +226,22 @@ def snapshot_restore_oracle() -> None:
     ).test_restored_manager_pickles_to_the_same_bytes()
 
 
+def restored_pause_parity_oracle() -> None:
+    """A run paused, restored (its flight ring empty) and continued
+    summarises like one never paused."""
+    test_snapshot.TestSnapshotBytesPinned(
+    ).test_paused_run_summarises_like_one_never_paused(None, True)
+
+
+def ringless_pause_parity_oracle() -> None:
+    """A run paused and continued with no flight ring summarises like
+    one never paused."""
+    test_snapshot.TestSnapshotBytesPinned(
+    ).test_paused_run_summarises_like_one_never_paused(
+        {"flight_recorder": False}, False
+    )
+
+
 @dataclass(frozen=True)
 class Mutant:
     name: str
@@ -278,6 +314,23 @@ MUTANTS = (
         "a disarmed failpoint hook stats the site's fired stamp",
         _replace_body(registry.failpoint, _stamp_checking_failpoint),
         (disarmed_cost_oracle,),
+    ),
+    Mutant(
+        "pickled-flight-ring",
+        "a snapshot pickles the events the flight ring holds",
+        lambda mp: mp.setattr(
+            Simulator, "__getstate__",
+            _pickled_flight_ring(Simulator.__getstate__),
+        ),
+        (snapshot_restore_oracle,),
+    ),
+    Mutant(
+        "ring-pause-sample",
+        "a continued run tells the pause sample by the flight ring",
+        lambda mp: mp.setattr(
+            WorkloadManager, "_drop_pause_sample", _ring_pause_sample
+        ),
+        (restored_pause_parity_oracle, ringless_pause_parity_oracle),
     ),
 )
 

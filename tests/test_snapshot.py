@@ -104,26 +104,32 @@ class TestRoundTripProperty:
 # Engine-level snapshot hooks
 # ----------------------------------------------------------------------
 #: ``(len, sha256)`` of ``snapshot_bytes`` per Python minor version,
-#: recorded before the pending queue kept its priority terms: of
-#: :func:`deep_manager` run to t=20000.  Kept caches must not reach the
-#: bytes.
+#: of :func:`deep_manager` run to t=20000.  Kept caches must not reach
+#: the bytes, nor what the flight ring holds (it pickles empty).
 SNAPSHOT_PINS = {
     (3, 11): {
         "mid_run": (
-            123_495,
-            "18ad4461def6de53bccdefe07f668f481483aeecca021e54253d87e8024806d3",
+            117_780,
+            "ea565c7d231daeb8c36eabe189fc07ce9951c1d9491dc3ba41b7aec608688627",
         ),
     },
 }
 
 
-def deep_manager():
+def deep_manager(diagnostics=None):
     """A deep-queue shared-backfill manager: 200 jobs at load 1.5 on
-    128 nodes."""
+    128 nodes, with the default diagnostics settings unless
+    *diagnostics* are given."""
     trace = default_campaign(
         num_jobs=200, cluster_nodes=128, offered_load=1.5, seed=7
     )
-    return build_manager(trace, num_nodes=128, strategy="shared_backfill")
+    config = (
+        None if diagnostics is None
+        else SchedulerConfig(strategy="shared_backfill", diagnostics=diagnostics)
+    )
+    return build_manager(
+        trace, num_nodes=128, strategy="shared_backfill", config=config
+    )
 
 
 def _pin(data: bytes) -> tuple[int, str]:
@@ -131,8 +137,8 @@ def _pin(data: bytes) -> tuple[int, str]:
 
 
 class TestSnapshotBytesPinned:
-    def _mid_run(self):
-        manager = deep_manager()
+    def _mid_run(self, diagnostics=None):
+        manager = deep_manager(diagnostics)
         manager.run(until=20_000.0)
         assert len(manager.queue) > 0
         return manager
@@ -151,7 +157,17 @@ class TestSnapshotBytesPinned:
         # uninterrupted chain.
         manager = self._mid_run()
         data = snapshot_bytes(manager)
+        # The flight ring pickles empty, at its capacity: what it holds
+        # never reaches the bytes.
+        ring = manager.sim.flight_ring
+        held = list(ring)
+        assert held
+        ring.clear()
+        assert snapshot_bytes(manager) == data
+        ring.extend(held)
         restored = pickle.loads(data)
+        assert not restored.sim.flight_ring
+        assert restored.sim.flight_ring.maxlen == ring.maxlen
         assert snapshot_bytes(restored) == data
         restored.run(until=30_000.0)
         manager.run(until=30_000.0)
@@ -184,14 +200,28 @@ class TestSnapshotBytesPinned:
             job.priority.hex() for job in uninterrupted.jobs.values()
         ]
 
-    def test_paused_run_summarises_like_one_never_paused(self):
+    @pytest.mark.parametrize(
+        "restored", [False, True], ids=["continued", "restored"]
+    )
+    @pytest.mark.parametrize(
+        "diagnostics", [None, {"flight_recorder": False}],
+        ids=["ring-on", "ring-off"],
+    )
+    def test_paused_run_summarises_like_one_never_paused(
+        self, diagnostics, restored
+    ):
         # A pause ends with a metrics sample at t=20000, after the last
         # event; the continued run drops it, so no interval is split
-        # and every series and summary float matches bit for bit.
-        paused = self._mid_run()
+        # and every series and summary float matches bit for bit,
+        # whether the flight ring is kept or not and whether the run
+        # goes on in the paused manager or in one restored from it
+        # (whose ring starts empty).
+        paused = self._mid_run(diagnostics)
         assert paused.collector.times[-1] == 20_000.0
+        if restored:
+            paused = pickle.loads(snapshot_bytes(paused))
         continued = paused.run()
-        never_paused = deep_manager()
+        never_paused = deep_manager(diagnostics)
         baseline = never_paused.run()
         for name in ("times", "busy_nodes", "shared_nodes",
                      "queue_lengths", "work_rates"):
@@ -238,6 +268,21 @@ class TestSimulatorSnapshot:
         assert state["_suspend_poll"] is None
         assert state["_autosnap"] is None
         assert state["_running"] is False
+
+    def test_flight_ring_restores_empty_at_its_capacity(self):
+        sim = Simulator(ring_size=2)
+        kind = list(EventKind)[0]
+        sim.on(kind, _noop_handler)
+        for t in (1.0, 2.0, 3.0):
+            sim.schedule(t, kind)
+        sim.run(until=2.5)
+        assert [event.time for event in sim.flight_ring] == [1.0, 2.0]
+        restored = Simulator.restore(sim.snapshot())
+        assert list(restored.flight_ring) == []
+        assert restored.flight_ring.maxlen == 2
+        assert restored.last_event_time == 2.0
+        restored.run()
+        assert [event.time for event in restored.flight_ring] == [3.0]
 
     def test_suspend_poll_raises_at_event_boundary(self):
         manager = build()

@@ -56,7 +56,7 @@ class TestCompressedRoundTrip:
         path = tmp_path / "mid.snap"
         write_snapshot(manager, path)
         header = read_snapshot_header(path)
-        assert header["version"] == SNAPSHOT_VERSION == 2
+        assert header["version"] == SNAPSHOT_VERSION == 3
         assert header["codec"] == SNAPSHOT_CODEC == "zlib"
         raw = len(snapshot_bytes(manager))
         assert header["raw_bytes"] == raw
