@@ -571,6 +571,15 @@ class WorkQueue:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    def all_leased(self) -> bool:
+        """Every pending item is leased: none is left for a new claim
+        (true of a drained queue too)."""
+        return all(
+            self.leases.path_for(p.stem).exists()
+            for p in self.items_dir.glob("*.json")
+            if not p.name.startswith(".")
+        )
+
     def drained(self) -> bool:
         """No pending items remain (terminal dirs may be non-empty)."""
         return next(
@@ -773,7 +782,11 @@ class QueueWorker:
     thread, and reacts to the degradation ladder documented in the
     module docstring.  ``drain()`` returns when the queue is empty,
     when a SIGTERM asks for a clean drain, or when an RSS trip
-    recycles the process.
+    recycles the process.  A worker with *siblings* (one of several
+    workers a supervisor hands the store to) also returns, drained,
+    once every item left is leased: it would only wait for a sibling,
+    and the supervisor hands the store back if an item becomes
+    claimable again.
     """
 
     IDLE_SLEEP_S = 0.2
@@ -788,6 +801,7 @@ class QueueWorker:
         note: Callable[[str], None] | None = None,
         clock: Callable[[], float] = time.time,
         sleep: Callable[[float], None] = time.sleep,
+        siblings: bool = False,
     ) -> None:
         probe = WorkQueue(store_root)  # ensures layout, reads config
         merged = dict(DEFAULT_WORKER_CONFIG)
@@ -809,6 +823,7 @@ class QueueWorker:
         self._note = note or (lambda message: None)
         self._clock = clock
         self._sleep = sleep
+        self._siblings = siblings
         self.entry = entry or self._build_entry()
         self._keeper = HeartbeatKeeper(
             self.queue.leases,
@@ -885,7 +900,9 @@ class QueueWorker:
                     continue
             claimed = self.queue.claim_next()
             if claimed is None:
-                if self.queue.drained():
+                if self.queue.drained() or (
+                    self._siblings and self.queue.all_leased()
+                ):
                     return
                 self._sleep(self.IDLE_SLEEP_S)
                 continue
@@ -1177,9 +1194,12 @@ def drain_with_workers(
     worker's leases come back even if every sibling died too), and the
     respawn authority: a worker whose drain ends with the queue still
     holding work (injected kill, RSS recycle, real crash) is replaced
-    while the respawn budget lasts.  On a suspend request the fleet is
-    SIGTERMed, given :data:`SUSPEND_GRACE_S` to park leases, then
-    SIGKILLed.
+    while the respawn budget lasts.  A worker that finds every item
+    left leased by a sibling answers at once and waits idle; the
+    parent hands the store back to it, with no respawn counted, when
+    an item is left unleased (a reclaim, say).  On a suspend request
+    the fleet is SIGTERMed, given :data:`SUSPEND_GRACE_S` to park
+    leases, then SIGKILLed.
     """
     from repro.campaign.warm import WarmFleet
 
@@ -1187,6 +1207,10 @@ def drain_with_workers(
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     queue = WorkQueue(store_root)
+    # The parent reclaims with the lease TTL its workers use.
+    queue.leases.ttl_s = float(
+        queue.read_config().get("ttl_s", DEFAULT_WORKER_CONFIG["ttl_s"])
+    )
     # The parent's reclaim pass is an observability actor too: its
     # supersession events are what the trace stitcher marks zombie
     # tenures with.
@@ -1200,7 +1224,7 @@ def drain_with_workers(
         if status == "exited" and proc.returncode not in (0, 4):
             say(f"worker {index[proc]} exited {proc.returncode}")
 
-    fleet = WarmFleet(_report)
+    fleet = WarmFleet(_report, siblings=True)
 
     def _launch() -> None:
         proc = fleet.spawn(queue.logs_dir / f"worker-{len(index):03d}.log")
@@ -1234,6 +1258,10 @@ def drain_with_workers(
                 if len(index) >= workers:
                     outcome.respawns += 1
                 _launch()
+            idle = [proc for proc, held in fleet.held.items() if held is None]
+            if idle and not queue.all_leased():
+                for proc in idle:
+                    fleet.hand_off(proc, store_root, str(store_root))
             fleet.wait(poll_s)
     finally:
         fleet.stop(SUSPEND_GRACE_S)

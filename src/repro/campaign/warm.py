@@ -91,15 +91,22 @@ _CHILD_SIGNALS = {
 #: the parent onto the child's fds 0-2.
 _inherited_stdio: list[object] = []
 
+#: In a worker, whether its fleet hands each store to siblings too
+#: (see :class:`QueueWorker`); set by :func:`_become_worker`.
+_siblings = False
+
 
 def _exit_suspended(signum, frame) -> None:
     raise SystemExit(EXIT_SUSPENDED)
 
 
-def drain(store: str) -> str:
-    """Drain *store*; returns ``drained`` when this worker may take
-    another store, else the reason it must exit."""
-    outcome = QueueWorker(store, install_signal_handlers=True).drain()
+def drain(store: str, siblings: bool = False) -> str:
+    """Drain *store* (with *siblings*, see :class:`QueueWorker`);
+    returns ``drained`` when this worker may take another store, else
+    the reason it must exit."""
+    outcome = QueueWorker(
+        store, install_signal_handlers=True, siblings=siblings
+    ).drain()
     print(
         f"worker {os.getpid()}: {store}: {outcome.completed} completed, "
         f"{outcome.failed} failed, {outcome.quarantined} quarantined, "
@@ -127,7 +134,7 @@ def main() -> int:
         store = line.strip()
         if not store:
             continue
-        status = drain(store)
+        status = drain(store, _siblings)
         answers.write(json.dumps({"store": store, "status": status}) + "\n")
         if status != "drained":
             return EXIT_SUSPENDED
@@ -138,10 +145,11 @@ def _close_inherited_fds() -> None:
 
 
 def _become_worker(
-    stdin_fd: int, answer_fd: int, log_fd: int, mask: set
+    stdin_fd: int, answer_fd: int, log_fd: int, mask: set, siblings: bool
 ) -> NoReturn:
     """Run in a freshly forked child: shed the parent's state, run
     :func:`main` and leave through :func:`os._exit` whatever happens."""
+    global _siblings
     code, log = 1, None
     try:
         signal.set_wakeup_fd(-1)
@@ -163,6 +171,7 @@ def _become_worker(
         _failpoints.arm_from_env()
         _suspend.reset()
         set_current_trace(None)
+        _siblings = siblings
         code = main()
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else int(
@@ -230,8 +239,9 @@ class Worker:
         self.send_signal(signal.SIGKILL)
 
 
-def fork_worker(log_path: Path) -> Worker:
-    """Fork one idle warm worker, its stderr appended to *log_path*."""
+def fork_worker(log_path: Path, *, siblings: bool = False) -> Worker:
+    """Fork one idle warm worker, its stderr appended to *log_path*,
+    whose drains run with *siblings* (see :class:`QueueWorker`)."""
     stdin_r, stdin_w = os.pipe()
     answer_r, answer_w = os.pipe()
     log_fd = os.open(log_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
@@ -245,7 +255,7 @@ def fork_worker(log_path: Path) -> Worker:
     try:
         pid = os.fork()
         if pid == 0:
-            _become_worker(stdin_r, answer_w, log_fd, mask)
+            _become_worker(stdin_r, answer_w, log_fd, mask, siblings)
     except BaseException:
         os.close(stdin_w)
         os.close(answer_r)
@@ -270,7 +280,8 @@ class WarmFleet:
     store the worker held, or None.  The reader threads pass answers
     and exits to *post*, which must run them on the supervisor's thread
     (an event loop's ``call_soon_threadsafe``, say); without one they
-    wait in an inbox that :meth:`wait` empties.
+    wait in an inbox that :meth:`wait` empties.  With *siblings*, the
+    workers share each store they are handed (see :class:`QueueWorker`).
     """
 
     def __init__(
@@ -278,7 +289,9 @@ class WarmFleet:
         report: Callable[[Worker, str | None, str], None],
         *,
         post: Callable[..., None] | None = None,
+        siblings: bool = False,
     ) -> None:
+        self._siblings = siblings
         self.held: dict[Worker, str | None] = {}
         self.live: dict[Worker, None] = {}
         self._report = report
@@ -289,7 +302,7 @@ class WarmFleet:
         """Fork one idle warm worker, its stderr appended to
         *log_path*, and start the thread that reads its answers."""
         log_path.parent.mkdir(parents=True, exist_ok=True)
-        proc = fork_worker(log_path)
+        proc = fork_worker(log_path, siblings=self._siblings)
         self.held[proc] = None
         self.live[proc] = None
         threading.Thread(

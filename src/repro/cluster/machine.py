@@ -231,6 +231,12 @@ class Cluster:
             job_id for job_id, shared in self._co_runners.items() if not shared
         )
 
+    def is_joinable(self, job_id: int) -> bool:
+        """Whether allocated *job_id* is shared with a free SMT lane on
+        every node (it has no co-runner)."""
+        shared = self._co_runners.get(job_id)
+        return shared is not None and not shared
+
     def joinable_nodes(self) -> list[Node]:
         """Shared nodes with a free SMT lane, in id order."""
         return [n for n in self.nodes if n.has_free_lane]

@@ -18,13 +18,14 @@ of whose nodes still have a free SMT lane; joiners take whole groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import SchedulingError
 from repro.interference.profile import ResourceProfile
 from repro.slurm.job import Job
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.cluster.machine import Cluster
     from repro.core.strategy import ScheduleContext
 
 
@@ -45,6 +46,34 @@ class ResidentGroup:
         return len(self.node_ids)
 
 
+def resident_group(
+    cluster: "Cluster", job: Job, profile: ResourceProfile
+) -> ResidentGroup:
+    """The group of running shared *job*, whose profile is *profile*."""
+    node_ids = job.allocation.node_ids
+    return ResidentGroup(
+        job=job,
+        profile=profile,
+        node_ids=node_ids,
+        min_memory_mb=cluster.min_memory_of(node_ids),
+    )
+
+
+def scan_groups(
+    cluster: "Cluster",
+    running: dict[int, Job],
+    profile_of: Callable[[Job], ResourceProfile],
+) -> dict[int, ResidentGroup]:
+    """The group of every joinable job in *running*, built from
+    scratch, by ascending job id."""
+    groups: dict[int, ResidentGroup] = {}
+    for job_id in cluster.joinable_job_ids():
+        job = running.get(job_id)
+        if job is not None:
+            groups[job_id] = resident_group(cluster, job, profile_of(job))
+    return groups
+
+
 class AvailabilityView:
     """Mutable availability snapshot for one scheduling pass."""
 
@@ -60,8 +89,12 @@ class AvailabilityView:
             self.idle = [n for n in self.idle if n not in ctx.avoid_nodes] + [
                 n for n in self.idle if n in ctx.avoid_nodes
             ]
-        #: Joinable resident groups keyed by resident job id.
-        self.groups: dict[int, ResidentGroup] = {}
+        #: Joinable resident groups keyed by resident job id: a copy
+        #: of the groups the manager keeps, else built from scratch.
+        self.groups: dict[int, ResidentGroup] = (
+            scan_groups(cluster, ctx.running, ctx.profile_of)
+            if ctx.groups is None else ctx.groups.copy()
+        )
         #: Bitmask of the subset sums of the groups' sizes (bit s set
         #: iff some groups together hold s nodes); None until asked
         #: for after the groups last changed.
@@ -69,11 +102,6 @@ class AvailabilityView:
         #: Profile -> its :meth:`joinable_groups` list, until the
         #: groups next change.
         self._joinable: dict[ResourceProfile, list[ResidentGroup]] = {}
-        running = ctx.running
-        for job_id in cluster.joinable_job_ids():
-            job = running.get(job_id)
-            if job is not None:
-                self._add_group(job, ctx.profile_of(job), job.allocation.node_ids)
 
     # ------------------------------------------------------------------
     # Queries

@@ -28,7 +28,7 @@ from repro.slurm.job import Job
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.pairing import PairingPolicy
-    from repro.core.selector import AvailabilityView
+    from repro.core.selector import AvailabilityView, ResidentGroup
     from repro.observability.trace import DecisionTrace
 
 
@@ -92,6 +92,10 @@ class ScheduleContext:
     #: :func:`~repro.core.easy_backfill.node_release_times` scans the
     #: running jobs through ``predicted_end``.
     release_bounds: dict[int, float] | None = None
+    #: Resident job id -> its group, for every joinable running job,
+    #: kept by the manager (read, never written; the availability
+    #: view copies it); None means the view builds the groups.
+    groups: "dict[int, ResidentGroup] | None" = None
     #: Mutable availability the strategy consumes while placing.
     view: "AvailabilityView" = field(default=None)  # type: ignore[assignment]
 

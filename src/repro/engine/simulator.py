@@ -81,6 +81,12 @@ class Simulator:
         reads no clock, only ``is not None`` tests.
     """
 
+    #: Called first by :meth:`__getstate__`, before anything the heap
+    #: reaches is pickled, and never pickled itself: the owner writes
+    #: state it keeps lazily into the objects its events carry (the
+    #: manager flushes the queue's pending priorities).
+    before_pickle: Callable[[], None] | None = None
+
     def __init__(
         self,
         max_events: int = DEFAULT_MAX_EVENTS,
@@ -160,6 +166,16 @@ class Simulator:
         """Arm (or disarm) the periodic state snapshotter."""
         self._autosnap = snapshotter
 
+    def detach(self) -> None:
+        """Drop the handlers and hooks.  They hold their owners, which
+        hold this simulator, so a finished run is then freed by
+        reference counting instead of waiting for the cyclic garbage
+        collector.  The simulator cannot run afterwards."""
+        self._handlers.clear()
+        self.before_pickle = None
+        self._suspend_poll = None
+        self._autosnap = None
+
     def snapshot(self) -> bytes:
         """Serialise the full event-loop world — heap, clock, counters
         and every registered handler's object graph — to bytes.
@@ -187,7 +203,10 @@ class Simulator:
         snapshot taken *inside* :meth:`run` restores re-runnable, and
         with the flight ring empty: a crash report's history is not
         simulation state."""
+        if self.before_pickle is not None:
+            self.before_pickle()
         state = self.__dict__.copy()
+        state.pop("before_pickle", None)
         state["_running"] = False
         state["_stop_requested"] = False
         state["_wall_deadline"] = None

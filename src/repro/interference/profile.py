@@ -77,6 +77,28 @@ class ResourceProfile:
         }
         return max(demands, key=demands.__getitem__)
 
+    def __hash__(self) -> int:
+        # The generated dataclass hash, computed once: profiles key the
+        # pairing and interference memos on every probe.
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((
+                self.name, self.core_demand, self.membw_demand,
+                self.cache_footprint, self.comm_fraction,
+                self.serial_fraction,
+            ))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        # The kept hash is derived: the pickled form is the fields only.
+        state = self.__dict__
+        if "_hash" in state:
+            state = state.copy()
+            del state["_hash"]
+        return state
+
     def __str__(self) -> str:
         return (
             f"{self.name}(core={self.core_demand:.2f}, "

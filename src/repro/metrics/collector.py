@@ -33,20 +33,47 @@ class MetricsCollector:
         self.work_rates: list[float] = []
         self.records: list[JobRecord] = []
         self._timeline: Timeline | None = None
+        #: The last work-rate sum and the manager's ``rate_epoch`` it
+        #: was taken at (derived; not pickled).
+        self._rate_epoch = -1
+        self._work_rate = 0.0
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_rate_epoch"], state["_work_rate"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # setattr interns the names as pickle's default restore does,
+        # so a restored collector pickles to the same bytes.
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._rate_epoch = -1
+        self._work_rate = 0.0
 
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
-    def _sample(self, now: float, manager: "WorkloadManager") -> None:
-        cluster = self.cluster
+    def work_rate(self, manager: "WorkloadManager") -> float:
+        """Useful node-seconds per second across the running jobs,
+        summed in ascending job-id order (which fixes the float)."""
         jobs = manager.jobs
-        # Ascending job-id order fixes the floating-point sum.
         rate = 0.0
-        for job_id in cluster.running_job_ids():
+        for job_id in self.cluster.running_job_ids():
             job = jobs.get(job_id)
             if job is None:
                 continue  # reservation phantom occupancy
             rate += job.rate * job.spec.num_nodes
+        return rate
+
+    def _sample(self, now: float, manager: "WorkloadManager") -> None:
+        cluster = self.cluster
+        # The last sum holds while neither the running set nor any
+        # running job's rate has changed.
+        if self._rate_epoch != manager.rate_epoch:
+            self._work_rate = self.work_rate(manager)
+            self._rate_epoch = manager.rate_epoch
+        rate = self._work_rate
         self.times.append(now)
         self.busy_nodes.append(cluster.num_busy())
         self.shared_nodes.append(cluster.num_shared())

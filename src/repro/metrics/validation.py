@@ -19,8 +19,15 @@ Checked invariants
   exactly when it has no co-runner on any node;
 * queue sanity: queued jobs are PENDING and hold no allocation;
 * engine indexes: every occupancy index the cluster maintains
-  incrementally, and the manager's per-node release bounds, equal a
-  full scan (:meth:`WorkloadManager.check_indexes`).
+  incrementally, and the manager's per-node release bounds,
+  running-job map and resident groups, equal a full scan
+  (:meth:`WorkloadManager.check_indexes`);
+* kept work rate: every sampled work rate, reused or summed, equals a
+  fresh sum over the running jobs;
+* lazy priorities: at every start, inside the pass that ordered the
+  queue and before any fairshare charge, the started job's priority
+  and, after a flush, every queued job's equal what an eager
+  :meth:`MultifactorPriority.order_terms` writes.
 """
 
 from __future__ import annotations
@@ -30,8 +37,10 @@ from typing import TYPE_CHECKING
 from repro.cluster.node import SMT_LANES, NodeMode
 from repro.errors import AllocationError, SimulationError
 from repro.metrics.collector import MetricsCollector
+from repro.slurm.priority import MultifactorPriority
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.slurm.job import Job
     from repro.slurm.manager import WorkloadManager
 
 
@@ -41,16 +50,48 @@ class ValidatingCollector(MetricsCollector):
     def __init__(self, cluster):
         super().__init__(cluster)
         self.checks = 0
+        self.priority_checks = 0
 
     def _sample(self, now: float, manager: "WorkloadManager") -> None:
         self._check(now, manager)
         super()._sample(now, manager)
+        fresh = self.work_rate(manager)
+        if self.work_rates[-1] != fresh:
+            self._fail(
+                now, f"sampled work rate {self.work_rates[-1]!r} differs "
+                f"from a fresh sum {fresh!r}"
+            )
+
+    def on_start(self, now: float, job: "Job", manager: "WorkloadManager") -> None:
+        self._check_priorities(now, job, manager)
+        super().on_start(now, job, manager)
 
     # ------------------------------------------------------------------
     # Invariants
     # ------------------------------------------------------------------
     def _fail(self, now: float, message: str) -> None:
         raise SimulationError(f"invariant violated at t={now:.3f}: {message}")
+
+    def _check_priorities(
+        self, now: float, started: "Job", manager: "WorkloadManager"
+    ) -> None:
+        """A start happens inside the pass that ordered the queue at
+        *now*, before anything is charged: the started job's priority,
+        written as it left the queue, and every queued job's after a
+        flush must be what an eager write-back at *now* writes."""
+        self.priority_checks += 1
+        queue, priority = manager.queue, manager.priority
+        written = started.priority
+        queue.flush()
+        jobs = [started, *queue]
+        kept = [written] + [job.priority for job in jobs[1:]]
+        MultifactorPriority.order_terms(priority, map(priority.terms, jobs), now)
+        eager = [job.priority for job in jobs]
+        if kept != eager:
+            self._fail(
+                now, f"lazy priorities {kept!r} differ from an eager "
+                f"write-back {eager!r} (jobs {[j.job_id for j in jobs]})"
+            )
 
     def _check(self, now: float, manager: "WorkloadManager") -> None:
         self.checks += 1

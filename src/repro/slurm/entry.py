@@ -234,6 +234,9 @@ def _execute_simulate(
     # of failure-free runs stay bit-identical to earlier versions.
     if result.resilience is not None:
         payload["resilience"] = _jsonable(result.resilience.as_dict())
+    # The payload holds no engine object: let reference counting free
+    # the run as this returns.
+    manager.sim.detach()
     return payload
 
 

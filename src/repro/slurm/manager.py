@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING
 from repro.cluster.allocation import Allocation, AllocationKind
 from repro.cluster.machine import Cluster
 from repro.cluster.partition import Partition
+from repro.core import selector
 from repro.core.pairing import PairingPolicy
 from repro.core.strategy import (
     Placement,
@@ -63,6 +64,7 @@ from repro.slurm.reservations import Reservation
 from repro.workload.trace import WorkloadTrace
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.selector import ResidentGroup
     from repro.metrics.collector import MetricsCollector
     from repro.metrics.resilience import FailureRecord, ResilienceReport
 
@@ -173,6 +175,7 @@ class WorkloadManager:
         if diag.max_events is not None:
             sim_kwargs["max_events"] = diag.max_events
         self.sim = Simulator(**sim_kwargs)
+        self.sim.before_pickle = self._flush_priorities
         self.scheduler_passes = 0
         self.placements_applied = 0
         #: Node id -> latest walltime bound (start + effective limit)
@@ -181,6 +184,17 @@ class WorkloadManager:
         #: indexes: never pickled, rebuilt on restore, compared with a
         #: scan by :meth:`check_indexes`.
         self._release_bounds: dict[int, float] = {}
+        #: Running jobs by id (reservation phantoms excluded), and the
+        #: resident group of each joinable one: the pass's
+        #: ``ctx.running`` and the groups its availability view starts
+        #: from.  Kept by :meth:`_start_job` and :meth:`_release`;
+        #: derived like the release bounds.
+        self._running: dict[int, Job] = {}
+        self._groups: dict[int, ResidentGroup] = {}
+        #: Bumped whenever the running set or a running job's rate
+        #: changes, so a collector may reuse its last work-rate sum
+        #: while it holds (derived; not pickled, 0 after a restore).
+        self.rate_epoch = 0
         self._terminal_jobs = 0
         self._pass_requested_at: float | None = None
         if partitions is None:
@@ -249,16 +263,36 @@ class WorkloadManager:
             )
         return bounds
 
+    def _scan_running(self) -> dict[int, Job]:
+        """The running jobs by id, from the cluster's allocations."""
+        jobs = self.jobs
+        return {
+            job_id: jobs[job_id]
+            for job_id in self.cluster.running_job_ids()
+            if job_id in jobs  # exclude reservation phantoms
+        }
+
+    def _scan_groups(self) -> dict[int, ResidentGroup]:
+        return selector.scan_groups(
+            self.cluster, self._running, self.profile_of
+        )
+
     def check_indexes(self) -> None:
         """Raise :class:`AllocationError` if the cluster's occupancy
-        indexes or the release bounds differ from a full scan."""
+        indexes, the release bounds, the running-job map or the
+        resident groups differ from a full scan."""
         self.cluster.check_indexes()
-        expected = self._scan_release_bounds()
-        if self._release_bounds != expected:
-            raise AllocationError(
-                f"release bounds are stale: maintained "
-                f"{self._release_bounds!r}, scan gives {expected!r}"
-            )
+        for name, kept, expected in (
+            ("release bounds", self._release_bounds,
+             self._scan_release_bounds()),
+            ("running jobs", self._running, self._scan_running()),
+            ("resident groups", self._groups, self._scan_groups()),
+        ):
+            if kept != expected:
+                raise AllocationError(
+                    f"{name} are stale: maintained {kept!r}, "
+                    f"scan gives {expected!r}"
+                )
 
     def _pass_release_bounds(self) -> dict[int, float] | None:
         """The node release bounds a pass reserves against, or None
@@ -266,10 +300,21 @@ class WorkloadManager:
         predicted ends with the clock."""
         return self._release_bounds if self.predictor is None else None
 
+    def _pass_running(self) -> dict[int, Job]:
+        """The running jobs a pass sees: the kept map itself, which
+        the pass's own starts extend once the strategy has returned."""
+        return self._running
+
     def _release(self, job: Job) -> None:
         """Free *job*'s nodes; the nodes it shared keep each co-runner's
-        bound, restored once per co-runner."""
-        left = self.cluster.release(job.job_id)
+        bound, restored once per co-runner, and a co-runner left with
+        none is joinable again."""
+        cluster = self.cluster
+        left = cluster.release(job.job_id)
+        del self._running[job.job_id]
+        self.rate_epoch += 1
+        groups = self._groups
+        groups.pop(job.job_id, None)
         bounds = self._release_bounds
         for node_id in job.allocation.node_ids:
             del bounds[node_id]
@@ -278,10 +323,20 @@ class WorkloadManager:
             bounds.update(dict.fromkeys(
                 node_ids, other.start_time + other.effective_limit
             ))
+            if cluster.is_joinable(other_id):
+                groups[other_id] = selector.resident_group(
+                    cluster, other, self.profile_of(other)
+                )
+
+    def _flush_priorities(self) -> None:
+        self.queue.flush()
 
     def __getstate__(self) -> dict:
+        # Before anything reaches a job: see PendingQueue.flush.
+        self._flush_priorities()
         state = self.__dict__.copy()
-        del state["_release_bounds"]
+        for name in ("_release_bounds", "_running", "_groups", "rate_epoch"):
+            del state[name]
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -293,6 +348,12 @@ class WorkloadManager:
         for name, value in state.items():
             setattr(self, name, value)
         self._release_bounds = self._scan_release_bounds()
+        self._running = self._scan_running()
+        self._groups = self._scan_groups()
+        self.rate_epoch = 0
+        # The simulator may not be restored yet; what it restores
+        # leaves this attribute in place.
+        self.sim.before_pickle = self._flush_priorities
 
     # ------------------------------------------------------------------
     # Loading work
@@ -485,6 +546,7 @@ class WorkloadManager:
             if live:
                 self.sim.cancel(finish)
             job.rate = new_rate
+            self.rate_epoch += 1
             job.finish_event = self.sim.schedule(
                 job.eta(now), EventKind.JOB_FINISH, job
             )
@@ -1038,11 +1100,7 @@ class WorkloadManager:
                     sim.now, "scheduler_pass", pending=0, placed=0
                 )
             return
-        running = {
-            job_id: self.jobs[job_id]
-            for job_id in self.cluster.running_job_ids()
-            if job_id in self.jobs  # exclude reservation phantoms
-        }
+        running = self._pass_running()
         avoid: frozenset[int] = frozenset()
         if (
             self.health is not None
@@ -1067,11 +1125,16 @@ class WorkloadManager:
             avoid_nodes=avoid,
             decisions=self.decisions,
             release_bounds=self._pass_release_bounds(),
+            groups=self._groups,
         )
         profiler = self.hot_profiler
         if profiler is not None:
             started_ns = profiler.now_ns()
         placements = self.strategy.schedule(ctx)
+        # The view refers back to the context: drop it, so reference
+        # counting frees the pass's objects.
+        ctx.view = None
+        was_running = len(running)
         if profiler is not None:
             placed_ns = profiler.now_ns()
             profiler.record_phase("placement", placed_ns - started_ns)
@@ -1087,12 +1150,12 @@ class WorkloadManager:
         if self.decisions is not None:
             self.decisions.span(
                 sim.now, "scheduler_pass",
-                pending=len(pending), running=len(running),
+                pending=len(pending), running=was_running,
                 placed=len(placements),
             )
             hub = self.decisions.hub
             hub.set_gauge("queue.pending", float(len(self.queue)))
-            hub.set_gauge("cluster.running", float(len(running)))
+            hub.set_gauge("cluster.running", float(was_running))
 
     # ------------------------------------------------------------------
     # Starting jobs
@@ -1114,6 +1177,19 @@ class WorkloadManager:
             job.effective_limit = job.spec.walltime_req
         # Rate under the co-runners present right now.
         co_runners = self.cluster.jobs_sharing_with(job.job_id)
+        self._running[job.job_id] = job
+        self.rate_epoch += 1
+        if placement.kind is AllocationKind.SHARED:
+            # A resident joined has a co-runner now; a job that joined
+            # none is a resident others may join.
+            groups = self._groups
+            if co_runners:
+                for other_id in co_runners:
+                    groups.pop(other_id, None)
+            else:
+                groups[job.job_id] = selector.resident_group(
+                    self.cluster, job, self.profile_of(job)
+                )
         # Every node's bound is now the job's, except where a resident
         # it joined holds a later one: set outright, then raised once
         # per such resident.

@@ -18,6 +18,7 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
 from repro.errors import ConfigError
@@ -42,6 +43,9 @@ class PriorityWeights:
         if self.age_saturation <= 0:
             raise ConfigError("age_saturation must be positive")
 
+
+#: The job of a :meth:`MultifactorPriority.sorted_keys` key.
+job_of_key = itemgetter(3)
 
 #: Default QoS classes and their normalised factors.  Unknown classes
 #: fall back to "normal".
@@ -156,8 +160,7 @@ class MultifactorPriority:
 
     def order_terms(self, terms: Iterable[tuple], now: float) -> list[Job]:
         """:meth:`order` of the jobs whose :meth:`terms` are given."""
-        keys = self._keys(terms, now)
-        keys.sort()
+        keys = self.sorted_keys(terms, now)
         ordered: list[Job] = []
         for key in keys:
             job = key[3]
@@ -168,9 +171,17 @@ class MultifactorPriority:
     def rank_terms(self, terms: Iterable[tuple], now: float) -> list[Job]:
         """The order :meth:`order_terms` returns, writing nothing to the
         jobs, so read-only views can rank a live queue."""
+        return list(map(job_of_key, self.sorted_keys(terms, now)))
+
+    def sorted_keys(
+        self, terms: Iterable[tuple], now: float
+    ) -> list[tuple[float, float, int, Job]]:
+        """``(-priority, submit_time, job_id, job)`` at time *now* of
+        the jobs whose :meth:`terms` are given, in scheduling order,
+        writing nothing to the jobs."""
         keys = self._keys(terms, now)
         keys.sort()
-        return [key[3] for key in keys]
+        return keys
 
     def _keys(
         self, terms: Iterable[tuple], now: float

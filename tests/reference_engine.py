@@ -7,8 +7,10 @@ rejects impossible joins by a subset-sum mask, and memoises
 interference predictions per profile pair and compatible groups per
 profile.  This module keeps the straightforward versions they
 replaced — every query answered by walking the nodes or the running
-jobs, every job scored from scratch and sorted by a key function,
-every placement probe run in full, every prediction recomputed — so
+jobs, the running jobs and resident groups rebuilt on every pass,
+every job scored from scratch, sorted by a key function and its
+priority written at once, every placement probe run in full, every
+prediction recomputed — so
 differential tests can run both engines on the same workload and
 demand identical placements and metrics.
 
@@ -32,6 +34,7 @@ from repro.interference.smt import smt_core_factor
 from repro.metrics.collector import MetricsCollector
 from repro.slurm.manager import WorkloadManager
 from repro.slurm.priority import MultifactorPriority
+from repro.slurm.queue import PendingQueue
 
 
 class ReferenceCluster(Cluster):
@@ -138,6 +141,14 @@ class ReferencePriority(MultifactorPriority):
         return ordered
 
 
+class ReferenceQueue(PendingQueue):
+    """The pending queue with the eager write-back: every pass writes
+    every queued job's priority through :meth:`order_terms`."""
+
+    def ordered(self, now):
+        return self.priority.order_terms(self._terms.values(), now)
+
+
 class ReferenceCollector(MetricsCollector):
     """Samples by walking every node and sorting every allocation."""
 
@@ -212,9 +223,10 @@ class ReferencePairing(PairingPolicy):
 
 
 class ReferenceManager(WorkloadManager):
-    """A manager on the reference model, pairing policy and priority,
-    computing rates node by node and reserving against release times
-    scanned from the running jobs.  It runs on a :class:`ReferenceCluster`, so
+    """A manager on the reference model, pairing policy, priority and
+    queue, computing rates node by node, rebuilding its running-job map
+    on every pass and reserving against release times scanned from the
+    running jobs.  It runs on a :class:`ReferenceCluster`, so
     the co-runners that set ``sharing_now``, ``corun_job_ids`` and the
     jobs refreshed on a start or an end are found by a node walk too.
     Pair it with :class:`ReferenceCollector` and run it inside
@@ -235,12 +247,16 @@ class ReferenceManager(WorkloadManager):
             oblivious=self.pairing.oblivious,
         )
         priority = self.priority
-        self.priority = self.queue.priority = ReferencePriority(
+        self.priority = ReferencePriority(
             priority.weights, priority.num_nodes, priority.qos_levels
         )
+        self.queue = ReferenceQueue(self.priority)
 
     def _pass_release_bounds(self):
         return None
+
+    def _pass_running(self):
+        return self._scan_running()
 
     def _job_rate(self, job, co_runners) -> float:
         profile = self.profile_of(job)

@@ -31,6 +31,7 @@ from repro.core.selector import AvailabilityView
 from repro.errors import AllocationError
 from repro.interference.model import InterferenceModel
 from repro.interference.profile import ResourceProfile
+from repro.metrics.collector import MetricsCollector
 from repro.resilience import ResilienceConfig
 from repro.slurm.config import SchedulerConfig
 from repro.slurm.manager import WorkloadManager, build_manager
@@ -371,21 +372,35 @@ class TestIndexesAcrossSnapshots:
 
     def test_snapshot_bytes_hold_no_derived_state(self, monkeypatch):
         # A mid-run snapshot pickles exactly the state a manager
-        # without release bounds, a cluster without indexes (and
-        # neither with a __getstate__) would.
+        # without release bounds, running-job map, resident groups or
+        # rate epoch, a cluster without indexes, a collector without
+        # its kept work rate and profiles without their kept hashes
+        # (and none with a __getstate__) would.
         manager = sharing_manager()
         while not manager.cluster.num_shared():
             manager.sim.step()
         assert manager._release_bounds, "snapshot point must be mid-run"
+        assert manager._running
         blob = snapshot_bytes(manager)
         for name in (b"_release_bounds", b"_co_runners", b"min_memory_mb",
-                     b"_uniform_memory"):
+                     b"_uniform_memory", b"_groups",
+                     b"rate_epoch", b"_work_rate", b"_hash",
+                     b"before_pickle", b"_unwritten"):
             assert name not in blob, name
-        del manager.__dict__["_release_bounds"]
+        for name in ("_release_bounds", "_running", "_groups", "rate_epoch"):
+            del manager.__dict__[name]
         for name in INDEXES:
             del manager.cluster.__dict__[name]
+        for name in ("_rate_epoch", "_work_rate"):
+            del manager.collector.__dict__[name]
+        for profile_ in {*manager.profiles.values(),
+                         manager.config.default_profile}:
+            profile_.__dict__.pop("_hash", None)
+        del manager.sim.__dict__["before_pickle"]
         monkeypatch.delattr(WorkloadManager, "__getstate__")
         monkeypatch.delattr(Cluster, "__getstate__")
+        monkeypatch.delattr(MetricsCollector, "__getstate__")
+        monkeypatch.delattr(ResourceProfile, "__getstate__")
         assert pickle.dumps(manager, protocol=PICKLE_PROTOCOL) == blob
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from repro.cluster.machine import Cluster
 from repro.interference.model import InterferenceModel
+from repro.metrics.collector import MetricsCollector
 from repro.metrics.validation import ValidatingCollector
 from repro.miniapps.suite import TRINITY_SUITE
 from repro.slurm.config import SchedulerConfig
@@ -169,3 +170,32 @@ class TestWalltimeUnderSharing:
         assert first.state.name == "COMPLETED"
         assert first.was_shared
         assert first.run_time == pytest.approx(1000.0 / s)
+
+
+class TestKeptWorkRate:
+    def test_rate_refresh_invalidates_the_kept_work_rate(self):
+        # The collector reuses its last work-rate sum until the running
+        # set or a running job's rate changes; a refresh that changes a
+        # rate must make the next sample sum afresh.
+        cluster = Cluster.homogeneous(4)
+        manager = WorkloadManager(
+            cluster,
+            config=SchedulerConfig(strategy="shared_backfill"),
+            collector=MetricsCollector(cluster),
+        )
+        manager.load(WorkloadTrace([
+            make_spec(job_id=1, nodes=2, runtime=1000.0, walltime=3000.0,
+                      app="AMG"),
+            make_spec(job_id=2, nodes=2, runtime=1000.0, walltime=3000.0,
+                      app="miniDFT"),
+        ]))
+        manager.run(until=100.0)
+        collector, job = manager.collector, manager.jobs[1]
+        assert job.is_running and collector.work_rates[-1] == 4.0
+        collector.on_sample(manager.sim.now, manager)
+        assert collector.work_rates[-1] == 4.0
+        job.checkpoint_tau, job.checkpoint_overhead = 300.0, 100.0
+        manager._refresh_rate(job)
+        assert job.rate == 0.75
+        collector.on_sample(manager.sim.now, manager)
+        assert collector.work_rates[-1] == 3.5

@@ -30,6 +30,7 @@ from repro.storage import durable
 from tests import (
     test_cluster_indexes,
     test_faultinject,
+    test_manager_rate_arithmetic,
     test_snapshot,
     test_warm_fork,
 )
@@ -107,6 +108,47 @@ def _ring_pause_sample(self):
         collector.drop_last_sample()
 
 
+def _unflushed_getstate(self):
+    # Pickles the manager without writing the queue's pending
+    # priorities first; only the simulator's hook writes them, after
+    # the queue and the job table are already pickled.
+    state = self.__dict__.copy()
+    for name in ("_release_bounds", "_running", "_groups", "rate_epoch"):
+        del state[name]
+    return state
+
+
+def _stale_running_release(release):
+    # Frees the job but leaves it in the kept running-job map.
+    def mutant(self, job):
+        release(self, job)
+        self._running[job.job_id] = job
+
+    return mutant
+
+
+def _unbumped_refresh(refresh):
+    # Refreshes a rate without invalidating the kept work rate.
+    def mutant(self, job):
+        epoch = self.rate_epoch
+        refresh(self, job)
+        self.rate_epoch = epoch
+
+    return mutant
+
+
+def _forgetful_release(release):
+    # Leaves out of the kept groups a co-runner the release makes
+    # joinable again.
+    def mutant(self, job):
+        before = set(self._groups)
+        release(self, job)
+        for job_id in set(self._groups) - before:
+            del self._groups[job_id]
+
+    return mutant
+
+
 def _keep_count_lock() -> None:
     # Leaves the lock as the fork found it, held or not.
     pass
@@ -148,6 +190,20 @@ def validated_exclusive_oracle() -> None:
     reference engine."""
     try:
         assert_engines_agree(Scenario(seed=3, strategy="easy_backfill"))
+    except SimulationError as exc:
+        raise AssertionError(str(exc)) from exc
+
+
+def predicted_differential_oracle() -> None:
+    """The indexed engine, under the validating collector, against the
+    reference engine, which rebuilds the running jobs and the resident
+    groups on every pass; with walltime prediction both passes read
+    the running jobs."""
+    try:
+        assert_engines_agree(Scenario(
+            seed=5, strategy="shared_backfill", num_jobs=40, nodes=12,
+            share_fraction=0.9, predicted=True,
+        ))
     except SimulationError as exc:
         raise AssertionError(str(exc)) from exc
 
@@ -224,6 +280,21 @@ def snapshot_restore_oracle() -> None:
     and run on, to those of a manager never restored."""
     test_snapshot.TestSnapshotBytesPinned(
     ).test_restored_manager_pickles_to_the_same_bytes()
+
+
+def eager_bytes_oracle() -> None:
+    """A snapshot taken between two passes, of the manager or of its
+    simulator, pickles to the bytes of one whose queue writes every
+    pass's priorities at once."""
+    test_snapshot.TestSnapshotBytesPinned(
+    ).test_snapshot_between_passes_matches_an_eager_write_back()
+
+
+def kept_work_rate_oracle() -> None:
+    """A refresh that changes a running job's rate makes the next
+    sample sum the work rate afresh."""
+    test_manager_rate_arithmetic.TestKeptWorkRate(
+    ).test_rate_refresh_invalidates_the_kept_work_rate()
 
 
 def restored_pause_parity_oracle() -> None:
@@ -331,6 +402,41 @@ MUTANTS = (
             WorkloadManager, "_drop_pause_sample", _ring_pause_sample
         ),
         (restored_pause_parity_oracle, ringless_pause_parity_oracle),
+    ),
+    Mutant(
+        "late-priority-flush",
+        "the pending priorities are written after the jobs are pickled",
+        lambda mp: mp.setattr(
+            WorkloadManager, "__getstate__", _unflushed_getstate
+        ),
+        (eager_bytes_oracle, snapshot_restore_oracle),
+    ),
+    Mutant(
+        "stale-running-map",
+        "a release leaves the job in the kept running-job map",
+        lambda mp: mp.setattr(
+            WorkloadManager, "_release",
+            _stale_running_release(WorkloadManager._release),
+        ),
+        (predicted_differential_oracle,),
+    ),
+    Mutant(
+        "unbumped-rate-refresh",
+        "a rate refresh leaves the kept work rate valid",
+        lambda mp: mp.setattr(
+            WorkloadManager, "_refresh_rate",
+            _unbumped_refresh(WorkloadManager._refresh_rate),
+        ),
+        (kept_work_rate_oracle,),
+    ),
+    Mutant(
+        "forgotten-rejoinable-group",
+        "a co-runner left alone by a release is missing from the kept groups",
+        lambda mp: mp.setattr(
+            WorkloadManager, "_release",
+            _forgetful_release(WorkloadManager._release),
+        ),
+        (group_memory_oracle,),
     ),
 )
 

@@ -13,8 +13,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign.queue import RESPAWN_BUDGET_PER_WORKER, WorkQueue
+from repro.campaign.queue import (
+    RESPAWN_BUDGET_PER_WORKER,
+    WorkQueue,
+    build_queue_store,
+    drain_with_workers,
+)
 from repro.campaign.spec import CampaignSpec
+from repro.campaign.store import ResultStore
 from repro.cli import build_parser, main
 from repro.faultinject.chaos import store_fingerprint
 from repro.faultinject.fsck import fsck_path
@@ -193,6 +199,31 @@ class TestCampaignJoin:
         assert "stalled" in captured.err
         assert captured.err.count("exited 86") == 2 + budget
         assert not WorkQueue(tmp_path / "store").drained()
+
+
+class TestJoinHandBack:
+    def test_reclaimed_item_goes_back_to_an_idle_worker(self, tmp_path):
+        # One item's claim died inside its lease create: the empty
+        # lease ages out only after the TTL.  Both workers drain the
+        # rest and answer idle; the parent's reclaim leaves the item
+        # unleased and it hands the store back, with no respawn.
+        spec = CampaignSpec(
+            jobs=25, cluster_sizes=(16,), seeds=(1, 2),
+            strategies=("fcfs", "easy_backfill"),
+        )
+        runs = spec.expand()
+        store = tmp_path / "store"
+        queue, pending = build_queue_store(
+            store, spec.name, spec.to_dict(), {"queue": True}, runs,
+            config={"ttl_s": 1.0},
+        )
+        assert pending == len(runs) == 4
+        queue.leases.path_for(runs[-1].run_id).touch()
+        outcome = drain_with_workers(store, 2, poll_s=0.05)
+        assert (outcome.status, outcome.respawns) == ("drained", 0)
+        assert WorkQueue(store).drained()
+        results = ResultStore(store)
+        assert all(results.has(run.run_id) for run in runs)
 
 
 def _spawn_worker(store: Path, env: dict[str, str]) -> subprocess.Popen:

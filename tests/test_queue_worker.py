@@ -329,6 +329,50 @@ class TestWorkerDrain:
             assert WorkQueue(store).drained()
 
 
+class TestSiblingWorkers:
+    def _leased_by_a_sibling(self, tmp_path):
+        # Three items; a sibling (a live process: this one) holds the
+        # first.
+        runs = _runs(3)
+        queue = WorkQueue(tmp_path)
+        queue.enqueue(runs)
+        item, token = queue.claim_next()
+        return queue, item, token
+
+    def test_sibling_answers_once_every_item_left_is_leased(self, tmp_path):
+        queue, item, _ = self._leased_by_a_sibling(tmp_path)
+        sleeps = []
+        outcome = QueueWorker(
+            tmp_path, entry=_entry_ok, siblings=True,
+            clock=lambda: 1000.0, sleep=sleeps.append,
+        ).drain()
+        # It ran the two unleased items and left without waiting for
+        # the sibling's.
+        assert (outcome.status, outcome.completed) == ("drained", 2)
+        assert sleeps == []
+        assert queue.all_leased() and not queue.drained()
+        assert [it.run_id for it in queue.iter_items()] == [item.run_id]
+
+    def test_lone_worker_waits_for_the_leased_item(self, tmp_path):
+        queue, item, token = self._leased_by_a_sibling(tmp_path)
+        store = ResultStore(tmp_path)
+        sleeps = []
+
+        def sleep(seconds):
+            # The holder commits while the worker waits.
+            sleeps.append(seconds)
+            store.save(item.run_id, {"run_id": item.run_id,
+                                     "result": {"kind": "test"}})
+            queue.complete(item.run_id, token)
+
+        outcome = QueueWorker(
+            tmp_path, entry=_entry_ok, clock=lambda: 1000.0, sleep=sleep,
+        ).drain()
+        assert (outcome.status, outcome.completed) == ("drained", 2)
+        assert sleeps == [QueueWorker.IDLE_SLEEP_S]
+        assert queue.drained()
+
+
 class TestWorkerConfig:
     def test_store_config_overrides_defaults(self, tmp_path):
         queue = WorkQueue(tmp_path)

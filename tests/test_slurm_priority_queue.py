@@ -234,7 +234,11 @@ def _jobs(params) -> list[Job]:
 
 def assert_order_matches_reference(params, passes, backoff, saturation):
     """Queue *params* jobs and run *passes*: the queue's order, rank and
-    stored priority bits must equal :class:`ReferencePriority`'s."""
+    stored priority bits must equal :class:`ReferencePriority`'s, which
+    writes every pass's priorities at once.  The queue writes a pass's
+    priorities when flushed: here by the next pass's ``ranked``, after
+    that pass's charges, so the flush must write the keys of the pass
+    it belongs to."""
     # Waits pass the 500 s saturation; submits may lie after now.
     weights = PriorityWeights(qos=40.0, age_saturation=saturation)
     priority = MultifactorPriority(weights, num_nodes=16)
@@ -249,13 +253,17 @@ def assert_order_matches_reference(params, passes, backoff, saturation):
             priority.charge(user, amount)
             reference.charge(user, amount)
         ranked = [job.job_id for job in queue.ranked(now)]
+        assert [j.priority.hex() for j in jobs] == [
+            j.priority.hex() for j in ref_jobs
+        ]
         ordered = queue.ordered(now)
         expected = reference.order(list(ref_jobs), now)
         assert [j.job_id for j in ordered] == [j.job_id for j in expected]
         assert ranked == [j.job_id for j in expected]
-        assert [j.priority.hex() for j in jobs] == [
-            j.priority.hex() for j in ref_jobs
-        ]
+    queue.flush()
+    assert [j.priority.hex() for j in jobs] == [
+        j.priority.hex() for j in ref_jobs
+    ]
 
 
 class TestOrderMatchesReference:
@@ -278,5 +286,8 @@ class TestOrderMatchesReference:
         ranked = queue.ranked(now=500.0)
         assert [job.priority for job in jobs] == [0.0, 0.0, 0.0]
         assert ranked == queue.ordered(now=500.0)
+        # A pass keeps its priorities until a flush writes them.
+        assert [job.priority for job in jobs] == [0.0, 0.0, 0.0]
+        queue.flush()
         assert all(job.priority > 0.0 for job in jobs)
 

@@ -200,6 +200,79 @@ class TestSnapshotBytesPinned:
             job.priority.hex() for job in uninterrupted.jobs.values()
         ]
 
+    def test_snapshot_between_passes_matches_an_eager_write_back(self):
+        # A pass keeps its priorities unwritten; pickling the manager,
+        # or its simulator, first writes them, so the bytes equal those
+        # of a queue that writes every pass's priorities at once.
+        def eager(manager):
+            queue = manager.queue
+            queue.ordered = lambda now: queue.priority.order_terms(
+                queue._terms.values(), now
+            )
+            return manager
+
+        lazy = [deep_manager(), deep_manager()]
+        eagers = [eager(deep_manager()), eager(deep_manager())]
+        for manager in lazy + eagers:
+            manager.sim.run(until=20_000.0)
+        queued = list(lazy[0].queue)
+        assert lazy[0].queue._unwritten is not None
+        assert [job.priority for job in queued] != [
+            job.priority for job in eagers[0].queue
+        ], "the pass must have left priorities unwritten"
+        assert snapshot_bytes(lazy[0]) == snapshot_bytes(eagers[0])
+        assert lazy[1].sim.snapshot() == eagers[1].sim.snapshot()
+        assert [job.priority for job in queued] == [
+            job.priority for job in eagers[0].queue
+        ]
+
+    def test_pass_leaves_unplaced_priorities_until_a_flush(self):
+        # A pass writes the priority of each job it starts; the jobs it
+        # does not place keep what they held until a flush writes what
+        # an eager write-back at the pass would have.
+        manager = deep_manager()
+        priority = manager.priority
+        passes = []
+        schedule = manager.strategy.schedule
+
+        def recording(ctx):
+            held = [job.priority for job in ctx.pending]
+            placements = schedule(ctx)
+            passes.append((ctx, held, {p.job.job_id for p in placements}))
+            return placements
+
+        manager.strategy.schedule = recording
+        checked = 0
+        while checked < 20:
+            manager.sim.step()
+            if not passes:
+                continue
+            ctx, held, placed = passes.pop()
+            eager = {
+                key[2]: -key[0]
+                for key in priority.sorted_keys(
+                    map(priority.terms, ctx.pending), ctx.now
+                )
+            }
+            unplaced = [
+                (job, was) for job, was in zip(ctx.pending, held)
+                if job.job_id not in placed
+            ]
+            if not placed or not unplaced:
+                continue
+            assert any(eager[job.job_id] != was for job, was in unplaced)
+            for job in ctx.pending:
+                if job.job_id in placed:
+                    assert job.priority == eager[job.job_id]
+            assert [job.priority for job, _ in unplaced] == [
+                was for _, was in unplaced
+            ]
+            manager.queue.flush()
+            assert [job.priority for job, _ in unplaced] == [
+                eager[job.job_id] for job, _ in unplaced
+            ]
+            checked += 1
+
     @pytest.mark.parametrize(
         "restored", [False, True], ids=["continued", "restored"]
     )
@@ -517,6 +590,44 @@ class TestEntryResume:
         resumed = execute_run(params, snapshot_dir=str(tmp_path))
         assert resumed == baseline
         assert not snap.exists(), "completed runs drop their snapshot"
+
+    @pytest.mark.parametrize("snapshots", [False, True],
+                             ids=["plain", "autosnapshot"])
+    def test_finished_run_is_freed_without_the_cyclic_collector(
+        self, tmp_path, monkeypatch, snapshots
+    ):
+        # The simulator's handlers, its pickle hook, suspend poll and
+        # autosnapshotter hold the manager, which holds the simulator;
+        # once the payload is built none of them may keep it alive.
+        import gc
+        import weakref
+
+        from repro.slurm import manager as manager_module
+        from repro.slurm.entry import execute_run
+
+        built = []
+        build = manager_module.build_manager
+
+        def recording_build(*args, **kwargs):
+            manager = build(*args, **kwargs)
+            built.append(weakref.ref(manager))
+            return manager
+
+        monkeypatch.setattr(manager_module, "build_manager", recording_build)
+        kwargs = (
+            {"snapshot_dir": str(tmp_path), "snapshot_every": "50e"}
+            if snapshots else {}
+        )
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            payload = execute_run(self._params(), **kwargs)
+            assert payload["completed"] == 40
+            assert len(built) == 1
+            assert built[0]() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_stale_snapshot_falls_back_to_fresh_run(self, tmp_path):
         from repro.campaign.spec import run_id_of

@@ -67,6 +67,27 @@ def test_random_simulations_hold_invariants(seed, strategy, num_jobs,
     assert collector.cluster.num_idle() == collector.cluster.num_nodes
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@settings(max_examples=3, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 10_000),
+    num_jobs=st.integers(20, 40),
+    share_fraction=st.floats(min_value=0.5, max_value=1.0),
+)
+def test_kept_engine_state_matches_a_rebuild(strategy, seed, num_jobs,
+                                             share_fraction):
+    # The validating collector compares the kept running-job map,
+    # resident groups and work rate with a rebuild at every sample,
+    # and the lazily written priorities with an eager write-back at
+    # every start.
+    _, result, collector = run_validated(
+        seed, strategy, num_jobs, share_fraction=share_fraction
+    )
+    assert collector.checks > 0
+    assert collector.priority_checks == result.placements_applied > 0
+
+
 @settings(max_examples=8, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 10_000))
