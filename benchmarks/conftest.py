@@ -9,7 +9,6 @@ Run:  pytest benchmarks/ --benchmark-only
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
@@ -21,7 +20,6 @@ from repro.analysis.experiments import (
 )
 
 RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).parent.parent
 
 
 @pytest.fixture(scope="session")
@@ -44,22 +42,5 @@ def record_artifact():
         (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
         print()
         print(text)
-
-    return save
-
-
-@pytest.fixture
-def record_bench():
-    """Persist machine-readable benchmark metrics as ``BENCH_<name>.json``
-    at the repo root, so tooling can track performance across commits
-    without parsing the human-facing tables."""
-
-    def save(name: str, metrics: dict) -> None:
-        path = REPO_ROOT / f"BENCH_{name}.json"
-        payload = {"bench": name, **metrics}
-        path.write_text(
-            json.dumps(payload, indent=1, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
 
     return save

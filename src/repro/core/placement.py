@@ -13,10 +13,10 @@ join opens idle nodes in shared mode instead (running at full speed,
 available for a future joiner of matching size).
 
 When the context carries a :class:`~repro.observability.DecisionTrace`
-each probe emits exactly one record — an accept, or a reject carrying
-one reason code from :data:`~repro.observability.REASON_CODES`.
-Classification runs only on the failure path with the trace armed, so
-the decision logic itself is untouched either way.
+each probe that runs emits one record — an accept, or a reject with
+one code from :data:`~repro.observability.REASON_CODES`.  Armed or
+not, the same probes run: one the pass's size tests rule out
+(``may_cover``, ``rules_out``) never runs, so it records nothing.
 
 These helpers run once per pending job per scheduler pass, so every
 rejection goes through :func:`_reject`, which checks for a
@@ -157,9 +157,8 @@ def place_join(
             _reject(decisions, ctx, "join", job, "not_shareable")
         return None
     need = job.num_nodes
-    if decisions is None and not view.may_cover(need):
+    if not view.may_cover(need):
         # No groups at all sum to *need*, so no compatible ones do.
-        # An armed trace takes the full probe to classify the reject.
         return None
     profile = ctx.profile_of(job)
     compatible = view.joinable_groups(profile)

@@ -135,8 +135,8 @@ class AvailabilityView:
         """Whether *job* certainly cannot be placed now: it needs more
         nodes than are idle, and it either may not share or no groups
         sum to its size.  Then every join, open-shared and exclusive
-        probe would fail, so callers skip them; they ask only with no
-        decision trace armed, which needs each probe's reject code."""
+        probe would fail, so callers skip them, armed trace or not;
+        a skipped probe records nothing."""
         need = job.spec.num_nodes
         return need > len(self.idle) and (
             not job.spec.shareable or not self.may_cover(need)

@@ -60,11 +60,10 @@ class SharedBackfillStrategy(Strategy):
         head = queue[index]
         shadow, extra = compute_reservation(ctx, view, head, placements)
 
-        screen = ctx.decisions is None
         for job in queue[index + 1 :]:
             if view.idle_count == 0 and not view.has_groups:
                 break
-            if screen and view.rules_out(job):
+            if view.rules_out(job):
                 continue
             idle_before = view.idle_count
             placement = self._backfill_one(job, ctx, view, shadow, extra)

@@ -284,7 +284,7 @@ class Simulator:
             handler(self, event)
         if profiler is not None:
             profiler.record_event(
-                event.kind.name, _wallclock.perf_counter_ns() - started_ns
+                event.kind, _wallclock.perf_counter_ns() - started_ns
             )
         return event
 

@@ -18,7 +18,7 @@ sections, never in result payloads.
 
 from __future__ import annotations
 
-from time import perf_counter_ns
+from repro.engine.events import EventKind
 
 
 class HotLoopProfiler:
@@ -27,19 +27,15 @@ class HotLoopProfiler:
     __slots__ = ("event_ns", "phase_ns")
 
     def __init__(self) -> None:
-        #: Per event-kind name: [dispatches, total nanoseconds].
-        self.event_ns: dict[str, list[int]] = {}
+        #: Per event kind: [dispatches, total nanoseconds].
+        self.event_ns: dict[EventKind, list[int]] = {}
         #: Per scheduler-phase name: [calls, total nanoseconds].
         self.phase_ns: dict[str, list[int]] = {}
 
     # ------------------------------------------------------------------
     # Recording (manual start/stop keeps per-event overhead minimal)
     # ------------------------------------------------------------------
-    @staticmethod
-    def now_ns() -> int:
-        return perf_counter_ns()
-
-    def record_event(self, kind: str, elapsed_ns: int) -> None:
+    def record_event(self, kind: EventKind, elapsed_ns: int) -> None:
         cell = self.event_ns.get(kind)
         if cell is None:
             self.event_ns[kind] = [1, elapsed_ns]
@@ -77,7 +73,7 @@ class HotLoopProfiler:
             }
 
         return {
-            "events": section(self.event_ns),
+            "events": section({k.name: cell for k, cell in self.event_ns.items()}),
             "phases": section(self.phase_ns),
             "total_event_ms": self.total_event_ns / 1e6,
         }

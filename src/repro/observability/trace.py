@@ -19,9 +19,8 @@ record when the streak starts, not one per pass (the hub's
 ``reject.*`` counters count records, not attempts, and ``suppressed``
 tallies the elided repeats).  Any accept or lifecycle transition for
 the job resets its streaks, so the stream records every *change* of
-decision — which is what keeps fully-armed tracing inside the
-DESIGN.md §7 overhead budget on contended queues, where identical
-re-rejections dominate.
+decision.  Armed runs take the disarmed scheduler path, so a probe
+the pass's size tests rule out records nothing (DESIGN.md §7).
 
 Every trace owns its :class:`~repro.observability.hub.TelemetryHub`:
 the typed emit helpers bump its counters, so metrics and records
@@ -140,11 +139,11 @@ class DecisionTrace:
         self.hub = TelemetryHub()
         self._ring = int(ring)
         self.records: deque[dict] = deque(maxlen=self._ring)
+        #: Records emitted so far, retained or not: also the ``seq``
+        #: of the latest record.
         self.emitted = 0
-        self.dropped = 0
         self.suppressed = 0
         self.write_failures = 0
-        self._seq = 0
         self._buffer: list[str] = []
         #: job id -> {stage: last rejection code} for streak suppression.
         self.streaks: dict[int, dict[str, str]] = {}
@@ -159,10 +158,7 @@ class DecisionTrace:
         and call this directly — one allocation per record, no
         keyword-argument re-packing hop through :meth:`emit`.
         """
-        if len(self.records) == self._ring:
-            self.dropped += 1
         self.records.append(record)
-        self.emitted += 1
         if self.path is not None:
             # Insertion order is deterministic (seq/t/type, then the
             # caller's fields), so no sort_keys on this hot path.
@@ -171,11 +167,16 @@ class DecisionTrace:
                 self.flush()
         return record
 
+    @property
+    def dropped(self) -> int:
+        """Emitted records the ring no longer holds."""
+        return self.emitted - len(self.records)
+
     def emit(self, record_type: str, t: float, **fields: object) -> dict:
         """Append one record; returns it (mostly for tests)."""
-        self._seq += 1
+        self.emitted += 1
         return self._append(
-            {"seq": self._seq, "t": float(t), "type": record_type, **fields}
+            {"seq": self.emitted, "t": float(t), "type": record_type, **fields}
         )
 
     # ------------------------------------------------------------------
@@ -210,9 +211,9 @@ class DecisionTrace:
             stages = self.streaks[job_id] = {}
         stages[stage] = code
         self.hub.inc(f"reject.{stage}.{code}")
-        self._seq += 1
+        self.emitted += 1
         return self._append({
-            "seq": self._seq, "t": float(t), "type": "reject",
+            "seq": self.emitted, "t": float(t), "type": "reject",
             "stage": stage, "job": job_id, "code": code, **fields,
         })
 
@@ -223,9 +224,9 @@ class DecisionTrace:
         """A placement probe succeeded (the job starts this pass)."""
         self.hub.inc(f"accept.{stage}.{kind}")
         self.streaks.pop(job_id, None)
-        self._seq += 1
+        self.emitted += 1
         return self._append({
-            "seq": self._seq, "t": float(t), "type": "accept",
+            "seq": self.emitted, "t": float(t), "type": "accept",
             "stage": stage, "job": job_id, "kind": kind, "nodes": nodes,
             **fields,
         })
@@ -239,9 +240,9 @@ class DecisionTrace:
         """
         self.hub.inc(f"jobs.{state}")
         self.streaks.pop(job_id, None)
-        self._seq += 1
+        self.emitted += 1
         return self._append({
-            "seq": self._seq, "t": float(t), "type": "lifecycle",
+            "seq": self.emitted, "t": float(t), "type": "lifecycle",
             "job": job_id, "state": state, **fields,
         })
 
@@ -250,18 +251,18 @@ class DecisionTrace:
     ) -> dict:
         """A scheduler-cycle span summary (one per pass)."""
         self.hub.inc(f"span.{name}")
-        self._seq += 1
+        self.emitted += 1
         return self._append({
-            "seq": self._seq, "t": float(t), "type": "span",
+            "seq": self.emitted, "t": float(t), "type": "span",
             "name": name, **fields,
         })
 
     def event(self, t: float, name: str, **fields: object) -> dict:
         """A point event (failure, repair, reservation edge, snapshot)."""
         self.hub.inc(f"event.{name}")
-        self._seq += 1
+        self.emitted += 1
         return self._append({
-            "seq": self._seq, "t": float(t), "type": "event",
+            "seq": self.emitted, "t": float(t), "type": "event",
             "name": name, **fields,
         })
 

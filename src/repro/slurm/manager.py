@@ -532,7 +532,7 @@ class WorkloadManager:
         """Integrate progress, recompute the rate, reschedule finish."""
         profiler = self.hot_profiler
         if profiler is not None:
-            started_ns = profiler.now_ns()
+            started_ns = _wallclock.perf_counter_ns()
         now = self.sim.now
         job.integrate_progress(now, job.sharing_now)
         co_runners = self.cluster.jobs_sharing_with(job.job_id)
@@ -552,7 +552,7 @@ class WorkloadManager:
             )
         if profiler is not None:
             profiler.record_phase(
-                "interference", profiler.now_ns() - started_ns
+                "interference", _wallclock.perf_counter_ns() - started_ns
             )
 
     # ------------------------------------------------------------------
@@ -1129,24 +1129,24 @@ class WorkloadManager:
         )
         profiler = self.hot_profiler
         if profiler is not None:
-            started_ns = profiler.now_ns()
+            started_ns = _wallclock.perf_counter_ns()
         placements = self.strategy.schedule(ctx)
         # The view refers back to the context: drop it, so reference
         # counting frees the pass's objects.
         ctx.view = None
         was_running = len(running)
         if profiler is not None:
-            placed_ns = profiler.now_ns()
+            placed_ns = _wallclock.perf_counter_ns()
             profiler.record_phase("placement", placed_ns - started_ns)
         for placement in placements:
             self._start_job(placement)
         if profiler is not None:
-            applied_ns = profiler.now_ns()
+            applied_ns = _wallclock.perf_counter_ns()
             profiler.record_phase("dispatch", applied_ns - placed_ns)
         if placements and self.collector is not None:
             self.collector.on_sample(sim.now, self)
             if profiler is not None:
-                profiler.record_phase("metrics", profiler.now_ns() - applied_ns)
+                profiler.record_phase("metrics", _wallclock.perf_counter_ns() - applied_ns)
         if self.decisions is not None:
             self.decisions.span(
                 sim.now, "scheduler_pass",
@@ -1154,8 +1154,8 @@ class WorkloadManager:
                 placed=len(placements),
             )
             hub = self.decisions.hub
-            hub.set_gauge("queue.pending", float(len(self.queue)))
-            hub.set_gauge("cluster.running", float(was_running))
+            hub.set_gauge("queue.pending", len(self.queue))
+            hub.set_gauge("cluster.running", was_running)
 
     # ------------------------------------------------------------------
     # Starting jobs

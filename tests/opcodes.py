@@ -1,10 +1,13 @@
-"""Deterministic cost: bytecode counts per code object.
+"""Deterministic cost: bytecode and call counts per code object.
 
 Timings move with host load; the number of bytecode instructions a
 piece of Python code executes does not, so tier-1 tests can gate cost
 on it.  Counts differ between interpreter versions, so gates compare
 ratios of counts taken on the same interpreter, never absolute counts.
 The counts miss work done in C (sorts, dict and set operations).
+
+Call counts say which code ran, not what it cost: two runs that take
+the same path call every function equally often, on any interpreter.
 """
 
 from __future__ import annotations
@@ -42,6 +45,34 @@ def counting_opcodes() -> Iterator[Counter[CodeType]]:
         yield counts
     finally:
         sys.settrace(previous)
+
+
+# CPython 3.12.1 reports no opcode in the first block a process traces
+# this way; later blocks count in full.  An empty first block takes the
+# miss, so every caller's block counts.
+with counting_opcodes():
+    pass
+
+
+@contextlib.contextmanager
+def counting_calls() -> Iterator[Counter[CodeType]]:
+    """Count the calls of each Python code object inside the block.
+
+    A generator counts once per resume.  The profile function in place
+    before the block is restored after it.
+    """
+    counts: Counter[CodeType] = Counter()
+
+    def count(frame, event, arg):
+        if event == "call":
+            counts[frame.f_code] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        yield counts
+    finally:
+        sys.setprofile(previous)
 
 
 def opcodes_in(counts: Counter[CodeType], fragment: str) -> int:

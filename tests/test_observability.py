@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.strategy import all_strategy_names
+from repro.engine.events import EventKind
 from repro.errors import ConfigError
 from repro.observability import (
     DecisionTrace,
@@ -255,8 +256,8 @@ class TestDecisionTrace:
 class TestHotLoopProfiler:
     def test_record_and_report(self):
         prof = HotLoopProfiler()
-        prof.record_event("JOB_FINISH", 1_000_000)
-        prof.record_event("JOB_FINISH", 3_000_000)
+        prof.record_event(EventKind.JOB_FINISH, 1_000_000)
+        prof.record_event(EventKind.JOB_FINISH, 3_000_000)
         prof.record_phase("placement", 500_000)
         payload = prof.as_dict()
         assert payload["events"]["JOB_FINISH"]["calls"] == 2

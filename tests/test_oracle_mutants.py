@@ -21,6 +21,7 @@ import pytest
 
 from repro.campaign import warm
 from repro.cluster.machine import Cluster
+from repro.core.selector import AvailabilityView
 from repro.engine.simulator import Simulator
 from repro.errors import SimulationError
 from repro.faultinject import registry
@@ -147,6 +148,12 @@ def _forgetful_release(release):
             del self._groups[job_id]
 
     return mutant
+
+
+def _groupless_screen(self, job):
+    # Rules out every job wider than the idle nodes, though a join
+    # takes no idle node.
+    return job.spec.num_nodes > len(self.idle)
 
 
 def _keep_count_lock() -> None:
@@ -437,6 +444,12 @@ MUTANTS = (
             _forgetful_release(WorkloadManager._release),
         ),
         (group_memory_oracle,),
+    ),
+    Mutant(
+        "screen-ignores-groups",
+        "the backfill screen rules out a job that could join resident groups",
+        lambda mp: mp.setattr(AvailabilityView, "rules_out", _groupless_screen),
+        (differential_oracle,),
     ),
 )
 

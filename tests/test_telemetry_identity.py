@@ -12,11 +12,18 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.campaign.spec import run_id_of, simulate_params, trinity_workload
+from repro.core.selector import AvailabilityView
 from repro.core.strategy import all_strategy_names
+from repro.observability import TelemetryConfig
+from repro.slurm.config import SchedulerConfig
 from repro.slurm.entry import execute_run
+from repro.slurm.manager import build_manager
+from repro.workload.trinity import TrinityWorkloadGenerator
+from tests.reference_engine import ReferenceAvailabilityView
 
 
 def canonical(payload: dict) -> bytes:
@@ -111,3 +118,41 @@ def test_decision_stream_is_deterministic(tmp_path):
             (telemetry_dir / f"{run_id}.decisions.jsonl").read_bytes()
         )
     assert streams[0] == streams[1]
+
+
+def decision_records(strategy: str) -> list[dict]:
+    """Every record of an armed, contended run, without its ``seq``."""
+    config = SchedulerConfig(strategy=strategy)
+    config.telemetry = TelemetryConfig(enabled=True)
+    trace = TrinityWorkloadGenerator(
+        share_obeys_app=False, share_fraction=0.85, offered_load=1.4
+    ).generate(50, 16, np.random.default_rng(11))
+    manager = build_manager(
+        trace, num_nodes=16, strategy=strategy, config=config
+    )
+    manager.run()
+    assert manager.decisions.dropped == 0
+    return [
+        {k: v for k, v in record.items() if k != "seq"}
+        for record in manager.decisions.records
+    ]
+
+
+@pytest.mark.parametrize(
+    "strategy", ("shared_first_fit", "shared_backfill", "shared_conservative")
+)
+def test_size_screens_drop_only_reject_records(strategy, monkeypatch):
+    """A probe the pass's size tests rule out records nothing; with the
+    screens off, every probe runs and only reject records are added."""
+    screened = decision_records(strategy)
+    for name in ("rules_out", "may_cover"):
+        monkeypatch.setattr(
+            AvailabilityView, name, getattr(ReferenceAvailabilityView, name)
+        )
+    probed = decision_records(strategy)
+
+    def kept(records):
+        return [r for r in records if r["type"] != "reject"]
+
+    assert kept(screened) == kept(probed)
+    assert len(screened) < len(probed)
