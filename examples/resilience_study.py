@@ -13,12 +13,12 @@ import numpy as np
 
 from repro import (
     Cluster,
-    FailureModel,
     MetricsCollector,
     SchedulerConfig,
     WorkloadManager,
     summarize,
 )
+from repro.resilience import ResilienceConfig
 from repro.workload.trinity import TrinityWorkloadGenerator
 
 NODES = 48
@@ -33,10 +33,10 @@ def run(trace, strategy: str, mtbf_hours: float):
     )
     manager.load(trace)
     if mtbf_hours != float("inf"):
-        manager.enable_failures(
-            FailureModel(mtbf_node_hours=mtbf_hours, repair_hours=3.0),
-            seed=99,
-        )
+        manager.enable_resilience(ResilienceConfig(
+            node_mtbf_hours=mtbf_hours, repair_hours=3.0,
+            max_requeues=None, seed=99,
+        ))
     result = manager.run()
     lost = sum(r.lost_work * r.num_nodes for r in result.accounting) / 3600.0
     return result, summarize(result), manager, lost

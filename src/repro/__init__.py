@@ -69,7 +69,6 @@ from repro.metrics import (
 from repro.miniapps import TRINITY_SUITE, MiniApp, get_miniapp, suite_names
 from repro.slurm import (
     AccountingLog,
-    FailureModel,
     Job,
     JobRecord,
     JobState,
@@ -113,7 +112,7 @@ __all__ = [
     # mini-apps
     "TRINITY_SUITE", "MiniApp", "get_miniapp", "suite_names",
     # slurm
-    "AccountingLog", "FailureModel", "Job", "JobRecord", "JobState",
+    "AccountingLog", "Job", "JobRecord", "JobState",
     "Reservation",
     "SchedulerConfig",
     "SimulationResult", "WorkloadManager", "parse_slurm_conf",

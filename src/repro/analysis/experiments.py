@@ -854,7 +854,7 @@ def e20_failure_resilience(
     """
     from repro.cluster.machine import Cluster
     from repro.metrics.collector import MetricsCollector
-    from repro.slurm.failures import FailureModel
+    from repro.resilience import ResilienceConfig
     from repro.slurm.manager import WorkloadManager
 
     trace = default_campaign(num_jobs=num_jobs, cluster_nodes=num_nodes)
@@ -870,12 +870,10 @@ def e20_failure_resilience(
             )
             manager.load(trace)
             if mtbf != float("inf"):
-                manager.enable_failures(
-                    FailureModel(
-                        mtbf_node_hours=mtbf, repair_hours=repair_hours
-                    ),
-                    seed=seed,
-                )
+                manager.enable_resilience(ResilienceConfig(
+                    node_mtbf_hours=mtbf, repair_hours=repair_hours,
+                    max_requeues=None, seed=seed,
+                ))
             result = manager.run()
             per_strategy[strategy] = (result, summarize(result), manager)
         base_res, base_sum, base_mgr = per_strategy[BASELINE]

@@ -1,9 +1,11 @@
 """The discrete-event simulation loop.
 
 :class:`Simulator` owns the clock and the event heap and dispatches
-events to handlers registered per :class:`~repro.engine.events.EventKind`.
-It is intentionally minimal — all batch-system semantics live in
-:mod:`repro.slurm.manager`, which is just another handler client.
+each event to the handler its caller maps the event's
+:class:`~repro.engine.events.EventKind` to.  It is intentionally
+minimal — all batch-system semantics live in
+:mod:`repro.slurm.manager`, which passes its bound methods as the
+handler table of each :meth:`Simulator.run` call.
 
 Diagnostics hooks (all inert unless armed):
 
@@ -16,7 +18,8 @@ Diagnostics hooks (all inert unless armed):
   at a single timestamp, catching zero-delay livelocks long before the
   lifetime ``max_events`` backstop would.
 
-Preemption hooks (see :mod:`repro.snapshot`, both inert unless armed):
+Preemption hooks (see :mod:`repro.snapshot`), arguments of one
+:meth:`run` call like the handler table:
 
 * a *suspend poll* checked before every dispatch raises
   :class:`~repro.errors.SuspendRequested` at a clean event boundary,
@@ -24,18 +27,20 @@ Preemption hooks (see :mod:`repro.snapshot`, both inert unless armed):
 * an *auto-snapshotter* invoked after every dispatch periodically
   serialises the complete simulation state to disk.
 
-Both hooks — and the transient run-loop fields — are excluded from
-pickling, so a :meth:`snapshot` taken mid-run restores to a clean,
-re-runnable simulator.  So is what the flight ring holds: it pickles
-as an empty ring of the same capacity.
+The simulator keeps none of them once the call returns, so it never
+holds its caller: a finished run is freed by reference counting, and
+a pickle of the simulator holds its own state (the heap, the clock,
+the counters and its settings) and nothing of a handler's.  The
+transient run-loop fields pickle reset, so a snapshot taken mid-run
+restores to a clean, re-runnable simulator, and the flight ring
+pickles as an empty ring of the same capacity.
 """
 
 from __future__ import annotations
 
-import pickle
 import time as _wallclock
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.engine.events import Event, EventKind
 from repro.engine.heap import EventHeap
@@ -51,6 +56,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.snapshot.auto import AutoSnapshotter
 
 Handler = Callable[["Simulator", Event], None]
+#: One handler per event kind; kinds without one dispatch silently.
+Handlers = Mapping[EventKind, Handler]
 
 #: Default lifetime dispatch budget (livelock backstop).
 DEFAULT_MAX_EVENTS = 50_000_000
@@ -58,6 +65,10 @@ DEFAULT_MAX_EVENTS = 50_000_000
 
 class Simulator:
     """Single-threaded discrete-event simulator.
+
+    The handler table, the suspend poll and the snapshotter are
+    arguments of one :meth:`run` (or :meth:`step`) call; the simulator
+    keeps none of them.
 
     Parameters
     ----------
@@ -81,12 +92,6 @@ class Simulator:
         reads no clock, only ``is not None`` tests.
     """
 
-    #: Called first by :meth:`__getstate__`, before anything the heap
-    #: reaches is pickled, and never pickled itself: the owner writes
-    #: state it keeps lazily into the objects its events carry (the
-    #: manager flushes the queue's pending priorities).
-    before_pickle: Callable[[], None] | None = None
-
     def __init__(
         self,
         max_events: int = DEFAULT_MAX_EVENTS,
@@ -109,22 +114,15 @@ class Simulator:
         self.stall_event_limit = stall_event_limit
         self.profiler = profiler
         self.events_dispatched = 0
-        self._handlers: dict[EventKind, list[Handler]] = {}
         self._running = False
         self._stop_requested = False
         self._wall_deadline: float | None = None
         self._stall_anchor: float = -1.0
         self._stall_count = 0
-        self._suspend_poll: Callable[[], bool] | None = None
-        self._autosnap: "AutoSnapshotter | None" = None
 
     # ------------------------------------------------------------------
-    # Registration and scheduling
+    # Scheduling
     # ------------------------------------------------------------------
-    def on(self, kind: EventKind, handler: Handler) -> None:
-        """Register *handler* for events of *kind* (append order kept)."""
-        self._handlers.setdefault(kind, []).append(handler)
-
     def schedule(self, time: float, kind: EventKind, payload: Any = None) -> Event:
         """Queue a new event at absolute simulated *time*.
 
@@ -150,68 +148,17 @@ class Simulator:
         self._stop_requested = True
 
     # ------------------------------------------------------------------
-    # Preemption hooks and snapshotting
+    # Pickling
     # ------------------------------------------------------------------
-    def set_suspend_poll(self, poll: Callable[[], bool] | None) -> None:
-        """Arm (or disarm with ``None``) the cooperative suspend poll.
-
-        The poll is evaluated before each dispatch; returning True
-        raises :class:`~repro.errors.SuspendRequested` with the queue
-        intact, so a snapshot taken at that moment resumes exactly
-        where the run left off.
-        """
-        self._suspend_poll = poll
-
-    def set_autosnapshotter(self, snapshotter: "AutoSnapshotter | None") -> None:
-        """Arm (or disarm) the periodic state snapshotter."""
-        self._autosnap = snapshotter
-
-    def detach(self) -> None:
-        """Drop the handlers and hooks.  They hold their owners, which
-        hold this simulator, so a finished run is then freed by
-        reference counting instead of waiting for the cyclic garbage
-        collector.  The simulator cannot run afterwards."""
-        self._handlers.clear()
-        self.before_pickle = None
-        self._suspend_poll = None
-        self._autosnap = None
-
-    def snapshot(self) -> bytes:
-        """Serialise the full event-loop world — heap, clock, counters
-        and every registered handler's object graph — to bytes.
-
-        Because handlers are bound methods, the owning manager (jobs,
-        cluster, queue, accounting, collectors, RNG streams) travels
-        with the simulator; :meth:`restore` brings the whole world
-        back with object identities preserved.
-        """
-        return pickle.dumps(self, protocol=4)
-
-    @classmethod
-    def restore(cls, blob: bytes) -> "Simulator":
-        """Rebuild a simulator from :meth:`snapshot` output."""
-        sim = pickle.loads(blob)
-        if not isinstance(sim, cls):
-            raise SimulationError(
-                f"snapshot does not contain a {cls.__name__} "
-                f"(got {type(sim).__name__})"
-            )
-        return sim
-
     def __getstate__(self) -> dict:
-        """Pickle without the transient run-loop/hook state, so a
-        snapshot taken *inside* :meth:`run` restores re-runnable, and
-        with the flight ring empty: a crash report's history is not
-        simulation state."""
-        if self.before_pickle is not None:
-            self.before_pickle()
+        """Pickle without the transient run-loop state, so a snapshot
+        taken *inside* :meth:`run` restores re-runnable, and with the
+        flight ring empty: a crash report's history is not simulation
+        state."""
         state = self.__dict__.copy()
-        state.pop("before_pickle", None)
         state["_running"] = False
         state["_stop_requested"] = False
         state["_wall_deadline"] = None
-        state["_suspend_poll"] = None
-        state["_autosnap"] = None
         if self.flight_ring is not None:
             state["flight_ring"] = deque(maxlen=self.flight_ring.maxlen)
         return state
@@ -252,8 +199,9 @@ class Simulator:
     # ------------------------------------------------------------------
     # Run loop
     # ------------------------------------------------------------------
-    def step(self) -> Event:
-        """Dispatch exactly one event and return it."""
+    def step(self, handlers: Handlers) -> Event:
+        """Dispatch exactly one event to its handler in *handlers* and
+        return it."""
         event = self.heap.pop()
         if event.time < self.now:
             raise SimulationError(
@@ -280,7 +228,8 @@ class Simulator:
         profiler = self.profiler
         if profiler is not None:
             started_ns = _wallclock.perf_counter_ns()
-        for handler in self._handlers.get(event.kind, ()):
+        handler = handlers.get(event.kind)
+        if handler is not None:
             handler(self, event)
         if profiler is not None:
             profiler.record_event(
@@ -288,8 +237,22 @@ class Simulator:
             )
         return event
 
-    def run(self, until: float | None = None) -> float:
-        """Run until the heap drains, *until* is reached, or stop().
+    def run(
+        self,
+        handlers: Handlers,
+        until: float | None = None,
+        *,
+        suspend_poll: Callable[[], bool] | None = None,
+        snapshotter: "AutoSnapshotter | None" = None,
+    ) -> float:
+        """Dispatch events to *handlers* until the heap drains, *until*
+        is reached, or stop().
+
+        *suspend_poll* is evaluated before each dispatch; returning
+        True raises :class:`~repro.errors.SuspendRequested` with the
+        queue intact, so a snapshot taken at that moment resumes
+        exactly where the run left off.  *snapshotter* is offered the
+        simulator after each dispatch.  Neither outlives the call.
 
         Returns the simulation time at which the loop ended.
         """
@@ -303,7 +266,7 @@ class Simulator:
             )
         try:
             while self.heap:
-                if self._suspend_poll is not None and self._suspend_poll():
+                if suspend_poll is not None and suspend_poll():
                     raise SuspendRequested(
                         f"suspend requested at t={self.now:.6f} after "
                         f"{self.events_dispatched} events",
@@ -316,9 +279,9 @@ class Simulator:
                 if until is not None and next_time is not None and next_time > until:
                     self.now = until
                     break
-                self.step()
-                if self._autosnap is not None:
-                    self._autosnap.maybe_fire(self)
+                self.step(handlers)
+                if snapshotter is not None:
+                    snapshotter.maybe_fire(self)
                 if self._stop_requested:
                     break
             else:

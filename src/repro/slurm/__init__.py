@@ -10,7 +10,6 @@ themselves live in :mod:`repro.core` and are plugged in.
 
 from repro.slurm.accounting import AccountingLog, JobRecord
 from repro.slurm.config import SchedulerConfig, parse_slurm_conf
-from repro.slurm.failures import FailureModel
 from repro.slurm.job import Job, JobState
 from repro.slurm.manager import SimulationResult, WorkloadManager, run_simulation
 from repro.slurm.priority import MultifactorPriority, PriorityWeights
@@ -19,7 +18,6 @@ from repro.slurm.reservations import Reservation
 
 __all__ = [
     "AccountingLog",
-    "FailureModel",
     "Job",
     "JobRecord",
     "JobState",

@@ -143,20 +143,21 @@ def _execute_simulate(
         manager = build_manager(
             trace, num_nodes=num_nodes, strategy=strategy, config=config
         )
+    suspend_poll = snapshotter = None
     if snap_path is not None:
         from repro.snapshot import suspend
         from repro.snapshot.auto import AutoSnapshotter, parse_snapshot_every
 
-        manager.sim.set_suspend_poll(suspend.suspend_requested)
+        suspend_poll = suspend.suspend_requested
         every_events, every_wall_s = parse_snapshot_every(snapshot_every)
         if every_events is not None or every_wall_s is not None:
-            AutoSnapshotter(
+            snapshotter = AutoSnapshotter(
                 manager,
                 snap_path,
                 spec_hash=run_id,
                 every_events=every_events,
                 every_wall_s=every_wall_s,
-            ).install()
+            )
 
     from repro.observability.events import current_trace
 
@@ -170,7 +171,7 @@ def _execute_simulate(
             decisions.emit("trace_context", 0.0, trace=trace_id, run=run_id)
 
     try:
-        result = manager.run()
+        result = manager.run(suspend_poll=suspend_poll, snapshotter=snapshotter)
     except SuspendRequested as exc:
         from repro.snapshot import suspend
         from repro.snapshot.state import write_snapshot
@@ -234,9 +235,6 @@ def _execute_simulate(
     # of failure-free runs stay bit-identical to earlier versions.
     if result.resilience is not None:
         payload["resilience"] = _jsonable(result.resilience.as_dict())
-    # The payload holds no engine object: let reference counting free
-    # the run as this returns.
-    manager.sim.detach()
     return payload
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time as _wallclock
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.cluster.allocation import Allocation, AllocationKind
 from repro.cluster.machine import Cluster
@@ -32,7 +32,7 @@ from repro.core.strategy import (
 )
 from repro.diagnostics.crash import attach_crash_info
 from repro.engine.events import Event, EventKind
-from repro.engine.simulator import Simulator
+from repro.engine.simulator import Handlers, Simulator
 from repro.errors import (
     AllocationError,
     ConfigError,
@@ -57,7 +57,6 @@ from repro.slurm.accounting import AccountingLog, JobRecord
 from repro.slurm.config import SchedulerConfig
 from repro.slurm.job import Job, JobState
 from repro.slurm.priority import MultifactorPriority
-from repro.slurm.failures import FailureModel
 from repro.slurm.predictor import WalltimePredictor
 from repro.slurm.queue import PendingQueue
 from repro.slurm.reservations import Reservation
@@ -67,6 +66,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.selector import ResidentGroup
     from repro.metrics.collector import MetricsCollector
     from repro.metrics.resilience import FailureRecord, ResilienceReport
+    from repro.snapshot.auto import AutoSnapshotter
+
+#: Labels of the lifecycle records, looked up per record instead of
+#: read through the Python-level ``Enum.name`` property.
+_STATE_LABELS = {state: state.name.lower() for state in JobState}
+_KIND_LABELS = {kind: kind.name.lower() for kind in AllocationKind}
 
 #: Relative tolerance for "the job's work is done" at a finish event.
 _FINISH_TOLERANCE = 1e-6
@@ -175,7 +180,6 @@ class WorkloadManager:
         if diag.max_events is not None:
             sim_kwargs["max_events"] = diag.max_events
         self.sim = Simulator(**sim_kwargs)
-        self.sim.before_pickle = self._flush_priorities
         self.scheduler_passes = 0
         self.placements_applied = 0
         #: Node id -> latest walltime bound (start + effective limit)
@@ -208,7 +212,6 @@ class WorkloadManager:
         self.partitions: dict[str, Partition] = {p.name: p for p in partitions}
         self.reservations: list[Reservation] = []
         self._phantom_seq = 0
-        self.failure_model: FailureModel | None = None
         self.resilience: ResilienceConfig | None = None
         self.health: NodeHealthTracker | None = None
         self._failure_rng: "object | None" = None
@@ -236,15 +239,23 @@ class WorkloadManager:
         self.predictor: WalltimePredictor | None = (
             WalltimePredictor() if self.config.use_walltime_prediction else None
         )
-        self.sim.on(EventKind.JOB_SUBMIT, self._on_submit)
-        self.sim.on(EventKind.JOB_FINISH, self._on_finish)
-        self.sim.on(EventKind.JOB_TIMEOUT, self._on_timeout)
-        self.sim.on(EventKind.JOB_CANCEL, self._on_cancel)
-        self.sim.on(EventKind.SCHEDULER_PASS, self._on_scheduler_pass)
-        self.sim.on(EventKind.BACKFILL_PASS, self._on_backfill_tick)
-        self.sim.on(EventKind.CHECKPOINT, self._on_reservation_edge)
-        self.sim.on(EventKind.NODE_FAIL, self._on_node_fail)
-        self.sim.on(EventKind.NODE_REPAIR, self._on_node_repair)
+
+    def handlers(self) -> Handlers:
+        """The engine's dispatch table: one bound method per event
+        kind, built afresh by each :meth:`run` so the simulator never
+        holds the manager (and a subclass's overrides are the ones
+        dispatched)."""
+        return {
+            EventKind.JOB_SUBMIT: self._on_submit,
+            EventKind.JOB_FINISH: self._on_finish,
+            EventKind.JOB_TIMEOUT: self._on_timeout,
+            EventKind.JOB_CANCEL: self._on_cancel,
+            EventKind.SCHEDULER_PASS: self._on_scheduler_pass,
+            EventKind.BACKFILL_PASS: self._on_backfill_tick,
+            EventKind.CHECKPOINT: self._on_reservation_edge,
+            EventKind.NODE_FAIL: self._on_node_fail,
+            EventKind.NODE_REPAIR: self._on_node_repair,
+        }
 
     # ------------------------------------------------------------------
     # Release bounds
@@ -328,12 +339,9 @@ class WorkloadManager:
                     cluster, other, self.profile_of(other)
                 )
 
-    def _flush_priorities(self) -> None:
-        self.queue.flush()
-
     def __getstate__(self) -> dict:
         # Before anything reaches a job: see PendingQueue.flush.
-        self._flush_priorities()
+        self.queue.flush()
         state = self.__dict__.copy()
         for name in ("_release_bounds", "_running", "_groups", "rate_epoch"):
             del state[name]
@@ -351,9 +359,6 @@ class WorkloadManager:
         self._running = self._scan_running()
         self._groups = self._scan_groups()
         self.rate_epoch = 0
-        # The simulator may not be restored yet; what it restores
-        # leaves this attribute in place.
-        self.sim.before_pickle = self._flush_priorities
 
     # ------------------------------------------------------------------
     # Loading work
@@ -737,26 +742,6 @@ class WorkloadManager:
     # ------------------------------------------------------------------
     # Failure injection
     # ------------------------------------------------------------------
-    def enable_failures(self, model: FailureModel, seed: int = 0) -> None:
-        """Turn on exponential node failures with requeue-on-eviction.
-
-        Legacy entry point, kept for compatibility: delegates to
-        :meth:`enable_resilience` with unbounded requeues, no
-        checkpointing and no blacklisting — exactly the original
-        semantics (and the original RNG draw sequence).
-        """
-        if self.resilience is not None:
-            raise ConfigError("failures already enabled")
-        self.failure_model = model
-        self.enable_resilience(
-            ResilienceConfig(
-                node_mtbf_hours=model.mtbf_node_hours,
-                repair_hours=model.repair_hours,
-                max_requeues=None,
-                seed=seed,
-            )
-        )
-
     def enable_resilience(self, config: ResilienceConfig) -> None:
         """Activate the resilience layer for this simulation.
 
@@ -1058,7 +1043,7 @@ class WorkloadManager:
         self.accounting.append(record)
         if self.decisions is not None:
             self.decisions.lifecycle(
-                now, job.job_id, final_state.name.lower(),
+                now, job.job_id, _STATE_LABELS[final_state],
                 shared=record.was_shared,
             )
             self.decisions.hub.observe("job.wait_s", record.wait_time)
@@ -1217,7 +1202,7 @@ class WorkloadManager:
         if self.decisions is not None:
             self.decisions.lifecycle(
                 now, job.job_id, "started",
-                kind=placement.kind.name.lower(), nodes=len(placement.node_ids),
+                kind=_KIND_LABELS[placement.kind], nodes=len(placement.node_ids),
             )
         if self.collector is not None:
             self.collector.on_start(now, job, self)
@@ -1286,14 +1271,25 @@ class WorkloadManager:
                 and collector.times[-1] > last):
             collector.drop_last_sample()
 
-    def run(self, until: float | None = None) -> SimulationResult:
-        """Run the simulation to completion and summarise it."""
+    def run(
+        self,
+        until: float | None = None,
+        *,
+        suspend_poll: Callable[[], bool] | None = None,
+        snapshotter: "AutoSnapshotter | None" = None,
+    ) -> SimulationResult:
+        """Run the simulation to completion (or to *until*) and
+        summarise it.  *suspend_poll* and *snapshotter* are passed to
+        :meth:`Simulator.run` for this call only."""
         from repro.metrics.resilience import resilience_report
 
         started = _wallclock.perf_counter()
         self._drop_pause_sample()
         try:
-            self.sim.run(until=until)
+            self.sim.run(
+                self.handlers(), until,
+                suspend_poll=suspend_poll, snapshotter=snapshotter,
+            )
             unfinished = len(self.jobs) - self._terminal_jobs
             if unfinished and until is None:
                 raise SimulationError(

@@ -24,7 +24,7 @@ class PendingQueue:
     every queued job's ``priority``.  A job that leaves the queue gets
     its priority from those keys at once; the others get theirs from
     :meth:`flush`, which must run before anything reads ``priority``
-    (the manager flushes before it or its simulator is pickled, and
+    (the manager flushes before it is pickled, and
     :meth:`ranked` flushes for read-only views).  Until the next pass,
     each job then holds exactly what an eager write-back at the pass
     would have left on it.

@@ -1,9 +1,10 @@
 """Periodic auto-snapshot: event- or wall-clock-triggered.
 
-An :class:`AutoSnapshotter` installs itself on a manager's simulator
-and rewrites the run's snapshot file whenever the configured budget
-(dispatched events and/or real seconds since the last write) is
-exhausted.  Snapshot writes are atomic (see
+An :class:`AutoSnapshotter`, passed to one
+:meth:`~repro.slurm.manager.WorkloadManager.run` call, is offered the
+simulator after every dispatch and rewrites the run's snapshot file
+whenever the configured budget (dispatched events and/or real seconds
+since the last write) is exhausted.  Snapshot writes are atomic (see
 :mod:`repro.snapshot.state`), so the file on disk is always the
 *latest complete* snapshot; a SIGKILL or OOM kill between writes
 costs at most one interval of re-simulation.
@@ -101,11 +102,6 @@ class AutoSnapshotter:
         self.write_failures = 0
         self._anchor_events = manager.sim.events_dispatched
         self._anchor_wall = clock()
-
-    def install(self) -> "AutoSnapshotter":
-        """Hook this snapshotter into the manager's run loop."""
-        self.manager.sim.set_autosnapshotter(self)
-        return self
 
     # ------------------------------------------------------------------
     def due(self, sim: "Simulator") -> bool:

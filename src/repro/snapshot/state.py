@@ -7,7 +7,7 @@ allocation occupancy, the SLURM queue/manager/accounting state, and
 the metric collectors — as one atomic file, so a preempted run can be
 restored and continued **byte-identically** to an uninterrupted one.
 
-File format (version 3)::
+File format (version 4)::
 
     <header JSON, one line, utf-8>\\n
     <zlib-compressed pickle payload>
@@ -22,7 +22,9 @@ the pickle uncompressed; version 2 compresses it at zlib level 6
 ``snapshot.bytes_mean``).  Version 3 keeps that codec and changes the
 payload: the simulator's flight ring pickles empty (its records and
 the diagnostics class that held them are gone), and the simulator
-keeps the time of its last dispatched event.  Files of an older
+keeps the time of its last dispatched event.  Version 4 drops the
+simulator's handler table and hook fields: handlers are arguments of
+each run, so the simulator never holds the manager.  Files of an older
 version are *not* readable by this build — by design: the header's
 version check makes stale snapshots restart fresh rather than
 resuming subtly wrong, before any of their payload is unpickled.
@@ -32,10 +34,11 @@ so a stale snapshot (the run's parameters changed) invalidates itself
 instead of silently resuming the wrong simulation.
 
 Pickle is the payload codec deliberately: the manager's object graph
-is cyclic (jobs hold their finish events, events hold their jobs, the
-engine's handler table holds bound methods of the manager) and pickle
-preserves those identities exactly — which the engine's ``event is
-job.finish_event`` staleness checks rely on after a restore.
+is cyclic (jobs hold their finish events, events hold their jobs) and
+pickle preserves those identities exactly — which the engine's
+``event is job.finish_event`` staleness checks rely on after a
+restore.  The manager is the only pickling root: its
+``__getstate__`` writes the queue's lazily kept priorities first.
 Snapshots are therefore *trusted* artifacts: only load files your own
 campaign wrote.
 """
@@ -62,7 +65,8 @@ SNAPSHOT_MAGIC = "repro-snapshot"
 #: readers refuse other versions (the run simply restarts fresh).
 #: Version 2: payload is zlib-compressed; header gains ``codec`` and
 #: ``raw_bytes``.  Version 3: the payload holds no flight-ring records.
-SNAPSHOT_VERSION = 3
+#: Version 4: the simulator holds no handler table or hooks.
+SNAPSHOT_VERSION = 4
 
 #: Payload codec written by this build.
 SNAPSHOT_CODEC = "zlib"

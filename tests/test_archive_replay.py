@@ -923,7 +923,7 @@ class TestWindowEntryErrors:
                 boundary_dir=str(store / BOUNDARY_DIR_NAME),
             )
         assert excinfo.value.reason == "version"
-        assert "version 2 (this build reads version 3)" in str(excinfo.value)
+        assert "version 2 (this build reads version 4)" in str(excinfo.value)
         assert str(excinfo.value) in failure.error
 
     def test_chain_id_ignores_window(self, gap_archive):

@@ -160,8 +160,9 @@ class TestCoRunnerIndex:
         )
         cluster = manager.cluster
         pairs = phantom = 0
+        handlers = manager.handlers()
         while manager.sim.heap:
-            manager.sim.step()
+            manager.sim.step(handlers)
             cluster.check_indexes()
             for job_id in cluster.running_job_ids():
                 shared = cluster.jobs_sharing_with(job_id)
@@ -347,7 +348,7 @@ class TestIndexesAcrossSnapshots:
         baseline = baseline_manager.run()
 
         manager = build()
-        manager.sim.run(until=8000.0)
+        manager.sim.run(manager.handlers(), until=8000.0)
         assert manager.sim.heap, "snapshot point must be mid-run"
         assert manager.cluster.running_job_ids(), "jobs must be running"
         restored = pickle.loads(snapshot_bytes(manager))
@@ -377,15 +378,16 @@ class TestIndexesAcrossSnapshots:
         # its kept work rate and profiles without their kept hashes
         # (and none with a __getstate__) would.
         manager = sharing_manager()
+        handlers = manager.handlers()
         while not manager.cluster.num_shared():
-            manager.sim.step()
+            manager.sim.step(handlers)
         assert manager._release_bounds, "snapshot point must be mid-run"
         assert manager._running
         blob = snapshot_bytes(manager)
         for name in (b"_release_bounds", b"_co_runners", b"min_memory_mb",
                      b"_uniform_memory", b"_groups",
                      b"rate_epoch", b"_work_rate", b"_hash",
-                     b"before_pickle", b"_unwritten"):
+                     b"_on_submit", b"_unwritten"):
             assert name not in blob, name
         for name in ("_release_bounds", "_running", "_groups", "rate_epoch"):
             del manager.__dict__[name]
@@ -396,7 +398,6 @@ class TestIndexesAcrossSnapshots:
         for profile_ in {*manager.profiles.values(),
                          manager.config.default_profile}:
             profile_.__dict__.pop("_hash", None)
-        del manager.sim.__dict__["before_pickle"]
         monkeypatch.delattr(WorkloadManager, "__getstate__")
         monkeypatch.delattr(Cluster, "__getstate__")
         monkeypatch.delattr(MetricsCollector, "__getstate__")
@@ -418,8 +419,9 @@ class TestReleaseBounds:
         )
         cluster = manager.cluster
         joined = phantom = 0
+        handlers = manager.handlers()
         while manager.sim.heap:
-            manager.sim.step()
+            manager.sim.step(handlers)
             manager.check_indexes()
             joined += cluster.num_shared() > 0
             phantom += any(job_id < 0 for job_id in cluster.running_job_ids())
@@ -429,7 +431,7 @@ class TestReleaseBounds:
 
     def test_stale_bound_is_detected(self):
         manager = sharing_manager()
-        manager.sim.run(until=8000.0)
+        manager.sim.run(manager.handlers(), until=8000.0)
         node_id = next(iter(manager._release_bounds))
         manager._release_bounds[node_id] += 1.0
         with pytest.raises(AllocationError, match="release bounds"):
@@ -440,7 +442,7 @@ class TestReleaseBounds:
         # so its passes scan the running jobs; the bounds are kept.
         assert sharing_manager()._pass_release_bounds() is not None
         manager = sharing_manager(use_walltime_prediction=True)
-        manager.sim.run(until=8000.0)
+        manager.sim.run(manager.handlers(), until=8000.0)
         assert manager._pass_release_bounds() is None
         assert manager._release_bounds
         manager.check_indexes()

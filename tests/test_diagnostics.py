@@ -77,7 +77,7 @@ class TestDiagnosticsConfig:
 def _ran(sim, kind, times, payload=None):
     for time in times:
         sim.schedule(time, kind, payload)
-    sim.run()
+    sim.run({})
     return sim
 
 
@@ -141,10 +141,9 @@ class TestWatchdogs:
         def respawn(s, event):
             s.schedule(s.now, EventKind.SCHEDULER_PASS)
 
-        sim.on(EventKind.SCHEDULER_PASS, respawn)
         sim.schedule(1.0, EventKind.SCHEDULER_PASS)
         with pytest.raises(WatchdogError, match="progress watchdog") as info:
-            sim.run()
+            sim.run({EventKind.SCHEDULER_PASS: respawn})
         assert info.value.kind == "sim_progress"
         assert info.value.sim_time == 1.0
         assert info.value.events_dispatched == 26
@@ -153,21 +152,21 @@ class TestWatchdogs:
         sim = Simulator(stall_event_limit=2)
         for i in range(10):
             sim.schedule(float(i), EventKind.JOB_SUBMIT)
-        sim.run()
+        sim.run({})
         assert sim.events_dispatched == 10
 
     def test_wall_clock_watchdog_fires(self):
         sim = Simulator(wall_clock_limit_s=0.0)
         sim.schedule(1.0, EventKind.JOB_SUBMIT)
         with pytest.raises(WatchdogError, match="wall-clock watchdog") as info:
-            sim.run()
+            sim.run({})
         assert info.value.kind == "wall_clock"
 
     def test_wall_clock_deadline_reset_between_runs(self):
         sim = Simulator(wall_clock_limit_s=0.0)
         sim.schedule(1.0, EventKind.JOB_SUBMIT)
         with pytest.raises(WatchdogError):
-            sim.run()
+            sim.run({})
         assert sim._wall_deadline is None
 
     def test_watchdog_through_manager(self):
@@ -188,7 +187,7 @@ class TestMaxEvents:
         for i in range(10):
             sim.schedule(float(i), EventKind.JOB_SUBMIT)
         with pytest.raises(MaxEventsError, match="max_events=5") as info:
-            sim.run()
+            sim.run({})
         err = info.value
         assert isinstance(err, SimulationError)  # legacy contract
         assert err.max_events == 5

@@ -157,8 +157,8 @@ def run_engine(scenario: Scenario, reference: bool,
     if scenario.checked:
         step = manager.sim.step
 
-        def checked_step():
-            event = step()
+        def checked_step(handlers):
+            event = step(handlers)
             manager.check_indexes()
             return event
 

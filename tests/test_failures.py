@@ -7,8 +7,8 @@ from repro.cluster.machine import Cluster
 from repro.cluster.node import Node
 from repro.errors import AllocationError, ConfigError
 from repro.metrics.validation import ValidatingCollector
+from repro.resilience import ResilienceConfig
 from repro.slurm.config import SchedulerConfig
-from repro.slurm.failures import FailureModel
 from repro.slurm.job import JobState
 from repro.slurm.manager import WorkloadManager
 from repro.workload.trace import WorkloadTrace
@@ -60,21 +60,6 @@ class TestNodeDownState:
             cluster.check_indexes()
 
 
-class TestFailureModel:
-    def test_rates(self):
-        model = FailureModel(mtbf_node_hours=100.0, repair_hours=2.0)
-        assert model.cluster_interarrival_seconds(100) == pytest.approx(3600.0)
-        assert model.repair_seconds == 7200.0
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            FailureModel(mtbf_node_hours=0.0)
-        with pytest.raises(ConfigError):
-            FailureModel(repair_hours=-1.0)
-        with pytest.raises(ConfigError):
-            FailureModel().cluster_interarrival_seconds(0)
-
-
 class TestJobRequeue:
     def test_requeue_resets_progress(self):
         from repro.cluster.allocation import Allocation, AllocationKind
@@ -110,9 +95,9 @@ def run_with_failures(strategy="shared_backfill", mtbf=200.0, seed=5,
         collector=ValidatingCollector(cluster),
     )
     manager.load(trace)
-    manager.enable_failures(
-        FailureModel(mtbf_node_hours=mtbf, repair_hours=2.0), seed=seed
-    )
+    manager.enable_resilience(ResilienceConfig(
+        node_mtbf_hours=mtbf, repair_hours=2.0, max_requeues=None, seed=seed,
+    ))
     return manager, manager.run()
 
 
@@ -145,9 +130,9 @@ class TestFailureInjection:
         cluster = Cluster.homogeneous(2)
         manager = WorkloadManager(cluster)
         manager.load(trace)
-        manager.enable_failures(FailureModel())
+        manager.enable_resilience(ResilienceConfig(node_mtbf_hours=50_000.0))
         with pytest.raises(ConfigError, match="already enabled"):
-            manager.enable_failures(FailureModel())
+            manager.enable_resilience(ResilienceConfig(node_mtbf_hours=50_000.0))
 
     def test_no_failures_with_huge_mtbf(self):
         manager, result = run_with_failures(mtbf=1e9)

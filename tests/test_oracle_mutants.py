@@ -31,6 +31,7 @@ from repro.storage import durable
 from tests import (
     test_cluster_indexes,
     test_faultinject,
+    test_freed_runs,
     test_manager_rate_arithmetic,
     test_snapshot,
     test_warm_fork,
@@ -111,8 +112,7 @@ def _ring_pause_sample(self):
 
 def _unflushed_getstate(self):
     # Pickles the manager without writing the queue's pending
-    # priorities first; only the simulator's hook writes them, after
-    # the queue and the job table are already pickled.
+    # priorities first.
     state = self.__dict__.copy()
     for name in ("_release_bounds", "_running", "_groups", "rate_epoch"):
         del state[name]
@@ -172,6 +172,15 @@ def _stamp_checking_failpoint(name: str) -> None:
     spec = _PLAN.check(name)  # noqa: F821
     if spec is not None:
         _trip(spec)  # noqa: F821
+
+
+def _kept_handlers(run):
+    # Keeps the run's handler table on the simulator.
+    def mutant(self, handlers, *args, **kwargs):
+        self._handlers = handlers
+        return run(self, handlers, *args, **kwargs)
+
+    return mutant
 
 
 def _replace_body(function, replacement) -> Callable[[pytest.MonkeyPatch], None]:
@@ -290,11 +299,16 @@ def snapshot_restore_oracle() -> None:
 
 
 def eager_bytes_oracle() -> None:
-    """A snapshot taken between two passes, of the manager or of its
-    simulator, pickles to the bytes of one whose queue writes every
-    pass's priorities at once."""
+    """A snapshot taken between two passes pickles to the bytes of a
+    manager whose queue writes every pass's priorities at once."""
     test_snapshot.TestSnapshotBytesPinned(
     ).test_snapshot_between_passes_matches_an_eager_write_back()
+
+
+def freed_run_oracle() -> None:
+    """A finished manager its caller drops is freed with the cyclic
+    collector off."""
+    test_freed_runs.assert_run_freed("shared_backfill", None)
 
 
 def kept_work_rate_oracle() -> None:
@@ -412,11 +426,11 @@ MUTANTS = (
     ),
     Mutant(
         "late-priority-flush",
-        "the pending priorities are written after the jobs are pickled",
+        "a pickled manager leaves the pending priorities unwritten",
         lambda mp: mp.setattr(
             WorkloadManager, "__getstate__", _unflushed_getstate
         ),
-        (eager_bytes_oracle, snapshot_restore_oracle),
+        (eager_bytes_oracle,),
     ),
     Mutant(
         "stale-running-map",
@@ -450,6 +464,14 @@ MUTANTS = (
         "the backfill screen rules out a job that could join resident groups",
         lambda mp: mp.setattr(AvailabilityView, "rules_out", _groupless_screen),
         (differential_oracle,),
+    ),
+    Mutant(
+        "simulator-keeps-handlers",
+        "a run leaves its handler table on the simulator",
+        lambda mp: mp.setattr(
+            Simulator, "run", _kept_handlers(Simulator.run)
+        ),
+        (freed_run_oracle,),
     ),
 )
 

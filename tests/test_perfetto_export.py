@@ -140,13 +140,11 @@ class TestResumeStability:
             polls["n"] += 1
             return polls["n"] > 80
 
-        manager.sim.set_suspend_poll(poll)
         with pytest.raises(SuspendRequested):
-            manager.run()
+            manager.run(suspend_poll=poll)
         path = write_snapshot(manager, tmp_path / "run.snap",
                               spec_hash="trace")
         restored = read_snapshot(path, expect_spec_hash="trace")
-        restored.sim.set_suspend_poll(None)
         resumed = perfetto_trace(restored.run(), restored.decisions)
 
         assert json.dumps(resumed, sort_keys=True) == json.dumps(
@@ -156,14 +154,11 @@ class TestResumeStability:
     def test_resumed_trace_validates(self, tmp_path):
         manager = build(strategy="easy_backfill")
         polls = {"n": 0}
-        manager.sim.set_suspend_poll(
-            lambda: [polls.__setitem__("n", polls["n"] + 1),
-                     polls["n"] > 40][1]
-        )
         with pytest.raises(SuspendRequested):
-            manager.run()
+            manager.run(suspend_poll=lambda: [
+                polls.__setitem__("n", polls["n"] + 1), polls["n"] > 40
+            ][1])
         path = write_snapshot(manager, tmp_path / "e.snap", spec_hash="v")
         restored = read_snapshot(path, expect_spec_hash="v")
-        restored.sim.set_suspend_poll(None)
         document = perfetto_trace(restored.run(), restored.decisions)
         assert validate_trace(document) == []

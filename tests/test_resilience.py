@@ -24,7 +24,6 @@ from repro.resilience import (
     young_interval,
 )
 from repro.slurm.config import SchedulerConfig
-from repro.slurm.failures import FailureModel
 from repro.slurm.job import JobState
 from repro.slurm.manager import WorkloadManager
 from repro.workload.trinity import TrinityWorkloadGenerator
@@ -136,6 +135,9 @@ class TestResilienceConfig:
         assert config.rack_interarrival_seconds(2) == pytest.approx(
             50.0 * 3600.0 / 2
         )
+        assert ResilienceConfig(repair_hours=2.0).repair_seconds == 7200.0
+        with pytest.raises(ConfigError):
+            config.node_interarrival_seconds(0)
         with pytest.raises(ConfigError):
             ResilienceConfig().node_interarrival_seconds(4)
         with pytest.raises(ConfigError):
@@ -420,11 +422,9 @@ class TestResilientSimulation:
         assert data["failures"] == report.failures
         assert isinstance(data["requeue_histogram"], dict)
 
-    def test_legacy_enable_failures_unchanged(self):
-        # enable_failures delegates to the resilience layer with
-        # unbounded requeues: same seed, same eviction schedule as the
-        # pre-resilience implementation (covered by test_failures.py
-        # determinism); here we check the delegation wiring.
+    def test_unbounded_requeues_fail_no_job(self):
+        # Plain node failures (E20's setting): unbounded requeues, no
+        # checkpointing, no blacklisting.
         rng = np.random.default_rng(3)
         trace = TrinityWorkloadGenerator(
             share_obeys_app=False, share_fraction=0.9, offered_load=1.5
@@ -432,11 +432,9 @@ class TestResilientSimulation:
         cluster = Cluster.homogeneous(16)
         manager = WorkloadManager(cluster)
         manager.load(trace)
-        manager.enable_failures(
-            FailureModel(mtbf_node_hours=100.0, repair_hours=2.0), seed=9
-        )
-        assert manager.resilience is not None
-        assert manager.resilience.max_requeues is None
+        manager.enable_resilience(ResilienceConfig(
+            node_mtbf_hours=100.0, repair_hours=2.0, max_requeues=None, seed=9,
+        ))
         result = manager.run()
         # Unbounded requeues: nothing may terminate FAILED.
         assert manager.jobs_failed == 0

@@ -81,7 +81,7 @@ class TestRoundTripProperty:
         baseline = fingerprint(build(strategy).run())
 
         manager = build(strategy)
-        manager.sim.run(until=4000.0)
+        manager.sim.run(manager.handlers(), until=4000.0)
         assert manager.sim.heap, "snapshot point must be mid-run"
         restored = pickle.loads(snapshot_bytes(manager))
         assert isinstance(restored, WorkloadManager)
@@ -95,7 +95,7 @@ class TestRoundTripProperty:
         )
         baseline = fingerprint(build(resilience=resil).run())
         manager = build(resilience=resil)
-        manager.sim.run(until=6000.0)
+        manager.sim.run(manager.handlers(), until=6000.0)
         restored = pickle.loads(snapshot_bytes(manager))
         assert fingerprint(restored.run()) == baseline
 
@@ -109,8 +109,8 @@ class TestRoundTripProperty:
 SNAPSHOT_PINS = {
     (3, 11): {
         "mid_run": (
-            117_780,
-            "ea565c7d231daeb8c36eabe189fc07ce9951c1d9491dc3ba41b7aec608688627",
+            117_341,
+            "0dd8c5162165d24bab8a42af60d171f284552c1dc31060aa403179b0001bf33a",
         ),
     },
 }
@@ -201,9 +201,9 @@ class TestSnapshotBytesPinned:
         ]
 
     def test_snapshot_between_passes_matches_an_eager_write_back(self):
-        # A pass keeps its priorities unwritten; pickling the manager,
-        # or its simulator, first writes them, so the bytes equal those
-        # of a queue that writes every pass's priorities at once.
+        # A pass keeps its priorities unwritten; pickling the manager
+        # first writes them, so the bytes equal those of a queue that
+        # writes every pass's priorities at once.
         def eager(manager):
             queue = manager.queue
             queue.ordered = lambda now: queue.priority.order_terms(
@@ -211,19 +211,17 @@ class TestSnapshotBytesPinned:
             )
             return manager
 
-        lazy = [deep_manager(), deep_manager()]
-        eagers = [eager(deep_manager()), eager(deep_manager())]
-        for manager in lazy + eagers:
-            manager.sim.run(until=20_000.0)
-        queued = list(lazy[0].queue)
-        assert lazy[0].queue._unwritten is not None
+        lazy, eager_manager = deep_manager(), eager(deep_manager())
+        for manager in (lazy, eager_manager):
+            manager.sim.run(manager.handlers(), until=20_000.0)
+        queued = list(lazy.queue)
+        assert lazy.queue._unwritten is not None
         assert [job.priority for job in queued] != [
-            job.priority for job in eagers[0].queue
+            job.priority for job in eager_manager.queue
         ], "the pass must have left priorities unwritten"
-        assert snapshot_bytes(lazy[0]) == snapshot_bytes(eagers[0])
-        assert lazy[1].sim.snapshot() == eagers[1].sim.snapshot()
+        assert snapshot_bytes(lazy) == snapshot_bytes(eager_manager)
         assert [job.priority for job in queued] == [
-            job.priority for job in eagers[0].queue
+            job.priority for job in eager_manager.queue
         ]
 
     def test_pass_leaves_unplaced_priorities_until_a_flush(self):
@@ -243,8 +241,9 @@ class TestSnapshotBytesPinned:
 
         manager.strategy.schedule = recording
         checked = 0
+        handlers = manager.handlers()
         while checked < 20:
-            manager.sim.step()
+            manager.sim.step(handlers)
             if not passes:
                 continue
             ctx, held, placed = passes.pop()
@@ -309,52 +308,56 @@ class TestSnapshotBytesPinned:
         assert summary == expected
 
 
-def _noop_handler(sim, event):
-    """Module-level so a simulator holding it stays picklable."""
+def _round_trip(sim):
+    return pickle.loads(pickle.dumps(sim, protocol=4))
 
 
 class TestSimulatorSnapshot:
     def test_snapshot_restore_preserves_clock_and_queue(self):
         sim = Simulator()
         kind = list(EventKind)[0]
-        sim.on(kind, _noop_handler)
         for t in (1.0, 2.0, 3.0):
             sim.schedule(t, kind)
-        sim.run(until=1.5)
-        restored = Simulator.restore(sim.snapshot())
+        sim.run({}, until=1.5)
+        restored = _round_trip(sim)
         assert restored.now == sim.now
         assert len(restored.heap) == len(sim.heap)
         assert restored.events_dispatched == sim.events_dispatched
-        restored.run()
+        restored.run({})
         assert restored.events_dispatched == 3
 
-    def test_restore_rejects_foreign_pickles(self):
-        from repro.errors import SimulationError
+    def test_restore_rejects_foreign_pickles(self, tmp_path):
+        from types import SimpleNamespace
 
-        with pytest.raises(SimulationError, match="snapshot"):
-            Simulator.restore(pickle.dumps({"not": "a simulator"}))
+        path = write_snapshot(
+            SimpleNamespace(sim=Simulator()), tmp_path / "f.snap"
+        )
+        with pytest.raises(SnapshotError, match="not a WorkloadManager") as excinfo:
+            WorkloadManager.restore(path)
+        assert excinfo.value.reason == "format"
 
     def test_transient_state_not_pickled(self):
         sim = Simulator()
-        sim.set_suspend_poll(lambda: False)
-        state = sim.__getstate__()
-        assert state["_suspend_poll"] is None
-        assert state["_autosnap"] is None
+        sim.schedule(1.0, EventKind.CHECKPOINT)
+        states = []
+        sim.run({EventKind.CHECKPOINT: lambda s, e: states.append(s.__getstate__())})
+        (state,) = states
         assert state["_running"] is False
+        assert state["_stop_requested"] is False
+        assert state["_wall_deadline"] is None
 
     def test_flight_ring_restores_empty_at_its_capacity(self):
         sim = Simulator(ring_size=2)
         kind = list(EventKind)[0]
-        sim.on(kind, _noop_handler)
         for t in (1.0, 2.0, 3.0):
             sim.schedule(t, kind)
-        sim.run(until=2.5)
+        sim.run({}, until=2.5)
         assert [event.time for event in sim.flight_ring] == [1.0, 2.0]
-        restored = Simulator.restore(sim.snapshot())
+        restored = _round_trip(sim)
         assert list(restored.flight_ring) == []
         assert restored.flight_ring.maxlen == 2
         assert restored.last_event_time == 2.0
-        restored.run()
+        restored.run({})
         assert [event.time for event in restored.flight_ring] == [3.0]
 
     def test_suspend_poll_raises_at_event_boundary(self):
@@ -365,9 +368,8 @@ class TestSimulatorSnapshot:
             polls["n"] += 1
             return polls["n"] > 50
 
-        manager.sim.set_suspend_poll(poll)
         with pytest.raises(SuspendRequested) as excinfo:
-            manager.run()
+            manager.run(suspend_poll=poll)
         assert excinfo.value.events_dispatched == 50
         assert manager.sim.heap, "queue must survive the suspension"
 
@@ -375,12 +377,11 @@ class TestSimulatorSnapshot:
         baseline = fingerprint(build().run())
         manager = build()
         polls = {"n": 0}
-        manager.sim.set_suspend_poll(
-            lambda: [polls.__setitem__("n", polls["n"] + 1), polls["n"] > 80][1]
-        )
         path = tmp_path / "run.snap"
         with pytest.raises(SuspendRequested):
-            manager.run()
+            manager.run(suspend_poll=lambda: [
+                polls.__setitem__("n", polls["n"] + 1), polls["n"] > 80
+            ][1])
         write_snapshot(manager, path, spec_hash="abc")
         restored = read_snapshot(path, expect_spec_hash="abc")
         assert fingerprint(restored.run()) == baseline
@@ -392,7 +393,7 @@ class TestSimulatorSnapshot:
 class TestSnapshotFile:
     def test_header_records_provenance(self, tmp_path):
         manager = build()
-        manager.sim.run(until=2000.0)
+        manager.sim.run(manager.handlers(), until=2000.0)
         path = write_snapshot(manager, tmp_path / "x.snap", spec_hash="cafe")
         header = read_snapshot_header(path)
         assert header["format"] == SNAPSHOT_MAGIC
@@ -404,7 +405,7 @@ class TestSnapshotFile:
 
     def test_manager_snapshot_restore_methods(self, tmp_path):
         manager = build()
-        manager.sim.run(until=2000.0)
+        manager.sim.run(manager.handlers(), until=2000.0)
         path = manager.snapshot(tmp_path / "m.snap", spec_hash="feed")
         restored = WorkloadManager.restore(path, expect_spec_hash="feed")
         assert isinstance(restored, WorkloadManager)
@@ -474,10 +475,10 @@ class TestAutoSnapshotter:
         path = tmp_path / "auto.snap"
         snapper = AutoSnapshotter(
             manager, path, spec_hash="x", every_events=50
-        ).install()
+        )
         # Snapshotting must not perturb the run, and the last periodic
         # snapshot must finish with the same accounting.
-        assert fingerprint(manager.run()) == baseline
+        assert fingerprint(manager.run(snapshotter=snapper)) == baseline
         assert snapper.written >= 2
         assert snapper.write_failures == 0
         restored = read_snapshot(path, expect_spec_hash="x")
@@ -491,15 +492,15 @@ class TestAutoSnapshotter:
         snapper = AutoSnapshotter(
             manager, tmp_path / "w.snap",
             every_wall_s=50.0, clock=lambda: float(next(ticks)),
-        ).install()
-        manager.run()
+        )
+        manager.run(snapshotter=snapper)
         assert snapper.written >= 1
 
     def test_write_failures_are_swallowed(self, tmp_path, monkeypatch):
         manager = build(jobs=20)
         snapper = AutoSnapshotter(
             manager, tmp_path / "f.snap", every_events=10
-        ).install()
+        )
         import repro.snapshot.state as state_mod
 
         def broken_write(*args, **kwargs):
@@ -507,7 +508,7 @@ class TestAutoSnapshotter:
 
         # fire() imports write_snapshot from state at call time.
         monkeypatch.setattr(state_mod, "write_snapshot", broken_write)
-        manager.run()
+        manager.run(snapshotter=snapper)
         assert snapper.write_failures >= 1
         assert snapper.written == 0
 
@@ -596,9 +597,10 @@ class TestEntryResume:
     def test_finished_run_is_freed_without_the_cyclic_collector(
         self, tmp_path, monkeypatch, snapshots
     ):
-        # The simulator's handlers, its pickle hook, suspend poll and
-        # autosnapshotter hold the manager, which holds the simulator;
-        # once the payload is built none of them may keep it alive.
+        # The manager holds its simulator, and the handlers, suspend
+        # poll and autosnapshotter of its run hold the manager; the
+        # simulator keeps none of them, so once the payload is built
+        # nothing keeps the manager alive.
         import gc
         import weakref
 

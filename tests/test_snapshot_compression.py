@@ -56,7 +56,7 @@ class TestCompressedRoundTrip:
         path = tmp_path / "mid.snap"
         write_snapshot(manager, path)
         header = read_snapshot_header(path)
-        assert header["version"] == SNAPSHOT_VERSION == 3
+        assert header["version"] == SNAPSHOT_VERSION == 4
         assert header["codec"] == SNAPSHOT_CODEC == "zlib"
         raw = len(snapshot_bytes(manager))
         assert header["raw_bytes"] == raw
@@ -85,6 +85,36 @@ class TestCompressedRoundTrip:
         assert excinfo.value.reason == "version"
         with pytest.raises(SnapshotError):
             read_snapshot(path)
+
+    def test_version_3_file_rejected_before_unpickling(
+        self, tmp_path, monkeypatch
+    ):
+        # A version-3 payload's simulator carries its handler table:
+        # bound methods of the manager that holds that simulator.  The
+        # header refuses the file before any of the payload is read.
+        import repro.snapshot.state as state_mod
+
+        manager = build()
+        manager.run(until=2000)
+        manager.sim._handlers = {
+            kind: [handler] for kind, handler in manager.handlers().items()
+        }
+        path = write_snapshot(manager, tmp_path / "v3.snap")
+        line, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        header["version"] = 3
+        path.write_bytes(
+            json.dumps(header, sort_keys=True).encode() + b"\n" + payload
+        )
+
+        def unpickled(data):
+            raise AssertionError("a version-3 payload was unpickled")
+
+        monkeypatch.setattr(state_mod.pickle, "loads", unpickled)
+        with pytest.raises(SnapshotError) as excinfo:
+            read_snapshot(path)
+        assert excinfo.value.reason == "version"
+        assert "version 3 (this build reads version 4)" in str(excinfo.value)
 
     def test_garbled_compressed_payload_rejected(self, tmp_path):
         manager = build()

@@ -91,7 +91,7 @@ class TestLegacySnapshotLayout:
         expected = reference.run()
 
         manager = _armed_manager()
-        manager.sim.run(until=4000.0)
+        manager.sim.run(manager.handlers(), until=4000.0)
         assert manager.sim.heap, "snapshot point must be mid-run"
         # The older layout: the manager's own slot and the trace's
         # attribute are one hub object.
